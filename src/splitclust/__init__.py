@@ -81,6 +81,7 @@ from .reductions import (
     universal_names,
 )
 from .solvers import (
+    BadSizeLimit,
     NotNormalized,
     SizeLimitExceeded,
     cover_to_modifications,

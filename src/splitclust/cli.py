@@ -47,6 +47,7 @@ from .reductions import (
     reduce_ncc_to_scc,
 )
 from .solvers import (
+    BadSizeLimit,
     SizeLimitExceeded,
     max_p3_packing,
     solve_cevs_exact,
@@ -457,7 +458,7 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.func(args)
-    except FormatError as exc:
+    except (FormatError, BadSizeLimit, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeLimitExceeded as exc:

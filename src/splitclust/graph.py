@@ -372,8 +372,12 @@ def contract_copies(
 # ---------------------------------------------------------------------------
 
 
-def _induced_p3_indices(g: Graph) -> Iterator[tuple[int, int, int]]:
-    """(x, center, z) index triples with x < z, in (x, center, z) order later."""
+def induced_p3_indices(g: Graph) -> Iterator[tuple[int, int, int]]:
+    """Every induced path on three vertices as an index triple (x, center, z).
+
+    Endpoints satisfy x < z; triples come grouped by center, so callers that
+    need the lexicographic order sort them.
+    """
     for j in range(g.n):
         row = g.rows[j]
         nbrs = []
@@ -393,7 +397,7 @@ def enumerate_induced_p3(g: Graph) -> list[tuple[VertexId, VertexId, VertexId]]:
     Endpoints are in canonical order within each triple and the listing is
     sorted lexicographically; a graph is a cluster graph iff this is empty.
     """
-    triples = sorted(_induced_p3_indices(g))
+    triples = sorted(induced_p3_indices(g))
     return [
         (g.vertices[x], g.vertices[j], g.vertices[z]) for x, j, z in triples
     ]
@@ -405,7 +409,7 @@ def is_cluster_graph(g: Graph) -> bool:
     Checked both ways (no induced P3, and component-wise cliqueness) since the
     equivalence is load-bearing for everything downstream.
     """
-    has_p3 = next(_induced_p3_indices(g), None) is not None
+    has_p3 = next(induced_p3_indices(g), None) is not None
     comps_cliques = all(g.is_clique_mask(c) for c in g.component_masks())
     assert has_p3 != comps_cliques, "P3-freeness and component cliqueness disagree"
     return comps_cliques

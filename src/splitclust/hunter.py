@@ -2,10 +2,11 @@
 
 The question being hunted: is there a graph where *no* minimum-cost
 editing-with-splitting solution keeps every closed-neighborhood class whole?
-For each graph the hunter computes the exact optimum, enumerates *all*
-optimal covers (with the uncapped label search, so the flags quantify over
-genuinely every optimum), and reports whether some optimum cuts a class and
-whether some optimum respects them all, with witnesses.
+For each graph one pass of the uncapped label search, started from the
+cost of the all-singletons cover (|E|), returns the exact optimum together
+with *all* optimal covers, so the flags quantify over genuinely every
+optimum; the hunter reports whether some optimum cuts a class and whether
+some optimum respects them all, with witnesses.
 
 Isomorphism classes are enumerated by canonical form.  The canonical form of
 an n-vertex graph is the lexicographically smallest adjacency bitstring over
@@ -36,7 +37,7 @@ from .certificates import (
     cover_respects_critical_cliques,
 )
 from .graph import Graph
-from .solvers import _cevs_search, _greedy_packing, _index_triples, _check_size
+from .solvers import _cevs_search, _check_size
 
 
 # ---------------------------------------------------------------------------
@@ -206,19 +207,15 @@ def _family_key(fam) -> tuple:
 
 
 def _analyze(g: Graph, n: int, index: int, canonical: str) -> HuntReport:
-    k = len(_greedy_packing(_index_triples(g)))
-    while True:
-        res = _cevs_search(g, k)
-        if res is not None:
-            optimum = res[0]
-            break
-        k += 1
-    families = sorted(_cevs_search(g, optimum, collect_all=True), key=_family_key)
-    assert families, "optimum found but no optimal cover enumerated"
+    families = sorted(
+        _cevs_search(g, g.edge_count, collect_all=True), key=_family_key
+    )
+    assert families, "the all-singletons cover was not reached"
+    covers = [SigmaCliqueCover.of(fam) for fam in families]
+    optimum = cover_cost(g, covers[0]).total
     witness_cutting = witness_respecting = None
-    for fam in families:
-        cover = SigmaCliqueCover.of(fam)
-        assert cover_cost(g, cover).total == optimum, "enumerated cover off-optimum"
+    for cover in covers:
+        assert cover_cost(g, cover).total == optimum, "kept covers differ in cost"
         if cover_respects_critical_cliques(g, cover):
             if witness_respecting is None:
                 witness_respecting = cover

@@ -19,7 +19,12 @@ command line, or with the SPLITCLUST_SIZE_LIMIT environment variable.
 * Editing with splitting (cevs) assigns each vertex, in order, a nonempty
   set of cluster labels; a vertex in t labels pays t-1, and each earlier
   vertex pays 1 when the pair disagrees with adjacency (edge across labels,
-  or non-edge sharing one).  Suffix packing numbers prune the search.
+  or non-edge sharing one), counted with bitmasks over the placed vertices.
+  One branch-and-bound pass finds the optimum, or with `collect_all` every
+  optimal cover: the incumbent starts at the budget and only falls.  The
+  bound at vertex i is a greedy packing of the induced paths whose center
+  and far endpoint are both >= i, each of which must still be paid for at a
+  vertex >= i.
 
 The cevs search caps the number of distinct labels at |V|; whether that cap
 can ever exclude all optima is open, so it is flagged in the README, and the
@@ -43,7 +48,14 @@ from .certificates import (
     cover_cost,
     verify_modification_sequence,
 )
-from .graph import Graph, Split, VertexId, apply_split, remove_isolated
+from .graph import (
+    Graph,
+    Split,
+    VertexId,
+    apply_split,
+    induced_p3_indices,
+    remove_isolated,
+)
 from .reductions import (
     Instance,
     Problem,
@@ -65,6 +77,10 @@ class SizeLimitExceeded(Exception):
     """The input is past the soft size limit for this operation."""
 
 
+class BadSizeLimit(ValueError):
+    """SPLITCLUST_SIZE_LIMIT is set but is not a non-negative integer."""
+
+
 class NotNormalized(Exception):
     """A sequence must run additions, then deletions, then splits."""
 
@@ -74,7 +90,15 @@ def resolve_size_limit(kind: str, override: int | None) -> int:
         return override
     env = os.environ.get("SPLITCLUST_SIZE_LIMIT")
     if env is not None:
-        return int(env)
+        try:
+            limit = int(env)
+        except ValueError:
+            limit = -1
+        if limit < 0:
+            raise BadSizeLimit(
+                f"SPLITCLUST_SIZE_LIMIT must be a non-negative integer, got {env!r}"
+            )
+        return limit
     return DEFAULT_SIZE_LIMITS[kind]
 
 
@@ -331,17 +355,6 @@ def solve_cvs_exact(
 # ---------------------------------------------------------------------------
 
 
-def _index_triples(g: Graph) -> list[tuple[int, int, int]]:
-    out = []
-    for j in range(g.n):
-        row = g.rows[j]
-        nbrs = [x for x in range(g.n) if row >> x & 1]
-        for x, z in itertools.combinations(nbrs, 2):
-            if not g.rows[x] >> z & 1:
-                out.append((x, j, z))
-    return sorted(out)
-
-
 def _compatible(t1: tuple[int, int, int], t2: tuple[int, int, int]) -> bool:
     return t1[1] != t2[1] and len(set(t1) & set(t2)) <= 1
 
@@ -355,17 +368,24 @@ def _greedy_packing(triples: list[tuple[int, int, int]]) -> list[tuple[int, int,
 
 
 def _suffix_packing_bounds(g: Graph) -> list[int]:
-    """pk[i] = greedy packing size among triples using only vertices >= i.
+    """pk[i] = greedy packing size among triples (x, c, z) with c, z >= i.
 
-    The center must lie in the suffix too, not just the endpoints: a path
-    whose center is already assigned can be paid for by overlap the center
-    has already bought, so counting it would overstate the remaining cost.
+    pk[i] bounds the cost the cevs search still charges once vertices 0..i-1
+    are placed, that is the excess of vertices >= i plus the pairs whose
+    later endpoint is >= i.  An induced path (x, c, z), x < z, must pay one
+    of: an excess at c (c in two or more sets), the pair xc, the pair cz, or
+    the pair xz (if c sits in one set S and both edges are kept, x and z
+    share S across a non-edge).  With c >= i and z >= i every one of these is
+    charged at a vertex >= i, whether or not x is placed.  Packed paths have
+    distinct centers and share no pair, so they are charged distinct units.
+    A path with c < i or z < i stays out: its excess at c or its pair xz is
+    charged at a placed vertex and may already be paid.
     """
-    triples = _index_triples(g)
-    pk = []
-    for i in range(g.n + 1):
-        pk.append(len(_greedy_packing([t for t in triples if min(t) >= i])))
-    return pk
+    triples = sorted(induced_p3_indices(g))
+    return [
+        len(_greedy_packing([t for t in triples if t[1] >= i and t[2] >= i]))
+        for i in range(g.n + 1)
+    ]
 
 
 def _exact_packing(triples: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
@@ -418,7 +438,7 @@ def max_p3_packing(
     branch and bound over the conflict structure instead (soft size limit,
     since packings certify lower bounds and greedy is always sound).
     """
-    triples = _index_triples(g)
+    triples = sorted(induced_p3_indices(g))
     if exact:
         _check_size("packing", g.n, size_limit)
         chosen = _exact_packing(triples)
@@ -441,7 +461,7 @@ def _cevs_search(
     label_cap: int | None = None,
     collect_all: bool = False,
 ):
-    """Label-assignment search for covers of editing-with-splitting cost <= budget.
+    """One branch-and-bound pass over covers of editing-with-splitting cost <= budget.
 
     Vertices are assigned label sets in lexicographic order.  A vertex taking
     t labels pays t-1 immediately (its share of the size excess), and each
@@ -450,68 +470,68 @@ def _cevs_search(
     counts need no explicit bound: every label is nonempty, so the excess
     already paid bounds them by |V| + budget.
 
-    Returns the minimum (cost, sets) within budget or None; with
-    `collect_all`, the set of all distinct covers of cost exactly `budget`
-    (callers pass the optimum).
+    The incumbent starts at `budget`, and a child is pruned when its cost
+    plus the suffix packing bound of the next vertex exceeds the incumbent.
+    Returns the first minimum-cost assignment in search order as
+    (cost, sets), or None when none is within budget.  With `collect_all`,
+    covers that tie the incumbent are kept and a cheaper cover clears them,
+    so the pass returns the set of all distinct minimum-cost covers (empty
+    when the optimum exceeds the budget; a budget of |E|, the cost of the
+    all-singletons cover, always suffices).
     """
     n = g.n
     rows = g.rows
     pk = _suffix_packing_bounds(g)
     members: list[int] = []
-    assigned: list[int] = []
     best: tuple[int, tuple[int, ...]] | None = None
     found: set[frozenset[frozenset[VertexId]]] = set()
-
-    def limit() -> int:
-        if collect_all or best is None:
-            return budget
-        return min(budget, best[0] - 1)
+    limit = budget
 
     def dfs(i: int, cost: int) -> None:
-        nonlocal best
-        if cost + pk[i] > limit():
-            return
+        nonlocal best, limit
         if i == n:
             if collect_all:
+                if cost < limit:
+                    limit = cost
+                    found.clear()
                 found.add(frozenset(frozenset(g.vertices_of_mask(m)) for m in members))
-            elif best is None or cost < best[0]:
+            else:
                 best = (cost, tuple(members))
+                limit = cost - 1
             return
         L = len(members)
         ibit = 1 << i
+        prev = ibit - 1
+        adj = rows[i] & prev
+        non = prev & ~rows[i]
+        rest = pk[i + 1]
         for t in itertools.count(1):
-            if cost + (t - 1) + pk[i + 1] > limit():
+            if cost + (t - 1) + rest > limit:
                 break
             for e in range(min(t, L), -1, -1):
                 r = t - e
                 if label_cap is not None and L + r > label_cap:
                     continue
                 for combo in itertools.combinations(range(L), e):
-                    emask = 0
+                    shared = 0
                     for lbl in combo:
-                        emask |= 1 << lbl
-                    pair_cost = 0
-                    for j in range(i):
-                        shared = assigned[j] & emask
-                        if rows[i] >> j & 1:
-                            pair_cost += 0 if shared else 1
-                        elif shared:
-                            pair_cost += 1
-                    newcost = cost + (t - 1) + pair_cost
-                    if newcost + pk[i + 1] > limit():
+                        shared |= members[lbl]
+                    newcost = (
+                        cost + (t - 1)
+                        + (adj & ~shared).bit_count() + (non & shared).bit_count()
+                    )
+                    if newcost + rest > limit:
                         continue
                     for lbl in combo:
                         members[lbl] |= ibit
                     members.extend([ibit] * r)
-                    assigned.append(emask | (((1 << r) - 1) << L))
                     dfs(i + 1, newcost)
-                    assigned.pop()
                     del members[L:]
                     for lbl in combo:
                         members[lbl] &= ~ibit
-        return
 
-    dfs(0, 0)
+    if pk[0] <= budget:
+        dfs(0, 0)
     if collect_all:
         return found
     if best is None:

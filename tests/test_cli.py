@@ -222,6 +222,21 @@ def test_missing_budget_is_exit_2(work):
     assert run("solve", work / "p3.graph", "--problem", "scc") == 2
 
 
+def test_missing_graph_file_is_exit_2(work, capsys):
+    assert run("solve", work / "nope.graph", "--problem", "cevs", "--budget", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nope.graph" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_non_integer_size_limit_env_is_exit_2(work, monkeypatch, capsys):
+    monkeypatch.setenv("SPLITCLUST_SIZE_LIMIT", "abc")
+    assert run("solve", work / "p3.graph", "--problem", "scc", "--budget", "4") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "SPLITCLUST_SIZE_LIMIT" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_size_limit_exit_3_and_override(work, capsys):
     big = work / "big.graph"
     names = [f"v{i}" for i in range(10)]

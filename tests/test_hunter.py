@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -17,11 +19,19 @@ from splitclust.hunter import (
     hunt_graph,
     report_to_obj,
 )
-from splitclust.solvers import SizeLimitExceeded, _cevs_search
+from splitclust.reductions import Instance, Problem
+from splitclust.solvers import SizeLimitExceeded, _cevs_search, solve_cevs_exact
 
 # every isomorphism class / connected class count a desk check can reach
 ALL_CLASSES = [1, 2, 4, 11, 34, 156, 1044, 12346]
 CONNECTED_CLASSES = [1, 1, 2, 6, 21, 112, 853, 11117]
+
+# sha256 of the reports for every class with n <= 6, as one sorted-key JSON
+# list, recorded from the iterative-deepening hunter that ran a second,
+# enumerating search at the optimum
+REPORTS_UPTO_6_SHA256 = (
+    "2634b6ff8f2c0ece2f2e8121638db011457d083e74d5efbcc925d97c7f4927c4"
+)
 
 
 # ---------------------------------------------------------------- canonical form
@@ -121,6 +131,25 @@ def test_hunt_reports_match_bruteforce_up_to_n4():
         resp = any(oracles.family_respects(names, edges, f) for f in fams)
         assert rep.exists_optimum_cutting == cut
         assert rep.exists_optimum_respecting == resp
+
+
+@pytest.fixture(scope="module")
+def reports_upto_6():
+    return list(hunt(6))
+
+
+def test_reports_upto_n6_match_pinned_digest(reports_upto_6):
+    assert len(reports_upto_6) == sum(ALL_CLASSES[:6]) == 208
+    blob = json.dumps([report_to_obj(r) for r in reports_upto_6], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == REPORTS_UPTO_6_SHA256
+
+
+def test_capped_solver_matches_uncapped_optimum_upto_n6(reports_upto_6):
+    for rep in reports_upto_6:
+        g = rep.graph
+        res = solve_cevs_exact(Instance(Problem.CEVS, g, g.edge_count))
+        assert res is not None
+        assert res[1].length == rep.optimum, rep.canonical
 
 
 def test_witnesses_are_sound():
