@@ -47,10 +47,6 @@ class InapplicableStep(Exception):
         self.reason = reason
 
 
-def _vid(v: VertexId | str) -> VertexId:
-    return VertexId.parse(v)
-
-
 # ---------------------------------------------------------------------------
 # cover types
 # ---------------------------------------------------------------------------
@@ -59,7 +55,7 @@ def _vid(v: VertexId | str) -> VertexId:
 def _canonical_sets(
     sets: Iterable[Iterable[VertexId | str]],
 ) -> tuple[frozenset[VertexId], ...]:
-    out = {frozenset(_vid(v) for v in s) for s in sets}
+    out = {frozenset(VertexId.parse(v) for v in s) for s in sets}
     for s in out:
         if not s:
             raise ValueError("cover sets must be nonempty")
@@ -120,7 +116,7 @@ class P3Packing:
     ) -> P3Packing:
         fixed = []
         for x, y, z in triples:
-            xv, yv, zv = _vid(x), _vid(y), _vid(z)
+            xv, yv, zv = VertexId.parse(x), VertexId.parse(y), VertexId.parse(z)
             if zv < xv:
                 xv, zv = zv, xv
             fixed.append((xv, yv, zv))
@@ -145,7 +141,7 @@ class P3Packing:
 
 
 def _ordered_pair_init(step) -> None:
-    u, v = _vid(step.u), _vid(step.v)
+    u, v = VertexId.parse(step.u), VertexId.parse(step.v)
     if v < u:
         u, v = v, u
     object.__setattr__(step, "u", u)
@@ -276,11 +272,20 @@ def verify_sigma_cover(g: Graph, cover: SigmaCliqueCover, budget: int) -> Verify
     bad = _first_non_clique(g, cover.sets)
     if bad is not None:
         return VerifyReport(False, f"set {_fmt_set(bad)} is not a clique", metrics)
-    masks = [g.mask_of(s) for s in cover.sets]
-    for u, w in g.edges():
-        bu, bw = 1 << g.index(u), 1 << g.index(w)
-        if not any(m & bu and m & bw for m in masks):
-            return VerifyReport(False, f"edge {u} {w} is covered by no set", metrics)
+    # reach[i]: every vertex sharing a set with i.  The first row with an
+    # unreached bit above its own index holds the first uncovered edge in
+    # g.edges() order.
+    reach = [0] * g.n
+    for s in cover.sets:
+        mask = g.mask_of(s)
+        for v in s:
+            reach[g.index(v)] |= mask
+    for i, (row, seen) in enumerate(zip(g.rows, reach)):
+        missed = row & ~seen & -(2 << i)
+        if missed:
+            j = (missed & -missed).bit_length() - 1
+            edge = f"{g.vertices[i]} {g.vertices[j]}"
+            return VerifyReport(False, f"edge {edge} is covered by no set", metrics)
     if cover.weight > budget:
         return VerifyReport(
             False, f"weight {cover.weight} exceeds budget {budget}", metrics

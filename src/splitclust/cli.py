@@ -27,6 +27,7 @@ from .certificates import (
     cover_cost,
     cover_respects_critical_cliques,
     NotACover,
+    VerifyReport,
     verify_modification_sequence,
     verify_node_cover,
     verify_p3_packing,
@@ -39,6 +40,7 @@ from .kernel import kernelize
 from .reductions import (
     BudgetUnderflow,
     Instance,
+    IsolatedVertexPresent,
     Problem,
     ReductionTrace,
     convert_cvs_scc,
@@ -246,9 +248,9 @@ def cmd_verify(args) -> int:
                 ),
             }
             if breakdown.total <= budget:
-                report = _Report(True, None, metrics)
+                report = VerifyReport(True, None, metrics)
             else:
-                report = _Report(
+                report = VerifyReport(
                     False, f"cost {breakdown.total} exceeds budget {budget}", metrics
                 )
         elif cert.kind == "sequence" and problem in ("cvs", "cevs"):
@@ -258,7 +260,7 @@ def cmd_verify(args) -> int:
         else:
             raise FormatError(f"no verifier for {problem} certificates of kind {cert.kind}")
     except (UnknownVertex, NotACover) as exc:
-        report = _Report(False, str(exc), {})
+        report = VerifyReport(False, str(exc), {})
     obj = {
         "problem": problem,
         "kind": cert.kind,
@@ -273,13 +275,6 @@ def cmd_verify(args) -> int:
     )
     _emit(args, f"{human}" + (f" ({extra})" if extra else ""), obj)
     return 0 if report.valid else 1
-
-
-class _Report:
-    def __init__(self, valid, reason, metrics):
-        self.valid = valid
-        self.reason = reason
-        self.metrics = metrics
 
 
 def cmd_lowerbound(args) -> int:
@@ -306,14 +301,27 @@ def cmd_lowerbound(args) -> int:
 
 
 def _read_resume(path: Path) -> tuple[int, int] | None:
+    """The (n, index) of the last complete report in `path`, if any.
+
+    Each report is written as one newline-terminated line, so text after the
+    last newline is a report cut short by a crash: it is cut off the file,
+    and the run resumes after the last complete report.
+    """
     if not path.exists():
         return None
+    data = path.read_bytes()
+    complete = data[: data.rfind(b"\n") + 1]
+    if len(complete) < len(data):
+        with path.open("r+b") as fh:
+            fh.truncate(len(complete))
     last = None
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if line:
-            obj = json.loads(line)
-            last = (obj["n"], obj["index"])
+    for lineno, line in enumerate(complete.decode().splitlines(), 1):
+        if line.strip():
+            try:
+                obj = json.loads(line)
+                last = (obj["n"], obj["index"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise FormatError(f"{path} line {lineno}: not a hunt report") from exc
     return last
 
 
@@ -458,7 +466,7 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.func(args)
-    except (FormatError, BadSizeLimit, OSError) as exc:
+    except (FormatError, BadSizeLimit, IsolatedVertexPresent, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeLimitExceeded as exc:

@@ -15,14 +15,18 @@ with dots ("c", "c.0", "c.0.1").  The total order on names is the order on
 Graphs are immutable.  Adjacency is kept as one Python int bitmask per
 vertex over the lexicographic vertex order; Python ints are arbitrary
 precision, so the same representation covers every size this library
-handles.
+handles.  :meth:`Graph.build` is the constructor for outside input: it
+parses names, sorts them and checks every edge.  Edits (splits,
+contractions, induced subgraphs, edge flips) instead remap the existing
+rows; they re-parse and re-sort nothing.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
@@ -52,12 +56,15 @@ class ForeignNeighbor(GraphError):
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexId:
     """A vertex name: root token plus the 0/1 branch taken at each split."""
 
     root: str
     branches: tuple[int, ...] = ()
+    # sort_key, computed on first use; slots instead of a per-name __dict__
+    # keep the thousands of names a certificate holds small
+    _key: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.root or "." in self.root or any(c.isspace() for c in self.root):
@@ -85,13 +92,18 @@ class VertexId:
             and self.branches[: len(ancestor.branches)] == ancestor.branches
         )
 
-    @functools.cached_property
+    @property
     def sort_key(self) -> tuple:
         # All-digit roots sort numerically among themselves and before other
         # roots; the root string itself breaks ties like "01" vs "1".
-        if self.root.isdigit():
-            return (0, int(self.root), self.root, self.branches)
-        return (1, 0, self.root, self.branches)
+        key = self._key
+        if key is None:
+            if self.root.isdigit():
+                key = (0, int(self.root), self.root, self.branches)
+            else:
+                key = (1, 0, self.root, self.branches)
+            object.__setattr__(self, "_key", key)
+        return key
 
     def __lt__(self, other: object) -> bool:
         if not isinstance(other, VertexId):
@@ -110,6 +122,14 @@ VertexLike = "VertexId | str"
 
 def _vid(v: VertexId | str) -> VertexId:
     return VertexId.parse(v)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -249,36 +269,105 @@ class Graph:
 
     # -- derived graphs -------------------------------------------------------
 
+    def _edited(self, drop: int, add: Iterable[tuple[VertexId, int]] = ()) -> Graph:
+        """This graph without the vertices of mask `drop`, plus new vertices.
+
+        Each ``(name, mask)`` in `add` becomes a vertex adjacent to the kept
+        vertices of `mask` (old indices) and to no other added vertex; the
+        caller has checked that the names are new.  The kept indices fall
+        into runs that each move by one offset, and a kept row is carried over
+        run by run, or bit by bit through a position table when it has fewer
+        bits than there are runs: O(min(degree, runs)) integer operations a
+        row, so even thousands of scattered drops cost O(n + m) of them.
+        """
+        vs, rows, n = self.vertices, self.rows, self.n
+        add = sorted(add)
+        # A new name goes in front of the old index bisection gives it, and
+        # before a drop at that same index; each drop shifts what follows down.
+        # Names with one index keep their order, so new_index follows `add`.
+        events = sorted(
+            [(bisect.bisect_left(vs, name), 0, k) for k, (name, _) in enumerate(add)]
+            + [(i, 1, 0) for i in _bits(drop)]
+        )
+        runs: list[tuple[int, int, int]] = []  # old lo..hi-1 move by shift
+        new_index = []
+        lo = shift = 0
+        for at, is_drop, _ in events:
+            if at > lo:
+                runs.append((lo, at, shift))
+            if is_drop:
+                lo, shift = at + 1, shift - 1
+            else:
+                new_index.append(at + shift)
+                lo, shift = at, shift + 1
+        if n > lo:
+            runs.append((lo, n, shift))
+        keep = ((1 << n) - 1) & ~drop
+        pos = [0] * n
+        for lo, hi, shift in runs:
+            pos[lo:hi] = range(lo + shift, hi + shift)
+
+        def remap(row: int) -> int:
+            out = 0
+            if row.bit_count() < len(runs):
+                for i in _bits(row & keep):
+                    out |= 1 << pos[i]
+            else:
+                for lo, hi, shift in runs:
+                    out |= ((row >> lo) & ((1 << (hi - lo)) - 1)) << (lo + shift)
+            return out
+
+        size = n - drop.bit_count() + len(add)
+        new_vs: list = [None] * size
+        new_rows = [0] * size
+        for lo, hi, shift in runs:
+            new_vs[lo + shift : hi + shift] = vs[lo:hi]
+            new_rows[lo + shift : hi + shift] = map(remap, rows[lo:hi])
+        for (name, mask), at in zip(add, new_index):
+            mask &= keep
+            new_vs[at] = name
+            new_rows[at] = remap(mask)
+            for i in _bits(mask):
+                new_rows[pos[i]] |= 1 << at
+        return Graph(tuple(new_vs), tuple(new_rows))
+
+    def _toggled(self, i: int, j: int) -> Graph:
+        rows = list(self.rows)
+        rows[i] ^= 1 << j
+        rows[j] ^= 1 << i
+        return Graph(self.vertices, tuple(rows))
+
     def induced(self, keep: Iterable[VertexId | str]) -> Graph:
-        kept = sorted(_vid(v) for v in keep)
+        kept = [_vid(v) for v in keep]
+        unknown = [v for v in kept if v not in self._index]
+        if unknown:
+            raise UnknownVertex(f"unknown vertex {min(unknown)}")
         mask = self.mask_of(kept)
-        edges = [
-            (u, w)
-            for u, w in self.edges()
-            if mask >> self._index[u] & 1 and mask >> self._index[w] & 1
-        ]
-        return Graph.build(kept, edges)
+        if mask.bit_count() < len(kept):
+            kept.sort()
+            twice = next(a for a, b in zip(kept, kept[1:]) if a == b)
+            raise DuplicateVertex(f"duplicate vertex {twice}")
+        return self._edited(((1 << self.n) - 1) & ~mask)
 
     def without_vertices(self, drop: Iterable[VertexId | str]) -> Graph:
-        gone = {_vid(v) for v in drop}
-        for v in gone:
-            if v not in self._index:
-                raise UnknownVertex(f"unknown vertex {v}")
-        return self.induced(v for v in self.vertices if v not in gone)
+        gone = [_vid(v) for v in drop]
+        unknown = [v for v in gone if v not in self._index]
+        if unknown:
+            raise UnknownVertex(f"unknown vertex {min(unknown)}")
+        return self._edited(self.mask_of(gone))
 
     def add_edge(self, u: VertexId | str, w: VertexId | str) -> Graph:
         if self.has_edge(u, w):
             raise GraphError(f"edge {u} {w} already present")
-        return Graph.build(self.vertices, list(self.edges()) + [(_vid(u), _vid(w))])
+        i, j = self.index(u), self.index(w)
+        if i == j:
+            raise GraphError(f"self-loop at {self.vertices[i]}")
+        return self._toggled(i, j)
 
     def delete_edge(self, u: VertexId | str, w: VertexId | str) -> Graph:
         if not self.has_edge(u, w):
             raise GraphError(f"edge {u} {w} not present")
-        uu, ww = _vid(u), _vid(w)
-        drop = {frozenset((uu, ww))}
-        return Graph.build(
-            self.vertices, [e for e in self.edges() if frozenset(e) not in drop]
-        )
+        return self._toggled(self.index(u), self.index(w))
 
 
 def remove_isolated(g: Graph) -> tuple[Graph, tuple[VertexId, ...]]:
@@ -340,11 +429,10 @@ def apply_split(g: Graph, split: Split) -> Graph:
     for copy in (a, b):
         if g.has_vertex(copy):
             raise DuplicateVertex(f"split copy name {copy} already in use")
-    edges = [e for e in g.edges() if t not in e]
-    edges += [(a, w) for w in split.neighbors_a]
-    edges += [(b, w) for w in split.neighbors_b]
-    keep = [v for v in g.vertices if v != t]
-    return Graph.build([*keep, a, b], edges)
+    return g._edited(
+        1 << ti,
+        [(a, g.mask_of(split.neighbors_a)), (b, g.mask_of(split.neighbors_b))],
+    )
 
 
 def contract_copies(
@@ -360,11 +448,9 @@ def contract_copies(
         raise GraphError(f"cannot contract adjacent copies {av}, {bv}")
     if g.has_vertex(mv) and mv not in (av, bv):
         raise DuplicateVertex(f"merged name {mv} already in use")
-    union = (set(g.neighbors(av)) | set(g.neighbors(bv))) - {av, bv}
-    edges = [e for e in g.edges() if av not in e and bv not in e]
-    edges += [(mv, w) for w in sorted(union)]
-    keep = [v for v in g.vertices if v not in (av, bv)]
-    return Graph.build([*keep, mv], edges)
+    ia, ib = g.index(av), g.index(bv)
+    both = 1 << ia | 1 << ib
+    return g._edited(both, [(mv, (g.rows[ia] | g.rows[ib]) & ~both)])
 
 
 # ---------------------------------------------------------------------------
@@ -450,36 +536,34 @@ class CriticalCliqueGraph:
 
     def quotient_graph(self) -> Graph:
         """The quotient on lexicographically-smallest class representatives."""
-        reps = [members[0] for members in self.classes]
-        edges = [
-            (reps[i], reps[j])
-            for i in range(len(reps))
-            for j in range(i + 1, len(reps))
-            if self.rows[i] >> j & 1
-        ]
-        return Graph.build(reps, edges)
+        # classes are ordered by smallest member, so the representatives are
+        # already in vertex order and the quotient rows index them directly
+        return Graph(tuple(members[0] for members in self.classes), self.rows)
 
 
 def critical_clique_graph(g: Graph) -> CriticalCliqueGraph:
+    """The closed-neighborhood classes of `g` and their quotient, in O(n + m).
+
+    Classes are numbered by smallest member.  A quotient row is read off the
+    row of one representative, and a class is reducible when each of its
+    quotient neighbors is adjacent to all the others.
+    """
     by_closed: dict[int, list[int]] = {}
-    for i in range(g.n):
-        by_closed.setdefault(g.rows[i] | 1 << i, []).append(i)
-    groups = sorted(by_closed.values())  # sorted by smallest member index
+    for i, row in enumerate(g.rows):
+        by_closed.setdefault(row | 1 << i, []).append(i)
+    groups = list(by_closed.values())  # first seen first: by smallest member
+    class_of = [0] * g.n
+    for c, group in enumerate(groups):
+        for i in group:
+            class_of[i] = c
+    rows = []
+    for c, group in enumerate(groups):
+        row = 0
+        for j in _bits(g.rows[group[0]]):
+            row |= 1 << class_of[j]
+        rows.append(row & ~(1 << c))
+    reducible = tuple(
+        all(not row & ~rows[d] & ~(1 << d) for d in _bits(row)) for row in rows
+    )
     classes = tuple(tuple(g.vertices[i] for i in group) for group in groups)
-    reps = [group[0] for group in groups]
-    k = len(groups)
-    rows = [0] * k
-    for a in range(k):
-        for b in range(a + 1, k):
-            if g.rows[reps[a]] >> reps[b] & 1:
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-    reducible = []
-    for a in range(k):
-        nbr_reps = [c for c in range(k) if rows[a] >> c & 1]
-        ok = all(
-            rows[c1] >> c2 & 1
-            for c1, c2 in itertools.combinations(nbr_reps, 2)
-        )
-        reducible.append(ok)
-    return CriticalCliqueGraph(g, classes, tuple(rows), tuple(reducible))
+    return CriticalCliqueGraph(g, classes, tuple(rows), reducible)

@@ -13,7 +13,10 @@ Two rules, applied to a cvs instance (G, k):
   budget 0).
 
 The output therefore has at most 3k+3 vertices and budget at most k, and the
-trace records every removal so the run can be replayed and audited.
+trace records every removal so the run can be replayed and audited: step by
+step, :func:`rule1_applicable` and :func:`apply_rule1` reproduce it.
+:func:`kernelize` itself exhausts Rule I from one critical-clique
+computation, since a Rule I deletion changes no class but its own.
 """
 
 from __future__ import annotations
@@ -92,11 +95,22 @@ def _canonical_negative() -> Instance:
 def kernelize(inst: Instance) -> tuple[Instance, KernelTrace]:
     """Shrink a cvs instance to at most 3k+3 vertices without changing the answer.
 
-    Isolate removal first, then Rule I until exhaustion (classes recomputed
-    after every removal), then Rule II if more than 3k vertices remain.  Rule
-    II appears at most once and only as the final step; after it the output
-    is the canonical negative instance, which downstream solvers decide
-    instantly.
+    Isolate removal first, then Rule I until exhaustion, then Rule II if more
+    than 3k vertices remain.  Rule II appears at most once and only as the
+    final step; after it the output is the canonical negative instance, which
+    downstream solvers decide instantly.
+
+    Rule I is exhausted from the classes of the isolate-free graph, computed
+    once.  Deleting a vertex v from a class K with |K| >= 2 changes no other
+    vertex's class, the quotient, or any reducible flag: v keeps a twin v' in
+    K, and for every other vertex a, v is in N[a] iff v' is, so closed
+    neighborhoods that differ with v still differ without it.  Exhaustion
+    therefore deletes all but the largest member of each reducible class, and
+    the steps come smallest vertex first, the order :func:`rule1_applicable`
+    picks them in.  A deletion isolates nothing, since v' keeps every
+    neighbor of v, except in a class that is a whole clique component (no
+    quotient neighbor): deleting its second-largest member isolates the
+    largest, which that step removes as cascaded.
     """
     if inst.problem is not Problem.CVS:
         raise ValueError(f"kernelize expects a cvs instance, got {inst.problem.value}")
@@ -105,12 +119,19 @@ def kernelize(inst: Instance) -> tuple[Instance, KernelTrace]:
     g, iso = remove_isolated(inst.graph)
     if iso:
         steps.append(IsolateRemoval(iso))
-    while True:
-        v = rule1_applicable(g)
-        if v is None:
-            break
-        g, cascaded = apply_rule1(g, v)
-        steps.append(RuleIStep(v, cascaded))
+    cc = critical_clique_graph(g)
+    spare = 0
+    cascades: dict[VertexId, VertexId] = {}
+    for members, row, red in zip(cc.classes, cc.rows, cc.reducible):
+        if red and len(members) >= 2:
+            spare |= g.mask_of(members[:-1])
+            if not row:
+                cascades[members[-2]] = members[-1]
+    removed = g.vertices_of_mask(spare)
+    for v in removed:
+        steps.append(RuleIStep(v, (cascades[v],) if v in cascades else ()))
+    if removed:
+        g = g.without_vertices([*removed, *cascades.values()])
     if g.n > 3 * k:
         out = _canonical_negative()
         steps.append(RuleIIStep())

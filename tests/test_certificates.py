@@ -76,6 +76,25 @@ def test_verify_sigma_cover_rejections(p3, k3):
         verify_sigma_cover(k3, SigmaCliqueCover.of([["a", "z"]]), 5)
 
 
+def test_verify_sigma_cover_names_the_first_uncovered_edge():
+    # vertex order 07 < 7 < 10 < c < c.0.1: the first uncovered edge is 7-10,
+    # although 10-c comes first in string order
+    g = Graph.build(
+        ["c", "c.0.1", "07", "7", "10"],
+        [("c", "c.0.1"), ("07", "7"), ("07", "c"), ("7", "c"), ("7", "10"), ("10", "c")],
+    )
+    cover = SigmaCliqueCover.of([["07", "7", "c"], ["c", "c.0.1"]])
+    rep = verify_sigma_cover(g, cover, 9)
+    assert not rep.valid
+    assert rep.reason == "edge 7 10 is covered by no set"
+    assert rep.metrics == {
+        "weight": 5,
+        "budget": 9,
+        "sets": 2,
+        "valencies": {"07": 1, "7": 1, "10": 0, "c": 2, "c.0.1": 1},
+    }
+
+
 def test_verify_node_cover(k3, p3):
     assert verify_node_cover(k3, NodeCliqueCover.of([["a", "b", "c"]]), 1).valid
     rep = verify_node_cover(p3, NodeCliqueCover.of([["a", "b"]]), 5)

@@ -203,6 +203,16 @@ def test_hunt_resume_skips_done_work(work, capsys):
     assert out.read_text() == before  # everything was already done
 
 
+def test_hunt_resume_drops_a_truncated_last_line(work, capsys):
+    out = work / "reports.jsonl"
+    assert run("hunt", "--max-n", "3", "-o", out) == 0
+    full = out.read_text()
+    last_line_start = full.rindex("\n", 0, len(full) - 1) + 1
+    out.write_text(full[: last_line_start + 30])  # a crash mid-write
+    assert run("hunt", "--max-n", "3", "-o", out, "--resume") == 0
+    assert out.read_text() == full
+
+
 def test_hunt_argument_exclusivity(work, capsys):
     assert run("hunt") == 2
     assert run("hunt", "--max-n", "3", "--graph", work / "ccl8.graph") == 2
@@ -234,6 +244,15 @@ def test_non_integer_size_limit_env_is_exit_2(work, monkeypatch, capsys):
     assert run("solve", work / "p3.graph", "--problem", "scc", "--budget", "4") == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "SPLITCLUST_SIZE_LIMIT" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_reduce_cvs_to_cevs_with_isolated_vertex_is_exit_2(work, capsys):
+    g = work / "iso.graph"
+    g.write_text("graph 3 1\nv a\nv b\nv c\ne a b\n")
+    assert run("reduce", g, "--from", "cvs", "--to", "cevs", "--budget", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "isolated vertex c" in err
     assert len(err.strip().splitlines()) == 1
 
 

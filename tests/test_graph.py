@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -179,6 +180,93 @@ def test_split_validation_errors():
     g2 = Graph.build(["a", "a.0"], [("a", "a.0")])
     with pytest.raises(DuplicateVertex):
         apply_split(g2, Split.of("a", ["a.0"], ["a.0"]))
+
+
+# ---------------------------------------------------------------- edits
+
+
+# Hierarchical and numeric names: "07" and "7" are distinct roots with equal
+# numeric value, and every ".0"/".1" name sorts right after its parent.
+EDIT_NAMES = ["c", "c.0.1", "c.1", "07", "7", "7.0", "10", "2", "a", "x.1.0"]
+
+
+def test_edits_equal_build_of_the_edited_lists():
+    """Every edit remaps rows; Graph.build on the edited lists is the reference."""
+    rng = random.Random(2024)
+    for _ in range(300):
+        names = rng.sample(EDIT_NAMES, rng.randint(2, len(EDIT_NAMES)))
+        edges = [p for p in itertools.combinations(names, 2) if rng.random() < 0.5]
+        g = Graph.build(names, edges)
+
+        u, w = rng.sample(names, 2)
+        rest = [e for e in edges if set(e) != {u, w}]
+        if g.has_edge(u, w):
+            assert g.delete_edge(u, w) == Graph.build(names, rest)
+        else:
+            assert g.add_edge(u, w) == Graph.build(names, rest + [(u, w)])
+
+        keep = rng.sample(names, rng.randint(0, len(names)))
+        inside = Graph.build(keep, [e for e in edges if set(e) <= set(keep)])
+        assert g.induced(keep) == inside
+        assert g.without_vertices(set(names) - set(keep)) == inside
+
+        free = [v for v in names if f"{v}.0" not in names and f"{v}.1" not in names]
+        t = rng.choice(free)
+        nbrs = [str(x) for x in g.neighbors(t)]
+        side_a = [x for x in nbrs if rng.random() < 0.5]
+        side_b = [x for x in nbrs if x not in side_a or rng.random() < 0.3]
+        others = [v for v in names if v != t]
+        split = apply_split(g, Split.of(t, side_a, side_b))
+        assert split == Graph.build(
+            [*others, f"{t}.0", f"{t}.1"],
+            [e for e in edges if t not in e]
+            + [(f"{t}.0", x) for x in side_a]
+            + [(f"{t}.1", x) for x in side_b],
+        )
+        assert contract_copies(split, f"{t}.0", f"{t}.1", t) == g
+
+        a, b = rng.sample(names, 2)
+        if g.has_edge(a, b):
+            continue
+        merged = rng.choice([a, "m", "c.0", "3"])
+        if merged in names and merged != a:
+            continue
+        union = {x for e in edges if {a, b} & set(e) for x in e} - {a, b}
+        assert contract_copies(g, a, b, merged) == Graph.build(
+            [v for v in names if v not in (a, b)] + [merged],
+            [e for e in edges if not {a, b} & set(e)] + [(merged, x) for x in union],
+        )
+
+
+def test_edit_errors_name_the_offending_vertex():
+    g = Graph.build(["c", "c.1", "c.0.1", "07", "7"], [("c", "07"), ("07", "7")])
+    cases = [
+        (lambda: g.add_edge("c", "c"), GraphError, "self-loop at c"),
+        (lambda: g.add_edge("07", "c"), GraphError, "edge 07 c already present"),
+        (lambda: g.add_edge("c", "z"), UnknownVertex, "unknown vertex z"),
+        (lambda: g.delete_edge("c", "7"), GraphError, "edge c 7 not present"),
+        (lambda: g.induced(["7", "z", "y"]), UnknownVertex, "unknown vertex y"),
+        (lambda: g.induced(["7", "07", "7", "07"]), DuplicateVertex,
+         "duplicate vertex 07"),
+        (lambda: g.without_vertices(["7", "c.0"]), UnknownVertex,
+         "unknown vertex c.0"),
+        (lambda: apply_split(g, Split.of("07", ["c"], ["7", "c.0.1"])),
+         ForeignNeighbor, "split of 07: c.0.1 is not a neighbor of 07"),
+        (lambda: apply_split(g, Split.of("07", ["c"], [])),
+         NeighborhoodNotCovered, "split of 07: neighbor 7 assigned to neither copy"),
+        (lambda: apply_split(g, Split.of("c", ["07"], ["07"])), DuplicateVertex,
+         "split copy name c.1 already in use"),
+        (lambda: apply_split(g, Split.of("c.0", [], [])), UnknownVertex,
+         "unknown vertex c.0"),
+        (lambda: contract_copies(g, "c", "7", "07"), DuplicateVertex,
+         "merged name 07 already in use"),
+        (lambda: contract_copies(g, "07", "7", "m"), GraphError,
+         "cannot contract adjacent copies 07, 7"),
+    ]
+    for call, kind, message in cases:
+        with pytest.raises(GraphError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (kind, message)
 
 
 # ---------------------------------------------------------------- predicates

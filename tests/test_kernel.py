@@ -1,10 +1,18 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 import oracles
 from conftest import graphs_on, oracle_form
-from splitclust.graph import Graph, critical_clique_graph, is_cluster_graph
+from splitclust.graph import (
+    Graph,
+    critical_clique_graph,
+    is_cluster_graph,
+    remove_isolated,
+)
 from splitclust.kernel import (
     IsolateRemoval,
     NotApplicable,
@@ -129,3 +137,53 @@ def test_kernelize_counterexample_is_already_kernel(ccl8):
     # at k = 3 the graph is already small enough and stays put
     out3, trace3 = kernelize(Instance(Problem.CVS, ccl8, 3))
     assert out3.graph == ccl8 and out3.budget == 3 and trace3.steps == ()
+
+
+def planted_graph(rng: random.Random, n: int) -> Graph:
+    """Cliques over a shuffled 0..n-1, an eighth of the vertices in a second
+    clique, then up to three vertex pairs toggled."""
+    order = [str(i) for i in range(n)]
+    rng.shuffle(order)
+    clusters = []
+    at = 0
+    while at < n:
+        size = rng.randint(1, 8)
+        clusters.append(set(order[at : at + size]))
+        at += size
+    for v in rng.sample(order, n // 8):
+        rng.choice(clusters).add(v)
+    edges = {tuple(sorted(p)) for c in clusters for p in itertools.combinations(c, 2)}
+    for _ in range(rng.randint(0, 3)):
+        edges ^= {tuple(sorted(rng.sample(order, 2)))}
+    return Graph.build(order, edges)
+
+
+def test_kernelize_trace_replays_through_rule1_on_planted_graphs():
+    """The one-pass kernel's trace is the step-by-step Rule I loop's trace.
+
+    Extends the exhaustive n <= 5 sweep to planted graphs with 30-60
+    vertices, where many classes shrink and whole clique components vanish.
+    """
+    removals = cascades = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        g = planted_graph(rng, rng.randint(30, 60))
+        for k in (g.n // 6, g.n):
+            out, trace = kernelize(Instance(Problem.CVS, g, k))
+            steps = list(trace.steps)
+            cur, iso = remove_isolated(g)
+            if iso:
+                assert steps.pop(0) == IsolateRemoval(iso)
+            rule2 = steps[-1:] == [RuleIIStep()]
+            for step in steps[: len(steps) - rule2]:
+                assert rule1_applicable(cur) == step.removed
+                cur, cascaded = apply_rule1(cur, step.removed)
+                assert step == RuleIStep(step.removed, cascaded)
+                removals += 1
+                cascades += bool(cascaded)
+            assert rule1_applicable(cur) is None
+            if rule2:
+                assert cur.n > 3 * k and out.graph.n == 3 and out.budget == 0
+            else:
+                assert out.graph == cur and out.budget == k
+    assert removals > 100 and cascades > 10
