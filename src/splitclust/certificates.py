@@ -25,10 +25,10 @@ from typing import Iterable
 
 from .graph import (
     Graph,
+    GraphEditor,
     Split,
     UnknownVertex,
     VertexId,
-    apply_split,
     critical_clique_graph,
     is_cluster_graph,
 )
@@ -192,26 +192,27 @@ class ModificationSequence:
         return all(isinstance(s, VertexSplit) for s in self.steps)
 
     def apply_to(self, g: Graph) -> Graph:
-        """Apply every step in order; raises InapplicableStep on the first bad one."""
+        """Apply every step in order; raises InapplicableStep on the first bad one.
+
+        All steps run on one :class:`GraphEditor`, and the result is sorted
+        and built once.
+        """
+        edit = GraphEditor(g)
         for i, step in enumerate(self.steps):
             try:
                 if isinstance(step, EdgeAdd):
-                    if g.has_edge(step.u, step.v):
-                        raise InapplicableStep(i, f"edge {step.u} {step.v} already present")
-                    g = g.add_edge(step.u, step.v)
+                    edit.add_edge(step.u, step.v)
                 elif isinstance(step, EdgeDelete):
-                    if not g.has_edge(step.u, step.v):
-                        raise InapplicableStep(i, f"edge {step.u} {step.v} not present")
-                    g = g.delete_edge(step.u, step.v)
+                    edit.delete_edge(step.u, step.v)
                 elif isinstance(step, VertexSplit):
-                    g = apply_split(g, step.split)
+                    edit.split(step.split)
                 else:
                     raise InapplicableStep(i, f"unknown step type {type(step).__name__}")
             except InapplicableStep:
                 raise
             except Exception as exc:  # unknown vertex, bad split, ...
                 raise InapplicableStep(i, str(exc)) from exc
-        return g
+        return edit.graph()
 
     def intermediate_graphs(self, g: Graph) -> list[Graph]:
         """All graphs g_0 .. g_L along the application; g_0 is the input."""

@@ -17,13 +17,13 @@ vertex over the lexicographic vertex order; Python ints are arbitrary
 precision, so the same representation covers every size this library
 handles.  :meth:`Graph.build` is the constructor for outside input: it
 parses names, sorts them and checks every edge.  Edits (splits,
-contractions, induced subgraphs, edge flips) instead remap the existing
-rows; they re-parse and re-sort nothing.
+contractions, induced subgraphs, edge flips) instead run on the mutable
+rows of one :class:`GraphEditor`, which builds the edited graph once; they
+re-parse nothing.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -62,15 +62,26 @@ class VertexId:
 
     root: str
     branches: tuple[int, ...] = ()
-    # sort_key, computed on first use; slots instead of a per-name __dict__
-    # keep the thousands of names a certificate holds small
+    # sort_key, computed on first use, and the hash every dict and set lookup
+    # asks for; slots instead of a per-name __dict__ keep the thousands of
+    # names a certificate holds small
     _key: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.root or "." in self.root or any(c.isspace() for c in self.root):
             raise GraphError(f"bad vertex root token: {self.root!r}")
         if not all(b in (0, 1) for b in self.branches):
             raise GraphError(f"branch components must be 0 or 1: {self.branches!r}")
+        # the value the generated __hash__ gave, so set and dict orders stay
+        object.__setattr__(self, "_hash", hash((self.root, self.branches)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild, do not copy, _hash
+        return (VertexId, (self.root, self.branches))
 
     @classmethod
     def parse(cls, token: str | VertexId) -> VertexId:
@@ -269,74 +280,6 @@ class Graph:
 
     # -- derived graphs -------------------------------------------------------
 
-    def _edited(self, drop: int, add: Iterable[tuple[VertexId, int]] = ()) -> Graph:
-        """This graph without the vertices of mask `drop`, plus new vertices.
-
-        Each ``(name, mask)`` in `add` becomes a vertex adjacent to the kept
-        vertices of `mask` (old indices) and to no other added vertex; the
-        caller has checked that the names are new.  The kept indices fall
-        into runs that each move by one offset, and a kept row is carried over
-        run by run, or bit by bit through a position table when it has fewer
-        bits than there are runs: O(min(degree, runs)) integer operations a
-        row, so even thousands of scattered drops cost O(n + m) of them.
-        """
-        vs, rows, n = self.vertices, self.rows, self.n
-        add = sorted(add)
-        # A new name goes in front of the old index bisection gives it, and
-        # before a drop at that same index; each drop shifts what follows down.
-        # Names with one index keep their order, so new_index follows `add`.
-        events = sorted(
-            [(bisect.bisect_left(vs, name), 0, k) for k, (name, _) in enumerate(add)]
-            + [(i, 1, 0) for i in _bits(drop)]
-        )
-        runs: list[tuple[int, int, int]] = []  # old lo..hi-1 move by shift
-        new_index = []
-        lo = shift = 0
-        for at, is_drop, _ in events:
-            if at > lo:
-                runs.append((lo, at, shift))
-            if is_drop:
-                lo, shift = at + 1, shift - 1
-            else:
-                new_index.append(at + shift)
-                lo, shift = at, shift + 1
-        if n > lo:
-            runs.append((lo, n, shift))
-        keep = ((1 << n) - 1) & ~drop
-        pos = [0] * n
-        for lo, hi, shift in runs:
-            pos[lo:hi] = range(lo + shift, hi + shift)
-
-        def remap(row: int) -> int:
-            out = 0
-            if row.bit_count() < len(runs):
-                for i in _bits(row & keep):
-                    out |= 1 << pos[i]
-            else:
-                for lo, hi, shift in runs:
-                    out |= ((row >> lo) & ((1 << (hi - lo)) - 1)) << (lo + shift)
-            return out
-
-        size = n - drop.bit_count() + len(add)
-        new_vs: list = [None] * size
-        new_rows = [0] * size
-        for lo, hi, shift in runs:
-            new_vs[lo + shift : hi + shift] = vs[lo:hi]
-            new_rows[lo + shift : hi + shift] = map(remap, rows[lo:hi])
-        for (name, mask), at in zip(add, new_index):
-            mask &= keep
-            new_vs[at] = name
-            new_rows[at] = remap(mask)
-            for i in _bits(mask):
-                new_rows[pos[i]] |= 1 << at
-        return Graph(tuple(new_vs), tuple(new_rows))
-
-    def _toggled(self, i: int, j: int) -> Graph:
-        rows = list(self.rows)
-        rows[i] ^= 1 << j
-        rows[j] ^= 1 << i
-        return Graph(self.vertices, tuple(rows))
-
     def induced(self, keep: Iterable[VertexId | str]) -> Graph:
         kept = [_vid(v) for v in keep]
         unknown = [v for v in kept if v not in self._index]
@@ -347,27 +290,29 @@ class Graph:
             kept.sort()
             twice = next(a for a, b in zip(kept, kept[1:]) if a == b)
             raise DuplicateVertex(f"duplicate vertex {twice}")
-        return self._edited(((1 << self.n) - 1) & ~mask)
+        return self._without(((1 << self.n) - 1) & ~mask)
 
     def without_vertices(self, drop: Iterable[VertexId | str]) -> Graph:
         gone = [_vid(v) for v in drop]
         unknown = [v for v in gone if v not in self._index]
         if unknown:
             raise UnknownVertex(f"unknown vertex {min(unknown)}")
-        return self._edited(self.mask_of(gone))
+        return self._without(self.mask_of(gone))
+
+    def _without(self, drop: int) -> Graph:
+        edit = GraphEditor(self)
+        edit._remove(drop)
+        return edit.graph()
 
     def add_edge(self, u: VertexId | str, w: VertexId | str) -> Graph:
-        if self.has_edge(u, w):
-            raise GraphError(f"edge {u} {w} already present")
-        i, j = self.index(u), self.index(w)
-        if i == j:
-            raise GraphError(f"self-loop at {self.vertices[i]}")
-        return self._toggled(i, j)
+        edit = GraphEditor(self)
+        edit.add_edge(u, w)
+        return edit.graph()
 
     def delete_edge(self, u: VertexId | str, w: VertexId | str) -> Graph:
-        if not self.has_edge(u, w):
-            raise GraphError(f"edge {u} {w} not present")
-        return self._toggled(self.index(u), self.index(w))
+        edit = GraphEditor(self)
+        edit.delete_edge(u, w)
+        return edit.graph()
 
 
 def remove_isolated(g: Graph) -> tuple[Graph, tuple[VertexId, ...]]:
@@ -409,30 +354,140 @@ class Split:
         )
 
 
+class GraphEditor:
+    """A graph under a run of edits, on mutable rows.
+
+    ``_index`` maps each live name to its row; a removed vertex leaves the
+    dict and ``_live``, and the rows that still hold its bit are masked on
+    every read.  New vertices, such as the two copies of a split, are
+    appended as new rows, so no edit renumbers a vertex: a split costs
+    O(degree) integer operations and an edge flip two.  :meth:`graph` sorts
+    the live names and remaps every row once, run by run, or bit by bit
+    through a position table when a row has fewer bits than there are runs:
+    O(n + m) integer operations however many edits came before.  The edit
+    methods check everything before they change anything.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        self._start = g
+        self._names = list(g.vertices)
+        self._rows = list(g.rows)
+        self._index = dict(g._index)
+        self._live = (1 << g.n) - 1
+
+    def _at(self, v: VertexId | str) -> int:
+        try:
+            return self._index[_vid(v)]
+        except KeyError:
+            raise UnknownVertex(f"unknown vertex {v}") from None
+
+    def _remove(self, drop: int) -> None:
+        """Remove the vertices of row mask `drop`."""
+        for i in _bits(drop):
+            del self._index[self._names[i]]
+        self._live &= ~drop
+
+    def _append(self, name: VertexId, mask: int) -> None:
+        """Add `name`, new, adjacent to the live vertices of row mask `mask`."""
+        k = len(self._names)
+        mask &= self._live
+        self._names.append(name)
+        self._rows.append(mask)
+        self._index[name] = k
+        self._live |= 1 << k
+        for j in _bits(mask):
+            self._rows[j] |= 1 << k
+
+    def add_edge(self, u: VertexId | str, w: VertexId | str) -> None:
+        i, j = self._at(u), self._at(w)
+        if self._rows[i] >> j & 1:
+            raise GraphError(f"edge {u} {w} already present")
+        if i == j:
+            raise GraphError(f"self-loop at {self._names[i]}")
+        self._rows[i] |= 1 << j
+        self._rows[j] |= 1 << i
+
+    def delete_edge(self, u: VertexId | str, w: VertexId | str) -> None:
+        i, j = self._at(u), self._at(w)
+        if not self._rows[i] >> j & 1:
+            raise GraphError(f"edge {u} {w} not present")
+        self._rows[i] ^= 1 << j
+        self._rows[j] ^= 1 << i
+
+    def split(self, split: Split) -> None:
+        """Perform one vertex split; raises if the split is not well formed."""
+        t = split.target
+        ti = self._at(t)
+        row = self._rows[ti] & self._live
+        masks = []
+        for side in (split.neighbors_a, split.neighbors_b):
+            mask, foreign = 0, []
+            for v in side:
+                j = self._index.get(v)
+                if j is None or not row >> j & 1:
+                    foreign.append(v)
+                else:
+                    mask |= 1 << j
+            if foreign:
+                raise ForeignNeighbor(
+                    f"split of {t}: {min(foreign)} is not a neighbor of {t}"
+                )
+            masks.append(mask)
+        missed = row & ~(masks[0] | masks[1])
+        if missed:
+            first = min(self._names[j] for j in _bits(missed))
+            raise NeighborhoodNotCovered(
+                f"split of {t}: neighbor {first} assigned to neither copy"
+            )
+        copies = (t.child(0), t.child(1))
+        for copy in copies:
+            if copy in self._index:
+                raise DuplicateVertex(f"split copy name {copy} already in use")
+        self._remove(1 << ti)
+        for copy, mask in zip(copies, masks):
+            self._append(copy, mask)
+
+    def graph(self) -> Graph:
+        """The edited graph, sorted as :meth:`Graph.build` would sort it."""
+        names, rows, live = self._names, self._rows, self._live
+        start = self._start
+        if len(names) == len(self._index) == start.n:  # no vertex came or went
+            return Graph(start.vertices, tuple(rows))
+        # dict order keeps the surviving start rows in their sorted order
+        order = list(self._index.values())
+        if len(names) > start.n:
+            order.sort(key=lambda i: names[i].sort_key)
+        cuts = [p for p in range(1, len(order)) if order[p] != order[p - 1] + 1]
+        bounds = [0, *cuts, len(order)]
+        runs = [  # rows lo..hi-1 move by shift
+            (order[a], order[b - 1] + 1, a - order[a])
+            for a, b in zip(bounds, bounds[1:])
+            if a < b
+        ]
+        pos = [0] * len(names)
+        for lo, hi, shift in runs:
+            pos[lo:hi] = range(lo + shift, hi + shift)
+
+        def remap(row: int) -> int:
+            out = 0
+            if row.bit_count() < len(runs):
+                for i in _bits(row & live):
+                    out |= 1 << pos[i]
+            else:
+                for lo, hi, shift in runs:
+                    out |= ((row >> lo) & ((1 << (hi - lo)) - 1)) << (lo + shift)
+            return out
+
+        return Graph(
+            tuple(names[i] for i in order), tuple(remap(rows[i]) for i in order)
+        )
+
+
 def apply_split(g: Graph, split: Split) -> Graph:
     """Perform one vertex split; raises if the split is not well formed."""
-    t = split.target
-    ti = g.index(t)  # UnknownVertex if absent
-    nbhd = set(g.vertices_of_mask(g.rows[ti]))
-    for side in (split.neighbors_a, split.neighbors_b):
-        foreign = side - nbhd
-        if foreign:
-            raise ForeignNeighbor(
-                f"split of {t}: {min(foreign)} is not a neighbor of {t}"
-            )
-    missed = nbhd - (split.neighbors_a | split.neighbors_b)
-    if missed:
-        raise NeighborhoodNotCovered(
-            f"split of {t}: neighbor {min(missed)} assigned to neither copy"
-        )
-    a, b = t.child(0), t.child(1)
-    for copy in (a, b):
-        if g.has_vertex(copy):
-            raise DuplicateVertex(f"split copy name {copy} already in use")
-    return g._edited(
-        1 << ti,
-        [(a, g.mask_of(split.neighbors_a)), (b, g.mask_of(split.neighbors_b))],
-    )
+    edit = GraphEditor(g)
+    edit.split(split)
+    return edit.graph()
 
 
 def contract_copies(
@@ -449,8 +504,10 @@ def contract_copies(
     if g.has_vertex(mv) and mv not in (av, bv):
         raise DuplicateVertex(f"merged name {mv} already in use")
     ia, ib = g.index(av), g.index(bv)
-    both = 1 << ia | 1 << ib
-    return g._edited(both, [(mv, (g.rows[ia] | g.rows[ib]) & ~both)])
+    edit = GraphEditor(g)
+    edit._remove(1 << ia | 1 << ib)
+    edit._append(mv, g.rows[ia] | g.rows[ib])
+    return edit.graph()
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +550,23 @@ def is_cluster_graph(g: Graph) -> bool:
     """True iff every connected component is a clique.
 
     Checked both ways (no induced P3, and component-wise cliqueness) since the
-    equivalence is load-bearing for everything downstream.
+    equivalence is load-bearing for everything downstream.  An induced P3
+    x-y-z exists iff two adjacent vertices, y and z, have different closed
+    neighborhoods N[y] != N[z] (x is in one, not the other).  So one exists
+    iff some N[i] differs from N[r], r = low(i) the smallest member of N[i]
+    (r is i or a neighbor of i).  If none does, take adjacent i and k, with
+    r = low(i) and s = low(k): k is in N[i] = N[r], so r is in N[k] and
+    s <= r; likewise r <= s, so N[i] = N[r] = N[k].  That takes O(n) row
+    operations, where listing pairs of neighbors takes O(sum deg^2).
     """
-    has_p3 = next(induced_p3_indices(g), None) is not None
+    rows = g.rows
+    has_p3 = False
+    for i, row in enumerate(rows):
+        closed = row | 1 << i
+        low = (closed & -closed).bit_length() - 1
+        if rows[low] | 1 << low != closed:
+            has_p3 = True
+            break
     comps_cliques = all(g.is_clique_mask(c) for c in g.component_masks())
     assert has_p3 != comps_cliques, "P3-freeness and component cliqueness disagree"
     return comps_cliques

@@ -20,7 +20,10 @@ The reductions implemented:
   the same as covering edges with weight |V| - |isolated| + k.  The cover is
   turned into an explicit split sequence by repeatedly pulling a
   multiply-covered vertex out of its first covering set, and back again by
-  reading clusters off the split graph and contracting split copies.
+  reading clusters off the split graph and contracting split copies.  The
+  graph along the way is always the union of the cliques of the current
+  sets, so each split is computed from the sets alone, with no graph built
+  (the argument is in :func:`cover_to_splits`); one replay checks the result.
 * cvs -> cevs: replace every vertex by a clique of k+1 copies (complete
   joins along edges); the edit budget becomes k * (k+1).  Blowing up makes
   edits useless: any solution may as well split only.
@@ -29,6 +32,7 @@ The reductions implemented:
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 
 from .certificates import (
@@ -40,12 +44,11 @@ from .certificates import (
     verify_sigma_cover,
 )
 from .graph import (
+    DuplicateVertex,
     Graph,
     GraphError,
     Split,
     VertexId,
-    apply_split,
-    contract_copies,
     is_cluster_graph,
 )
 
@@ -207,10 +210,21 @@ def cover_to_splits(g: Graph, cover: SigmaCliqueCover) -> ModificationSequence:
     Requires an isolate-free graph and a valid cover whose sets all have at
     least two vertices (prune singletons first; minimum covers have none).
     While some vertex u lies in several sets, u is pulled out of its first
-    covering set C1: the copy u.0 keeps the neighbors inside C1, the copy u.1
-    keeps the neighbors outside C1 plus those C1-neighbors shared with
-    another covering set.  Each pull-out lowers the total excess by one, and
-    afterwards the graph is exactly the cluster graph of the cover.
+    covering set C1, first by sorted members: u.0 takes u's place in C1 and
+    u.1 its place in u's other sets.
+
+    Every split is read off the family alone.  The invariant: the current
+    graph is the union of the cliques of the current sets.  It holds at the
+    start, since every set is a clique of g, every edge lies in a set and,
+    with no isolated vertex, so does every vertex.  So N(u) is the union of
+    u's sets minus u, and the split is ``Split(u, C1 - {u}, (union of u's
+    other sets) - {u})``.  Afterwards u.0 is adjacent to the rest of C1, u.1
+    to the rest of the other sets, the two copies share no set, and no other
+    pair changes, so the invariant holds again.  A pull-out lowers the
+    total excess by one and changes no other name's valency, so a heap of
+    the names in two or more sets, fed only with u.1, gives each next u; the
+    sets that hold a name are tracked, and no graph is built.  When the heap
+    is empty the sets are disjoint, and the graph is their cluster graph.
     """
     if g.isolated_vertices():
         raise IsolatedVertexPresent(
@@ -224,41 +238,38 @@ def cover_to_splits(g: Graph, cover: SigmaCliqueCover) -> ModificationSequence:
             raise InvalidCertificate(
                 f"singleton set {{{min(s)}}} cannot be realized by splits"
             )
-    work: list[frozenset[VertexId]] = sorted(cover.sets, key=_canon_key)
-    cur = g
+    sets = [set(s) for s in cover.sets]
+    holders: dict[VertexId, list[int]] = {}  # name -> the sets holding it
+    for k, s in enumerate(cover.sets):
+        for v in s:
+            holders.setdefault(v, []).append(k)
+    multi = [(v.sort_key, v) for v, ks in holders.items() if len(ks) >= 2]
+    heapq.heapify(multi)
     steps: list[VertexSplit] = []
-    while True:
-        valency: dict[VertexId, int] = {}
-        for s in work:
-            for v in s:
-                valency[v] = valency.get(v, 0) + 1
-        multi = sorted(v for v, k in valency.items() if k >= 2)
-        if not multi:
-            break
-        u = multi[0]
-        containing = sorted((s for s in work if u in s), key=_canon_key)
-        c1 = containing[0]
-        shared = frozenset().union(*containing[1:])
-        nbhd = frozenset(cur.neighbors(u))
-        inside = nbhd & c1
-        outside = (nbhd - c1) | (inside & shared)
-        split = Split(u, inside, outside)
-        cur = apply_split(cur, split)
-        steps.append(VertexSplit(split))
+    while multi:
+        _, u = heapq.heappop(multi)
         u_in, u_out = u.child(0), u.child(1)
-        new_work = []
-        for s in work:
-            if u not in s:
-                new_work.append(s)
-            elif s == c1:
-                new_work.append(s - {u} | {u_in})
-            else:
-                new_work.append(s - {u} | {u_out})
-        work = sorted(new_work, key=_canon_key)
-        assert sum(1 for s in work if u_in in s) == 1, "pulled-out copy not unique"
-    assert is_cluster_graph(cur), "pull-out loop ended off a cluster graph"
-    assert len(steps) == cover.weight - g.n, "split count drifted from the excess"
-    return ModificationSequence(tuple(steps))
+        for copy in (u_in, u_out):
+            if copy in holders:
+                raise DuplicateVertex(f"split copy name {copy} already in use")
+        # renaming can reorder sets when a name descends from u.0, so C1 is
+        # found by the current members, not by the order at the start
+        ks = holders.pop(u)
+        c1 = min(ks, key=lambda k: sorted(v.sort_key for v in sets[k]))
+        rest = [k for k in ks if k != c1]
+        inside = frozenset(sets[c1]) - {u}
+        outside = frozenset().union(*(sets[k] for k in rest)) - {u}
+        steps.append(VertexSplit(Split(u, inside, outside)))
+        for k in ks:
+            sets[k].discard(u)
+            sets[k].add(u_in if k == c1 else u_out)
+        holders[u_in], holders[u_out] = [c1], rest
+        if len(rest) >= 2:
+            heapq.heappush(multi, (u_out.sort_key, u_out))
+    seq = ModificationSequence(tuple(steps))
+    assert is_cluster_graph(seq.apply_to(g)), "pull-out loop ended off a cluster graph"
+    assert seq.length == cover.weight - g.n, "split count drifted from the excess"
+    return seq
 
 
 def splits_to_cover(g: Graph, seq: ModificationSequence) -> SigmaCliqueCover:
@@ -271,8 +282,7 @@ def splits_to_cover(g: Graph, seq: ModificationSequence) -> SigmaCliqueCover:
     """
     if not seq.splits_only():
         raise ValueError("sequence contains non-split steps")
-    graphs = seq.intermediate_graphs(g)
-    final = graphs[-1]
+    final = seq.apply_to(g)
     if not is_cluster_graph(final):
         raise NotAClusterGraphAfter("the split sequence does not end in clusters")
     sets = [frozenset(final.vertices_of_mask(m)) for m in final.component_masks()]

@@ -593,7 +593,8 @@ def cover_to_modifications(g: Graph, cover: SigmaCliqueCover) -> ModificationSeq
     deletes = sorted(
         (u, w) for u, w in g.edges() if frozenset((u, w)) not in inside
     )
-    edited = Graph.build(g.vertices, [tuple(sorted(p)) for p in inside])
+    edits = [EdgeAdd(u, w) for u, w in adds] + [EdgeDelete(u, w) for u, w in deletes]
+    edited = ModificationSequence(tuple(edits)).apply_to(g)
     core, _ = remove_isolated(edited)
     pruned = SigmaCliqueCover.of(s for s in cover.sets if len(s) >= 2)
     pullouts = cover_to_splits(core, pruned) if core.n else ModificationSequence()
@@ -609,12 +610,7 @@ def cover_to_modifications(g: Graph, cover: SigmaCliqueCover) -> ModificationSeq
         split = Split(x, frozenset(cur.neighbors(x)), frozenset())
         cur = apply_split(cur, split)
         splits.append(VertexSplit(split))
-    steps = (
-        [EdgeAdd(u, w) for u, w in adds]
-        + [EdgeDelete(u, w) for u, w in deletes]
-        + splits
-    )
-    seq = ModificationSequence(tuple(steps))
+    seq = ModificationSequence(tuple(edits + splits))
     assert seq.length == breakdown.total, "sequence length differs from cover cost"
     check = verify_modification_sequence(g, seq, breakdown.total, "cevs")
     assert check.valid, f"realized sequence failed to verify: {check.reason}"

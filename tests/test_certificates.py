@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -142,6 +143,91 @@ def test_inapplicable_steps_carry_index(p3):
     bad_split = ModificationSequence((VertexSplit(Split.of("z", [], [])),))
     with pytest.raises(InapplicableStep):
         bad_split.apply_to(p3)
+
+
+# "07" and "7" are distinct roots with equal numeric value; "c.0.1" is taken
+# before c.0 exists, so splitting c.0 would reuse a name.
+REPLAY_NAMES = ["c", "c.0.1", "07", "7", "10", "2", "a", "x.1.0"]
+
+
+def _random_steps(rng, names, edges, count):
+    """A seeded applicable sequence, replayed on the oracle's name and edge sets.
+
+    Returns the steps and the oracle (names, edges) after them.  Splits pick
+    copies as readily as original vertices.
+    """
+    names, edges = set(names), {oracles.norm_edge(u, w) for u, w in edges}
+    steps = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.3 and len(names) >= 2:
+            u, w = rng.sample(sorted(names), 2)
+            step = EdgeDelete(u, w) if oracles.adjacent(edges, u, w) else EdgeAdd(u, w)
+            edges ^= {oracles.norm_edge(u, w)}
+        else:
+            free = [t for t in sorted(names) if not {f"{t}.0", f"{t}.1"} & names]
+            t = rng.choice(free)
+            nbrs = sorted(oracles.neighbors(names, edges, t))
+            side_a = {x for x in nbrs if rng.random() < 0.5}
+            side_b = {x for x in nbrs if x not in side_a or rng.random() < 0.3}
+            step = VertexSplit(Split.of(t, side_a, side_b))
+            edges = {e for e in edges if t not in e}
+            edges |= {oracles.norm_edge(f"{t}.0", x) for x in side_a}
+            edges |= {oracles.norm_edge(f"{t}.1", x) for x in side_b}
+            names = names - {t} | {f"{t}.0", f"{t}.1"}
+        steps.append(step)
+    return steps, oracles.make(names, edges)
+
+
+def test_apply_to_matches_an_edge_set_replay():
+    rng = random.Random(31)
+    for _ in range(300):
+        names = rng.sample(REPLAY_NAMES, rng.randint(1, len(REPLAY_NAMES)))
+        edges = [p for p in itertools.combinations(names, 2) if rng.random() < 0.5]
+        steps, expected = _random_steps(rng, names, edges, rng.randint(0, 12))
+        final = ModificationSequence(tuple(steps)).apply_to(Graph.build(names, edges))
+        assert oracle_form(final) == expected
+
+
+def test_inapplicable_steps_name_their_index_and_reason():
+    rng = random.Random(32)
+    names = ["c", "c.0.1", "07", "7", "10", "2", "x", "x.1"]
+    edges = [("c", "07"), ("07", "7"), ("7", "10"), ("10", "2"), ("c", "2"), ("x", "2")]
+    g = Graph.build(names, edges)
+    for _ in range(60):
+        steps, (now, now_edges) = _random_steps(rng, names, edges, rng.randint(0, 6))
+        at = len(steps)
+        u, w = rng.sample(now, 2)
+        t = rng.choice(now)
+        nbrs = sorted(oracles.neighbors(now, now_edges, t))
+        stranger = min(v for v in now if v != t and v not in nbrs) if len(nbrs) < len(now) - 1 else t
+        pair = EdgeAdd(u, w)
+        present = oracles.adjacent(now_edges, u, w)
+        bad = [
+            (EdgeAdd(u, w) if present else EdgeDelete(u, w),
+             f"edge {pair.u} {pair.v} {'already present' if present else 'not present'}"),
+            (EdgeAdd(t, t), f"self-loop at {t}"),
+            (EdgeDelete(t, "z"), "unknown vertex z"),
+            (VertexSplit(Split.of("z", [], [])), "unknown vertex z"),
+            (VertexSplit(Split.of(t, [stranger], nbrs)),
+             f"split of {t}: {stranger} is not a neighbor of {t}"),
+            ("not a step", "unknown step type str"),
+        ]
+        if nbrs:
+            kept = nbrs[1:]
+            bad.append((VertexSplit(Split.of(t, kept, kept)),
+                        f"split of {t}: neighbor {nbrs[0]} assigned to neither copy"))
+        for v in now:  # x until x.1 is split, c.0 once c is
+            taken = [c for c in (f"{v}.0", f"{v}.1") if c in now]
+            if taken:
+                whole = oracles.neighbors(now, now_edges, v)
+                bad.append((VertexSplit(Split.of(v, whole, [])),
+                            f"split copy name {taken[0]} already in use"))
+        for step, reason in bad:
+            seq = ModificationSequence(tuple(steps) + (step,))
+            with pytest.raises(InapplicableStep) as info:
+                seq.apply_to(g)
+            assert (info.value.index, info.value.reason) == (at, reason)
 
 
 def test_verify_modification_sequence(p3):

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -55,6 +59,33 @@ def test_vertex_id_order_numeric_roots_first():
     names = ["b", "a.1", "10", "2", "a", "a.0", "2.1"]
     ordered = sorted(VertexId.parse(t) for t in names)
     assert [str(v) for v in ordered] == ["2", "2.1", "10", "a", "a.0", "a.1", "b"]
+
+
+def test_vertex_id_hash_is_that_of_root_and_branches():
+    """The cached hash keeps the generated one, so set and dict orders stay."""
+    for token in ["c", "c.0.1", "07", "7", "7.0", "x.1.0"]:
+        v = VertexId.parse(token)
+        assert hash(v) == hash((v.root, v.branches))
+        assert hash(v.child(1)) == hash((v.root, v.branches + (1,)))
+        copy = pickle.loads(pickle.dumps(v))
+        assert copy == v and hash(copy) == hash(v)
+
+
+def test_pickled_vertex_ids_hash_anew_in_another_process():
+    """String hashes are salted per process, so a pickled hash would be stale."""
+    names = pickle.dumps({VertexId.parse(t) for t in ["c", "c.0.1", "07"]})
+    code = (
+        "import pickle, sys; from splitclust.graph import VertexId; "
+        "names = pickle.loads(sys.stdin.buffer.read()); "
+        "print(VertexId.parse('c.0.1') in names and VertexId('c') in names)"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "12345"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    out = subprocess.run(
+        [sys.executable, "-c", code], input=names, capture_output=True, env=env,
+        timeout=60, check=True,
+    )
+    assert out.stdout.strip() == b"True"
 
 
 # ---------------------------------------------------------------- construction

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -11,9 +13,11 @@ from splitclust.certificates import (
     NodeCliqueCover,
     SigmaCliqueCover,
     VertexSplit,
+    cover_cost,
     verify_modification_sequence,
     verify_sigma_cover,
 )
+from splitclust.formats import Certificate, dumps_certificate
 from splitclust.graph import Graph, GraphError, Split, is_cluster_graph, remove_isolated
 from splitclust.reductions import (
     BudgetUnderflow,
@@ -32,7 +36,7 @@ from splitclust.reductions import (
     translate_scc_cert_to_ncc,
     universal_names,
 )
-from splitclust.solvers import solve_ncc_exact, solve_scc_exact
+from splitclust.solvers import solve_cevs_exact, solve_ncc_exact, solve_scc_exact
 
 
 def test_instance_rejects_negative_budget(p3):
@@ -144,6 +148,69 @@ def test_cover_to_splits_length_formula_exhaustive():
             assert seq.length == pruned.weight - g.n
             final = seq.apply_to(g)
             assert is_cluster_graph(final)
+
+
+def test_cover_to_splits_picks_the_first_set_by_current_members():
+    """Renaming c to c.1 moves it past c.0.0 and c.0.1 and reorders sets.
+
+    At the start {c, c.0.0} sorts before {c, c.0.0, c.0.1}; once c is pulled
+    out of {a, c}, {c.0.0, c.0.1, c.1} sorts before {c.0.0, c.1}, and each
+    later pull-out must leave that set first.
+    """
+    g = Graph.build(
+        ["a", "c", "c.0.0", "c.0.1"],
+        [("a", "c"), ("c", "c.0.0"), ("c", "c.0.1"), ("c.0.0", "c.0.1")],
+    )
+    cover = SigmaCliqueCover.of([["a", "c"], ["c", "c.0.0"], ["c", "c.0.0", "c.0.1"]])
+    seq = cover_to_splits(g, cover)
+    assert seq.steps == (
+        VertexSplit(Split.of("c", ["a"], ["c.0.0", "c.0.1"])),
+        VertexSplit(Split.of("c.0.0", ["c.0.1", "c.1"], ["c.1"])),
+        VertexSplit(Split.of("c.1", ["c.0.0.0", "c.0.1"], ["c.0.0.1"])),
+    )
+
+
+# Numeric, hierarchical and nested names ("c.0.1" and "x.0.0" descend from
+# the 0-copies of "c" and "x").
+PLANTED_NAMES = ["c", "c.0.1", "07", "7", "x", "x.0.0", "10", "2", "a.1"]
+
+
+def _planted(rng, n, sizes, overlap, noise=0):
+    """A seeded planted-overlap graph and its planted cover, no singletons."""
+    names = (PLANTED_NAMES + [f"v{i}" for i in range(n)])[:n]
+    rng.shuffle(names)
+    clusters, at = [], 0
+    while at < n:
+        size = rng.randint(*sizes)
+        clusters.append(set(names[at : at + size]))
+        at += size
+    if len(clusters[-1]) == 1:
+        last = clusters.pop()
+        clusters[-1] |= last
+    for v in rng.sample(names, int(overlap * n)):
+        rng.choice([c for c in clusters if v not in c]).add(v)
+    edges = {p for c in clusters for p in itertools.combinations(sorted(c), 2)}
+    for _ in range(noise):
+        edges ^= {tuple(sorted(rng.sample(names, 2)))}
+    return Graph.build(names, edges), SigmaCliqueCover.of(clusters)
+
+
+def test_realized_certificates_match_pinned_digest():
+    """cover_to_splits and solve_cevs_exact certificates are byte-stable."""
+    rng = random.Random(4)
+    texts = []
+    for _ in range(12):
+        g, cover = _planted(rng, rng.randint(20, 60), (2, 6), 0.3)
+        seq = cover_to_splits(g, cover)
+        texts.append(dumps_certificate(Certificate("cvs", seq.length, "sequence", seq)))
+    for _ in range(8):
+        g, cover = _planted(rng, rng.randint(7, 8), (2, 4), 0.2, noise=2)
+        budget = cover_cost(g, cover).total
+        found, seq = solve_cevs_exact(Instance(Problem.CEVS, g, budget))
+        texts.append(dumps_certificate(Certificate("cevs", budget, "cover", found)))
+        texts.append(dumps_certificate(Certificate("cevs", budget, "sequence", seq)))
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "f16821076e55055b5ac418787a182d5c6efadc7faf45a168393ad41288927440"
 
 
 def test_splits_to_cover_round_trip():
