@@ -20,6 +20,7 @@ from .certificates import (
     VertexSplit,
     cover_cost,
     cover_respects_critical_cliques,
+    verify_cevs_cover,
     verify_modification_sequence,
     verify_node_cover,
     verify_p3_packing,
@@ -84,6 +85,7 @@ from .solvers import (
     BadSizeLimit,
     NotNormalized,
     SizeLimitExceeded,
+    cevs_search,
     cover_to_modifications,
     max_p3_packing,
     modifications_to_cover,

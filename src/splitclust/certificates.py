@@ -236,9 +236,10 @@ class VerifyReport:
 
 
 def _check_known(g: Graph, vertices: Iterable[VertexId]) -> None:
-    for v in vertices:
-        if not g.has_vertex(v):
-            raise UnknownVertex(f"certificate references unknown vertex {v}")
+    # name the smallest: set iteration order changes with the string-hash seed
+    unknown = [v for v in vertices if not g.has_vertex(v)]
+    if unknown:
+        raise UnknownVertex(f"certificate references unknown vertex {min(unknown)}")
 
 
 def _fmt_set(s: frozenset[VertexId]) -> str:
@@ -444,3 +445,25 @@ def cover_respects_critical_cliques(g: Graph, cover: SigmaCliqueCover) -> bool:
             if hit and hit != cls:
                 return False
     return True
+
+
+def verify_cevs_cover(g: Graph, cover: SigmaCliqueCover, budget: int) -> VerifyReport:
+    """Check that a vertex cover's editing-with-splitting cost is <= budget.
+
+    The metrics carry the cost breakdown and whether the cover keeps every
+    critical clique whole.
+    """
+    breakdown = cover_cost(g, cover)
+    metrics = {
+        "cost": breakdown.total,
+        "additions": breakdown.nonedges_inside,
+        "deletions": breakdown.edges_outside,
+        "splits": breakdown.excess,
+        "budget": budget,
+        "respectsCriticalCliques": cover_respects_critical_cliques(g, cover),
+    }
+    if breakdown.total > budget:
+        return VerifyReport(
+            False, f"cost {breakdown.total} exceeds budget {budget}", metrics
+        )
+    return VerifyReport(True, None, metrics)

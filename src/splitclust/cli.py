@@ -24,10 +24,10 @@ from pathlib import Path
 
 from . import formats
 from .certificates import (
-    cover_cost,
-    cover_respects_critical_cliques,
     NotACover,
     VerifyReport,
+    cover_cost,
+    verify_cevs_cover,
     verify_modification_sequence,
     verify_node_cover,
     verify_p3_packing,
@@ -90,7 +90,7 @@ def cmd_solve(args) -> int:
     limit = args.size_limit_override
     answer_obj: dict = {"problem": problem.value, "budget": args.budget}
     if problem is Problem.SCC:
-        cover = solve_scc_exact(g, args.budget, size_limit=limit, parallel=args.parallel)
+        cover = solve_scc_exact(g, args.budget, size_limit=limit)
         if cover is None:
             _emit(args, f"NO: no edge cover of weight <= {args.budget}",
                   {**answer_obj, "answer": "no"})
@@ -108,8 +108,7 @@ def cmd_solve(args) -> int:
         detail = f"minimum cliques {cover.size}"
         answer_obj.update(optimum=cover.size)
     elif problem is Problem.CVS:
-        seq = solve_cvs_exact(Instance(problem, g, args.budget),
-                              size_limit=limit, parallel=args.parallel)
+        seq = solve_cvs_exact(Instance(problem, g, args.budget), size_limit=limit)
         if seq is None:
             _emit(args, f"NO: no split sequence of length <= {args.budget}",
                   {**answer_obj, "answer": "no"})
@@ -236,23 +235,7 @@ def cmd_verify(args) -> int:
         elif cert.kind == "cover" and problem == "ncc":
             report = verify_node_cover(g, cert.value, budget)
         elif cert.kind == "cover" and problem == "cevs":
-            breakdown = cover_cost(g, cert.value)
-            metrics = {
-                "cost": breakdown.total,
-                "additions": breakdown.nonedges_inside,
-                "deletions": breakdown.edges_outside,
-                "splits": breakdown.excess,
-                "budget": budget,
-                "respectsCriticalCliques": cover_respects_critical_cliques(
-                    g, cert.value
-                ),
-            }
-            if breakdown.total <= budget:
-                report = VerifyReport(True, None, metrics)
-            else:
-                report = VerifyReport(
-                    False, f"cost {breakdown.total} exceeds budget {budget}", metrics
-                )
+            report = verify_cevs_cover(g, cert.value, budget)
         elif cert.kind == "sequence" and problem in ("cvs", "cevs"):
             report = verify_modification_sequence(g, cert.value, budget, problem)
         elif cert.kind == "packing":
@@ -401,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--problem", choices=[x.value for x in Problem], required=True)
     p.add_argument("-o", "--output", help="certificate path")
-    p.add_argument("--parallel", action="store_true",
-                   help="fan root branches across processes (scc and cvs)")
     p.add_argument("--exact-packing", action="store_true",
                    help="use the exact packing bound before the cevs search")
     common(p)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(Exception):
@@ -141,6 +141,26 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def component_masks(rows: Sequence[int]) -> list[int]:
+    """Connected components of adjacency rows as bitmasks, by smallest member."""
+    seen = 0
+    out = []
+    for i in range(len(rows)):
+        if seen >> i & 1:
+            continue
+        comp = 1 << i
+        frontier = 1 << i
+        while frontier:
+            j = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = rows[j] & ~comp
+            comp |= new
+            frontier |= new
+        seen |= comp
+        out.append(comp)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -261,22 +281,7 @@ class Graph:
 
     def component_masks(self) -> list[int]:
         """Connected components as bitmasks, ordered by smallest member."""
-        seen = 0
-        out = []
-        for i in range(self.n):
-            if seen >> i & 1:
-                continue
-            comp = 1 << i
-            frontier = 1 << i
-            while frontier:
-                j = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                new = self.rows[j] & ~comp
-                comp |= new
-                frontier |= new
-            seen |= comp
-            out.append(comp)
-        return out
+        return component_masks(self.rows)
 
     # -- derived graphs -------------------------------------------------------
 

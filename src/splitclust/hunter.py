@@ -36,8 +36,8 @@ from .certificates import (
     cover_cost,
     cover_respects_critical_cliques,
 )
-from .graph import Graph
-from .solvers import _cevs_search, _check_size
+from .graph import Graph, component_masks
+from .solvers import cevs_search, check_size
 
 
 # ---------------------------------------------------------------------------
@@ -110,20 +110,6 @@ def graph_from_canonical(n: int, bits: int) -> Graph:
     return Graph.build(names, edges)
 
 
-def _connected(rows: list[int], n: int) -> bool:
-    if n <= 1:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        v = (frontier & -frontier).bit_length() - 1
-        frontier &= frontier - 1
-        new = rows[v] & ~seen
-        seen |= new
-        frontier |= new
-    return seen == (1 << n) - 1
-
-
 # ---------------------------------------------------------------------------
 # enumeration, with the n=8 level as package data
 # ---------------------------------------------------------------------------
@@ -174,10 +160,10 @@ def enumerate_graphs(
     n: int, *, connected_only: bool = False, size_limit: int | None = None
 ) -> list[Graph]:
     """All n-vertex graphs up to isomorphism, canonical, in canonical-form order."""
-    _check_size("hunt", n, size_limit)
+    check_size("hunt", n, size_limit)
     out = []
     for bits in _level(n):
-        if connected_only and not _connected(_rows_from_bits(n, bits), n):
+        if connected_only and len(component_masks(_rows_from_bits(n, bits))) > 1:
             continue
         out.append(graph_from_canonical(n, bits))
     return out
@@ -208,7 +194,7 @@ def _family_key(fam) -> tuple:
 
 def _analyze(g: Graph, n: int, index: int, canonical: str) -> HuntReport:
     families = sorted(
-        _cevs_search(g, g.edge_count, collect_all=True), key=_family_key
+        cevs_search(g, g.edge_count, collect_all=True), key=_family_key
     )
     assert families, "the all-singletons cover was not reached"
     covers = [SigmaCliqueCover.of(fam) for fam in families]
@@ -238,7 +224,7 @@ def _analyze(g: Graph, n: int, index: int, canonical: str) -> HuntReport:
 def hunt_graph(g: Graph, *, size_limit: int | None = None) -> HuntReport:
     """Analyze one graph; its index refers to the canonical enumeration."""
     n, bits = canonical_form(g)
-    _check_size("hunt", n, size_limit)
+    check_size("hunt", n, size_limit)
     level = _level(n)
     index = bisect.bisect_left(level, bits)
     assert index < len(level) and level[index] == bits, "canonical form not in level"
@@ -262,7 +248,7 @@ def hunt(
 
     `skip_until = (n, index)` resumes after that report (same flags assumed).
     """
-    _check_size("hunt", max_n, size_limit)
+    check_size("hunt", max_n, size_limit)
     for n in range(1, max_n + 1):
         items = []
         for index, bits in enumerate(_level(n)):
@@ -270,7 +256,7 @@ def hunt(
                 n < skip_until[0] or (n == skip_until[0] and index <= skip_until[1])
             ):
                 continue
-            if connected_only and not _connected(_rows_from_bits(n, bits), n):
+            if connected_only and len(component_masks(_rows_from_bits(n, bits))) > 1:
                 continue
             items.append((n, index, bits))
         if parallel and len(items) > 1:

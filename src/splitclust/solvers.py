@@ -24,18 +24,14 @@ command line, or with the SPLITCLUST_SIZE_LIMIT environment variable.
   optimal cover: the incumbent starts at the budget and only falls.  The
   bound at vertex i is a greedy packing of the induced paths whose center
   and far endpoint are both >= i, each of which must still be paid for at a
-  vertex >= i.
-
-The cevs search caps the number of distinct labels at |V|; whether that cap
-can ever exclude all optima is open, so it is flagged in the README, and the
-hunter runs the same search uncapped.
+  vertex >= i.  `solve_cevs_exact` and the hunter run this one search; it
+  needs no cap on the number of labels (see `cevs_search`).
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 from .certificates import (
     EdgeAdd,
@@ -102,7 +98,8 @@ def resolve_size_limit(kind: str, override: int | None) -> int:
     return DEFAULT_SIZE_LIMITS[kind]
 
 
-def _check_size(kind: str, n: int, override: int | None) -> None:
+def check_size(kind: str, n: int, override: int | None) -> None:
+    """Raise SizeLimitExceeded when n vertices are past the `kind` limit."""
     limit = resolve_size_limit(kind, override)
     if n > limit:
         raise SizeLimitExceeded(
@@ -175,7 +172,7 @@ def solve_ncc_exact(
     g: Graph, budget: int, *, size_limit: int | None = None
 ) -> NodeCliqueCover | None:
     """A minimum clique partition of the vertices, if at most `budget` cliques do."""
-    _check_size("ncc", g.n, size_limit)
+    check_size("ncc", g.n, size_limit)
     if g.n == 0:
         return NodeCliqueCover.of([])
     table = _NccTable(g.rows)
@@ -216,15 +213,8 @@ def _first_uncovered(uncov: list[int]) -> tuple[int, int] | None:
     return None
 
 
-def _scc_component_min(
-    rows: tuple[int, ...], cap: int, forced_first: int | None = None
-) -> tuple[int, list[int]] | None:
-    """Minimum-weight clique family covering all edges, if its weight <= cap.
-
-    `forced_first` preselects the set covering the first edge (used to fan
-    branches out across processes); the subtree is searched identically.
-    """
-    n = len(rows)
+def _scc_component_min(rows: tuple[int, ...], cap: int) -> tuple[int, list[int]] | None:
+    """Minimum-weight clique family covering all edges, if its weight <= cap."""
     table = _NccTable(rows)
     best: tuple[int, list[int]] | None = None
 
@@ -257,44 +247,19 @@ def _scc_component_min(
             dfs(cover_with(uncov, q), weight + q.bit_count(), chosen)
             chosen.pop()
 
-    start = list(rows)
-    if forced_first is not None:
-        dfs(cover_with(start, forced_first), forced_first.bit_count(), [forced_first])
-    else:
-        dfs(start, 0, [])
-    return best
-
-
-def _scc_branch_worker(args) -> tuple[int, list[int]] | None:
-    rows, cap, q = args
-    return _scc_component_min(tuple(rows), cap, forced_first=q)
-
-
-def _scc_component_min_parallel(
-    rows: tuple[int, ...], cap: int
-) -> tuple[int, list[int]] | None:
-    edge = _first_uncovered(list(rows))
-    if edge is None:
-        return (0, [])
-    cands = sorted(_cliques_with_edge(rows, *edge), key=lambda q: (-q.bit_count(), q))
-    with ProcessPoolExecutor() as pool:
-        results = list(pool.map(_scc_branch_worker, [(rows, cap, q) for q in cands]))
-    best = None
-    for res in results:  # branch order; strict improvement keeps the earliest
-        if res is not None and (best is None or res[0] < best[0]):
-            best = res
+    dfs(list(rows), 0, [])
     return best
 
 
 def solve_scc_exact(
-    g: Graph, budget: int, *, size_limit: int | None = None, parallel: bool = False
+    g: Graph, budget: int, *, size_limit: int | None = None
 ) -> SigmaCliqueCover | None:
     """A minimum-weight clique cover of the edges, if its weight <= budget.
 
     Solved component by component; a component's search is capped by its own
     lower bound plus the slack the other components' lower bounds leave.
     """
-    _check_size("scc", g.n, size_limit)
+    check_size("scc", g.n, size_limit)
     comps = g.component_masks()
     comp_rows: list[tuple[int, ...]] = []
     comp_verts: list[list[VertexId]] = []
@@ -316,8 +281,7 @@ def solve_scc_exact(
     total = 0
     sets: list[frozenset[VertexId]] = []
     for rows, verts, lb in zip(comp_rows, comp_verts, lbs):
-        solve = _scc_component_min_parallel if parallel else _scc_component_min
-        res = solve(rows, lb + slack)
+        res = _scc_component_min(rows, lb + slack)
         if res is None:
             return None
         weight, masks = res
@@ -332,16 +296,14 @@ def solve_scc_exact(
 
 
 def solve_cvs_exact(
-    inst: Instance, *, size_limit: int | None = None, parallel: bool = False
+    inst: Instance, *, size_limit: int | None = None
 ) -> ModificationSequence | None:
     """A shortest all-splits sequence to a cluster graph, if length <= budget."""
     if inst.problem is not Problem.CVS:
         raise ValueError(f"expected a cvs instance, got {inst.problem.value}")
-    _check_size("cvs", inst.graph.n, size_limit)
+    check_size("cvs", inst.graph.n, size_limit)
     core, _ = remove_isolated(inst.graph)
-    cover = solve_scc_exact(
-        core, core.n + inst.budget, size_limit=core.n, parallel=parallel
-    )
+    cover = solve_scc_exact(core, core.n + inst.budget, size_limit=core.n)
     if cover is None:
         return None
     pruned = SigmaCliqueCover.of(s for s in cover.sets if len(s) >= 2)
@@ -440,7 +402,7 @@ def max_p3_packing(
     """
     triples = sorted(induced_p3_indices(g))
     if exact:
-        _check_size("packing", g.n, size_limit)
+        check_size("packing", g.n, size_limit)
         chosen = _exact_packing(triples)
     else:
         chosen = _greedy_packing(triples)
@@ -454,13 +416,7 @@ def max_p3_packing(
 # ---------------------------------------------------------------------------
 
 
-def _cevs_search(
-    g: Graph,
-    budget: int,
-    *,
-    label_cap: int | None = None,
-    collect_all: bool = False,
-):
+def cevs_search(g: Graph, budget: int, *, collect_all: bool = False):
     """One branch-and-bound pass over covers of editing-with-splitting cost <= budget.
 
     Vertices are assigned label sets in lexicographic order.  A vertex taking
@@ -468,7 +424,9 @@ def _cevs_search(
     placed pair pays 1 when adjacency and label-sharing disagree, so the
     accumulated cost of a full assignment is exactly the cover cost.  Label
     counts need no explicit bound: every label is nonempty, so the excess
-    already paid bounds them by |V| + budget.
+    already paid bounds them by |V| + budget.  Every cover within budget is
+    therefore reachable, and exactness rests on that bound alone, with no
+    assumption about how many distinct sets an optimum needs.
 
     The incumbent starts at `budget`, and a child is pruned when its cost
     plus the suffix packing bound of the next vertex exceeds the incumbent.
@@ -510,8 +468,6 @@ def _cevs_search(
                 break
             for e in range(min(t, L), -1, -1):
                 r = t - e
-                if label_cap is not None and L + r > label_cap:
-                    continue
                 for combo in itertools.combinations(range(L), e):
                     shared = 0
                     for lbl in combo:
@@ -554,12 +510,12 @@ def solve_cevs_exact(
     if inst.problem is not Problem.CEVS:
         raise ValueError(f"expected a cevs instance, got {inst.problem.value}")
     g = inst.graph
-    _check_size("cevs", g.n, size_limit)
+    check_size("cevs", g.n, size_limit)
     if exact_packing:
         packing = max_p3_packing(g, exact=True, size_limit=g.n)
         if packing.size > inst.budget:
             return None
-    res = _cevs_search(g, inst.budget, label_cap=g.n)
+    res = cevs_search(g, inst.budget)
     if res is None:
         return None
     cost, sets = res

@@ -20,6 +20,7 @@ from splitclust.certificates import (
     VertexSplit,
     cover_cost,
     cover_respects_critical_cliques,
+    verify_cevs_cover,
     verify_modification_sequence,
     verify_node_cover,
     verify_p3_packing,
@@ -334,3 +335,21 @@ def test_cost_breakdown_adds_up():
     bd = cover_cost(g, SigmaCliqueCover.of([["a", "b", "c"], ["c", "d"]]))
     assert bd.total == bd.nonedges_inside + bd.edges_outside + bd.excess
     assert bd == CostBreakdown(total=2, nonedges_inside=1, edges_outside=0, excess=1)
+
+
+def test_verify_cevs_cover_reports_cost_and_budget(ccl8):
+    cover = SigmaCliqueCover.of([["a", "b", "c", "h"], ["c", "d", "e", "f", "g"]])
+    metrics = {
+        "cost": 6,
+        "additions": 3,
+        "deletions": 2,
+        "splits": 1,
+        "respectsCriticalCliques": False,
+    }
+    ok = verify_cevs_cover(ccl8, cover, 6)
+    assert ok.valid and ok.reason is None
+    assert ok.metrics == {**metrics, "budget": 6}
+    over = verify_cevs_cover(ccl8, cover, 5)
+    assert not over.valid
+    assert over.reason == "cost 6 exceeds budget 5"
+    assert over.metrics == {**metrics, "budget": 5}

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -62,6 +65,12 @@ def test_solve_scc_json_shape(work, capsys):
 def test_solve_ncc(work, capsys):
     assert run("solve", work / "k3.graph", "--problem", "ncc", "--budget", "1") == 0
     assert "minimum cliques 1" in capsys.readouterr().out
+
+
+def test_solve_parallel_flag_is_gone(work, capsys):
+    assert run("solve", work / "p3.graph", "--problem", "scc", "--budget", "4",
+               "--parallel") == 2
+    assert "--parallel" in capsys.readouterr().err
 
 
 def test_solve_respects_explicit_output(work):
@@ -154,6 +163,23 @@ def test_verify_cover_against_wrong_graph(work, capsys):
     # the cover names vertices the path graph lacks: invalid, not a crash
     assert run("verify", work / "p3.graph", work / "two-set-cover.json") == 1
     assert "INVALID" in capsys.readouterr().out
+
+
+def test_verify_names_the_same_unknown_vertex_under_any_hash_seed(work):
+    # string hashes, and so frozenset iteration, differ with PYTHONHASHSEED;
+    # the first set of this cover holds the unknown vertices g and h
+    reasons = []
+    for seed in ("0", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-m", "splitclust.cli", "verify", "k3.graph",
+             "respecting-cover-a.json", "--json"],
+            cwd=work, capture_output=True, env=env, timeout=60,
+        )
+        assert out.returncode == 1
+        reasons.append(json.loads(out.stdout)["reason"])
+    assert reasons == ["certificate references unknown vertex g"] * 2
 
 
 # ---------------------------------------------------------------- lowerbound

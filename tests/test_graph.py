@@ -21,6 +21,7 @@ from splitclust.graph import (
     UnknownVertex,
     VertexId,
     apply_split,
+    component_masks,
     contract_copies,
     critical_clique_graph,
     enumerate_induced_p3,
@@ -137,6 +138,18 @@ def test_add_and_delete_edge():
         g.add_edge("a", "b")
     with pytest.raises(GraphError):
         g.delete_edge("b", "c")
+
+
+def test_component_masks_match_bruteforce_up_to_n4():
+    for n in range(5):
+        for g in graphs_on(n):
+            names, edges = oracle_form(g)
+            got = {
+                frozenset(str(v) for v in g.vertices_of_mask(m))
+                for m in component_masks(g.rows)
+            }
+            assert got == set(oracles.components(names, edges))
+            assert g.component_masks() == component_masks(g.rows)
 
 
 def test_component_masks_order_and_cover():

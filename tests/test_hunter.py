@@ -20,7 +20,7 @@ from splitclust.hunter import (
     report_to_obj,
 )
 from splitclust.reductions import Instance, Problem
-from splitclust.solvers import SizeLimitExceeded, _cevs_search, solve_cevs_exact
+from splitclust.solvers import SizeLimitExceeded, cevs_search, solve_cevs_exact
 
 # every isomorphism class / connected class count a desk check can reach
 ALL_CLASSES = [1, 2, 4, 11, 34, 156, 1044, 12346]
@@ -122,7 +122,7 @@ def test_hunt_reports_match_bruteforce_up_to_n4():
         best, fams = oracles.all_optimal_cover_families(names, edges)
         assert rep.optimum == best
         assert rep.optimal_covers == len(fams)
-        families = _cevs_search(g, rep.optimum, collect_all=True)
+        families = cevs_search(g, rep.optimum, collect_all=True)
         mine = {
             frozenset(frozenset(str(v) for v in c) for c in fam) for fam in families
         }

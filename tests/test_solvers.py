@@ -93,13 +93,6 @@ def test_scc_on_five_vertex_classes():
         assert got is not None and got.weight == want
 
 
-def test_scc_parallel_matches_sequential(ccl8):
-    seq = solve_scc_exact(ccl8, 14)
-    par = solve_scc_exact(ccl8, 14, parallel=True)
-    assert seq is not None and par is not None
-    assert seq.sets == par.sets
-
-
 def test_scc_empty_graph():
     g = Graph.build([], [])
     cover = solve_scc_exact(g, 0)
