@@ -37,7 +37,6 @@ from .graph import (
     UnknownVertex,
     VertexId,
     apply_split,
-    contract_copies,
     critical_clique_graph,
     enumerate_induced_p3,
     is_cluster_graph,

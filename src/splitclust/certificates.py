@@ -10,6 +10,11 @@ Everything a solver or reduction emits is independently checkable:
 * packings of induced three-vertex paths — certified lower bounds, valid when
   the paths pairwise share at most one vertex and have distinct centers.
 
+Every family of vertex sets is read one way: :func:`family_masks` turns the
+sets into row masks (and rejects unknown names), and :func:`shared_rows`
+gives, for each vertex, the vertices sharing a set with it.  Verifiers,
+costs and the cevs realization all read covers through these two.
+
 The cost of a cover ``C`` of all vertices is the editing-with-splitting cost
 of the clustering it describes: non-edges inside sets (once per pair) plus
 edges not inside any set plus the total size excess ``sum |C| - |V|``.
@@ -214,13 +219,6 @@ class ModificationSequence:
                 raise InapplicableStep(i, str(exc)) from exc
         return edit.graph()
 
-    def intermediate_graphs(self, g: Graph) -> list[Graph]:
-        """All graphs g_0 .. g_L along the application; g_0 is the input."""
-        out = [g]
-        for i, _ in enumerate(self.steps):
-            out.append(ModificationSequence(self.steps[i : i + 1]).apply_to(out[-1]))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # reports and verifiers
@@ -235,11 +233,57 @@ class VerifyReport:
     final_graph: Graph | None = None
 
 
-def _check_known(g: Graph, vertices: Iterable[VertexId]) -> None:
-    # name the smallest: set iteration order changes with the string-hash seed
-    unknown = [v for v in vertices if not g.has_vertex(v)]
-    if unknown:
-        raise UnknownVertex(f"certificate references unknown vertex {min(unknown)}")
+def family_masks(g: Graph, sets: Iterable[Iterable[VertexId | str]]) -> list[int]:
+    """The row mask of each set, in order.
+
+    Raises UnknownVertex for the first set naming a vertex `g` lacks; the
+    message names that set's smallest unknown vertex, so it does not depend
+    on the iteration order of a frozenset.
+    """
+    masks = []
+    for s in sets:
+        try:
+            masks.append(g.mask_of(s))
+        except UnknownVertex:
+            unknown = min(VertexId.parse(v) for v in s if not g.has_vertex(v))
+            raise UnknownVertex(
+                f"certificate references unknown vertex {unknown}"
+            ) from None
+    return masks
+
+
+def shared_rows(g: Graph, masks: Iterable[int]) -> list[int]:
+    """Row i: every vertex sharing a set with vertex i, i itself excluded.
+
+    These are the rows of the union of the sets' cliques, the cluster graph a
+    cover describes.
+    """
+    rows = [0] * g.n
+    for mask in masks:
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            rows[low.bit_length() - 1] |= mask
+    return [row & ~(1 << i) for i, row in enumerate(rows)]
+
+
+def _first_uncovered(g: Graph, masks: Iterable[int]) -> VertexId | None:
+    """The first vertex, in vertex order, that lies in no set."""
+    covered = 0
+    for mask in masks:
+        covered |= mask
+    missed = ((1 << g.n) - 1) & ~covered
+    return g.vertices[(missed & -missed).bit_length() - 1] if missed else None
+
+
+def _cover_masks(g: Graph, cover: SigmaCliqueCover) -> list[int]:
+    """family_masks, plus NotACover naming the first vertex in no set."""
+    masks = family_masks(g, cover.sets)
+    v = _first_uncovered(g, masks)
+    if v is not None:
+        raise NotACover(f"vertex {v} lies in no set")
+    return masks
 
 
 def _fmt_set(s: frozenset[VertexId]) -> str:
@@ -254,35 +298,28 @@ def _valencies(g: Graph, sets) -> dict[str, int]:
     return val
 
 
-def _first_non_clique(g: Graph, sets) -> frozenset[VertexId] | None:
-    for s in sets:
-        if not g.is_clique_mask(g.mask_of(s)):
+def _first_non_clique(g: Graph, sets, masks) -> frozenset[VertexId] | None:
+    for s, mask in zip(sets, masks):
+        if not g.is_clique_mask(mask):
             return s
     return None
 
 
 def verify_sigma_cover(g: Graph, cover: SigmaCliqueCover, budget: int) -> VerifyReport:
     """Check that every set is a clique, every edge is covered, weight <= budget."""
-    for s in cover.sets:
-        _check_known(g, s)
+    masks = family_masks(g, cover.sets)
     metrics = {
         "weight": cover.weight,
         "budget": budget,
         "sets": len(cover.sets),
         "valencies": _valencies(g, cover.sets),
     }
-    bad = _first_non_clique(g, cover.sets)
+    bad = _first_non_clique(g, cover.sets, masks)
     if bad is not None:
         return VerifyReport(False, f"set {_fmt_set(bad)} is not a clique", metrics)
-    # reach[i]: every vertex sharing a set with i.  The first row with an
-    # unreached bit above its own index holds the first uncovered edge in
-    # g.edges() order.
-    reach = [0] * g.n
-    for s in cover.sets:
-        mask = g.mask_of(s)
-        for v in s:
-            reach[g.index(v)] |= mask
-    for i, (row, seen) in enumerate(zip(g.rows, reach)):
+    # The first row with an unshared neighbor above its own index holds the
+    # first uncovered edge in g.edges() order.
+    for i, (row, seen) in enumerate(zip(g.rows, shared_rows(g, masks))):
         missed = row & ~seen & -(2 << i)
         if missed:
             j = (missed & -missed).bit_length() - 1
@@ -297,20 +334,18 @@ def verify_sigma_cover(g: Graph, cover: SigmaCliqueCover, budget: int) -> Verify
 
 def verify_node_cover(g: Graph, cover: NodeCliqueCover, budget: int) -> VerifyReport:
     """Check that every set is a clique, every vertex is covered, count <= budget."""
-    for s in cover.sets:
-        _check_known(g, s)
+    masks = family_masks(g, cover.sets)
     metrics = {
         "size": cover.size,
         "budget": budget,
         "valencies": _valencies(g, cover.sets),
     }
-    bad = _first_non_clique(g, cover.sets)
+    bad = _first_non_clique(g, cover.sets, masks)
     if bad is not None:
         return VerifyReport(False, f"set {_fmt_set(bad)} is not a clique", metrics)
-    covered = set().union(*cover.sets) if cover.sets else set()
-    for v in g.vertices:
-        if v not in covered:
-            return VerifyReport(False, f"vertex {v} is covered by no set", metrics)
+    v = _first_uncovered(g, masks)
+    if v is not None:
+        return VerifyReport(False, f"vertex {v} is covered by no set", metrics)
     if cover.size > budget:
         return VerifyReport(
             False, f"{cover.size} sets exceed budget {budget}", metrics
@@ -359,8 +394,7 @@ def verify_p3_packing(g: Graph, packing: P3Packing) -> VerifyReport:
     A valid packing certifies that every modification sequence reaching a
     cluster graph has length at least ``packing.size``.
     """
-    for triple in packing.triples:
-        _check_known(g, triple)
+    family_masks(g, packing.triples)
     metrics = {"size": packing.size}
     for x, y, z in packing.triples:
         if len({x, y, z}) != 3:
@@ -404,22 +438,13 @@ def cover_cost(g: Graph, cover: SigmaCliqueCover) -> CostBreakdown:
     Non-edges inside sets are counted once per pair even when the pair lies
     in several sets.
     """
-    for s in cover.sets:
-        _check_known(g, s)
-    covered = set().union(*cover.sets) if cover.sets else set()
-    for v in g.vertices:
-        if v not in covered:
-            raise NotACover(f"vertex {v} lies in no set")
-    inside_pairs: set[frozenset[VertexId]] = set()
-    for s in cover.sets:
-        for u, w in itertools.combinations(sorted(s), 2):
-            inside_pairs.add(frozenset((u, w)))
-    nonedges_inside = sum(
-        1 for pair in inside_pairs if not g.has_edge(*tuple(pair))
-    )
-    edges_outside = sum(
-        1 for u, w in g.edges() if frozenset((u, w)) not in inside_pairs
-    )
+    masks = _cover_masks(g, cover)
+    nonedges_inside = edges_outside = 0
+    for row, shared in zip(g.rows, shared_rows(g, masks)):
+        nonedges_inside += (shared & ~row).bit_count()
+        edges_outside += (row & ~shared).bit_count()
+    nonedges_inside //= 2
+    edges_outside //= 2
     excess = sum(len(s) for s in cover.sets) - g.n
     total = nonedges_inside + edges_outside + excess
     return CostBreakdown(total, nonedges_inside, edges_outside, excess)
@@ -431,18 +456,11 @@ def cover_respects_critical_cliques(g: Graph, cover: SigmaCliqueCover) -> bool:
     That is, each class is either contained in or disjoint from each set of
     the cover; a cover violating this somewhere "cuts" a critical clique.
     """
-    for s in cover.sets:
-        _check_known(g, s)
-    covered = set().union(*cover.sets) if cover.sets else set()
-    for v in g.vertices:
-        if v not in covered:
-            raise NotACover(f"vertex {v} lies in no set")
-    cc = critical_clique_graph(g)
-    for members in cc.classes:
-        cls = set(members)
-        for s in cover.sets:
-            hit = cls & s
-            if hit and hit != cls:
+    masks = _cover_masks(g, cover)
+    for members in critical_clique_graph(g).classes:
+        cls = g.mask_of(members)
+        for mask in masks:
+            if mask & cls and cls & ~mask:
                 return False
     return True
 

@@ -34,7 +34,7 @@ from .certificates import (
     verify_sigma_cover,
 )
 from .formats import Certificate, FormatError
-from .graph import UnknownVertex
+from .graph import DuplicateVertex, UnknownVertex
 from .hunter import hunt, hunt_graph, report_to_obj
 from .kernel import kernelize
 from .reductions import (
@@ -117,8 +117,7 @@ def cmd_solve(args) -> int:
         detail = f"minimum splits {seq.length}"
         answer_obj.update(optimum=seq.length)
     else:
-        res = solve_cevs_exact(Instance(problem, g, args.budget),
-                               exact_packing=args.exact_packing, size_limit=limit)
+        res = solve_cevs_exact(Instance(problem, g, args.budget), size_limit=limit)
         if res is None:
             _emit(args, f"NO: no modification sequence of length <= {args.budget}",
                   {**answer_obj, "answer": "no"})
@@ -384,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--problem", choices=[x.value for x in Problem], required=True)
     p.add_argument("-o", "--output", help="certificate path")
-    p.add_argument("--exact-packing", action="store_true",
-                   help="use the exact packing bound before the cevs search")
     common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -447,7 +444,8 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.func(args)
-    except (FormatError, BadSizeLimit, IsolatedVertexPresent, OSError) as exc:
+    except (FormatError, BadSizeLimit, IsolatedVertexPresent, DuplicateVertex,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeLimitExceeded as exc:

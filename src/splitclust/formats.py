@@ -192,20 +192,36 @@ def _steps_to_obj(seq: ModificationSequence) -> list[dict]:
     return out
 
 
+_EXPECTED = {dict: "a JSON object", list: "a JSON list", str: "a vertex name"}
+
+
+def _expect(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise FormatError(f"{what} must be {_EXPECTED[kind]}, not {type(value).__name__}")
+    return value
+
+
+def _names(value, what: str) -> list[str]:
+    return [_expect(v, str, f"{what} member") for v in _expect(value, list, what)]
+
+
 def _steps_from_obj(items) -> ModificationSequence:
     steps = []
-    for item in items:
+    for i, item in enumerate(_expect(items, list, "steps")):
+        item = _expect(item, dict, f"step {i}")
         op = item.get("op")
-        if op == "add":
-            steps.append(EdgeAdd(VertexId.parse(item["u"]), VertexId.parse(item["v"])))
-        elif op == "delete":
-            steps.append(
-                EdgeDelete(VertexId.parse(item["u"]), VertexId.parse(item["v"]))
-            )
+        if op in ("add", "delete"):
+            u, v = (_expect(item[k], str, f"step {i} {k}") for k in ("u", "v"))
+            edge = EdgeAdd if op == "add" else EdgeDelete
+            steps.append(edge(VertexId.parse(u), VertexId.parse(v)))
         elif op == "split":
             steps.append(
                 VertexSplit(
-                    Split.of(item["target"], item["left"], item["right"])
+                    Split.of(
+                        _expect(item["target"], str, f"step {i} target"),
+                        _names(item["left"], f"step {i} left"),
+                        _names(item["right"], f"step {i} right"),
+                    )
                 )
             )
         else:
@@ -235,6 +251,7 @@ def certificate_to_obj(cert: Certificate) -> dict:
 
 def certificate_from_obj(obj) -> Certificate:
     try:
+        obj = _expect(obj, dict, "certificate")
         if obj.get("schema") != CERTIFICATE_SCHEMA:
             raise FormatError(f"unknown certificate schema {obj.get('schema')!r}")
         problem = obj["problem"]
@@ -244,14 +261,16 @@ def certificate_from_obj(obj) -> Certificate:
         if not isinstance(budget, int) or budget < 0:
             raise FormatError("budget must be a non-negative integer")
         kind = obj["kind"]
-        payload = obj["payload"]
+        payload = _expect(obj["payload"], dict, "payload")
         if kind == "cover":
             cover_cls = NodeCliqueCover if problem == "ncc" else SigmaCliqueCover
-            value = cover_cls.of(payload["sets"])
+            sets = _expect(payload["sets"], list, "sets")
+            value = cover_cls.of(_names(s, "a set") for s in sets)
         elif kind == "sequence":
             value = _steps_from_obj(payload["steps"])
         elif kind == "packing":
-            value = P3Packing.of([tuple(t) for t in payload["triples"]])
+            triples = _expect(payload["triples"], list, "triples")
+            value = P3Packing.of(tuple(_names(t, "a triple")) for t in triples)
         else:
             raise FormatError(f"unknown certificate kind {kind!r}")
     except FormatError:

@@ -16,10 +16,10 @@ Graphs are immutable.  Adjacency is kept as one Python int bitmask per
 vertex over the lexicographic vertex order; Python ints are arbitrary
 precision, so the same representation covers every size this library
 handles.  :meth:`Graph.build` is the constructor for outside input: it
-parses names, sorts them and checks every edge.  Edits (splits,
-contractions, induced subgraphs, edge flips) instead run on the mutable
-rows of one :class:`GraphEditor`, which builds the edited graph once; they
-re-parse nothing.
+parses names, sorts them and checks every edge.  Edits (splits, induced
+subgraphs, edge flips) instead run on the mutable rows of one
+:class:`GraphEditor`, which builds the edited graph once; they re-parse
+nothing.
 """
 
 from __future__ import annotations
@@ -229,9 +229,6 @@ class Graph:
             return self._index[_vid(v)]
         except KeyError:
             raise UnknownVertex(f"unknown vertex {v}") from None
-
-    def vertex_at(self, i: int) -> VertexId:
-        return self.vertices[i]
 
     def has_edge(self, u: VertexId | str, w: VertexId | str) -> bool:
         return bool(self.rows[self.index(u)] >> self.index(w) & 1)
@@ -492,26 +489,6 @@ def apply_split(g: Graph, split: Split) -> Graph:
     """Perform one vertex split; raises if the split is not well formed."""
     edit = GraphEditor(g)
     edit.split(split)
-    return edit.graph()
-
-
-def contract_copies(
-    g: Graph, a: VertexId | str, b: VertexId | str, merged: VertexId | str
-) -> Graph:
-    """Merge non-adjacent `a`, `b` into `merged` with the union neighborhood.
-
-    This is the inverse of :func:`apply_split` (contract t.0, t.1 back onto t)
-    and exists so split sequences can be audited backwards.
-    """
-    av, bv, mv = _vid(a), _vid(b), _vid(merged)
-    if g.has_edge(av, bv):
-        raise GraphError(f"cannot contract adjacent copies {av}, {bv}")
-    if g.has_vertex(mv) and mv not in (av, bv):
-        raise DuplicateVertex(f"merged name {mv} already in use")
-    ia, ib = g.index(av), g.index(bv)
-    edit = GraphEditor(g)
-    edit._remove(1 << ia | 1 << ib)
-    edit._append(mv, g.rows[ia] | g.rows[ib])
     return edit.graph()
 
 

@@ -46,7 +46,6 @@ from .certificates import (
 from .graph import (
     DuplicateVertex,
     Graph,
-    GraphError,
     Split,
     VertexId,
     is_cluster_graph,
@@ -351,7 +350,7 @@ def reduce_cvs_to_cevs(inst: Instance) -> tuple[Instance, ReductionTrace]:
         copies[v] = [VertexId(f"{base}_{i}") for i in range(1, k + 2)]
     flat = [c for group in copies.values() for c in group]
     if len(set(flat)) != len(flat):
-        raise GraphError("vertex names collide under blow-up naming")
+        raise DuplicateVertex("vertex names collide under blow-up naming")
     edges: list[tuple[VertexId, VertexId]] = []
     for v in g.vertices:
         group = copies[v]

@@ -42,6 +42,8 @@ from .certificates import (
     SigmaCliqueCover,
     VertexSplit,
     cover_cost,
+    family_masks,
+    shared_rows,
     verify_modification_sequence,
 )
 from .graph import (
@@ -260,36 +262,23 @@ def solve_scc_exact(
     lower bound plus the slack the other components' lower bounds leave.
     """
     check_size("scc", g.n, size_limit)
-    comps = g.component_masks()
-    comp_rows: list[tuple[int, ...]] = []
-    comp_verts: list[list[VertexId]] = []
-    for comp in comps:
-        idx = [i for i in range(g.n) if comp >> i & 1]
-        pos = {v: p for p, v in enumerate(idx)}
-        rows = tuple(
-            sum(1 << pos[j] for j in idx if g.rows[i] >> j & 1) for i in idx
-        )
-        comp_rows.append(rows)
-        comp_verts.append([g.vertices[i] for i in idx])
+    comps = [g.induced(g.vertices_of_mask(c)) for c in g.component_masks()]
     lbs = [
-        sum(_NccTable(rows).min_size(row) for row in rows if row)
-        for rows in comp_rows
+        sum(_NccTable(comp.rows).min_size(row) for row in comp.rows if row)
+        for comp in comps
     ]
     slack = budget - sum(lbs)
     if slack < 0:
         return None
     total = 0
     sets: list[frozenset[VertexId]] = []
-    for rows, verts, lb in zip(comp_rows, comp_verts, lbs):
-        res = _scc_component_min(rows, lb + slack)
+    for comp, lb in zip(comps, lbs):
+        res = _scc_component_min(comp.rows, lb + slack)
         if res is None:
             return None
         weight, masks = res
         total += weight
-        for q in masks:
-            sets.append(
-                frozenset(verts[x] for x in range(len(verts)) if q >> x & 1)
-            )
+        sets += [frozenset(comp.vertices_of_mask(q)) for q in masks]
     if total > budget:
         return None
     return SigmaCliqueCover.of(sets)
@@ -497,24 +486,13 @@ def cevs_search(g: Graph, budget: int, *, collect_all: bool = False):
 
 
 def solve_cevs_exact(
-    inst: Instance,
-    *,
-    exact_packing: bool = False,
-    size_limit: int | None = None,
+    inst: Instance, *, size_limit: int | None = None
 ) -> tuple[SigmaCliqueCover, ModificationSequence] | None:
-    """A minimum-cost cover and a matching modification sequence, if <= budget.
-
-    With `exact_packing`, an exact induced-path packing is tried first; when
-    it already exceeds the budget the answer is NO with no cover search.
-    """
+    """A minimum-cost cover and a matching modification sequence, if <= budget."""
     if inst.problem is not Problem.CEVS:
         raise ValueError(f"expected a cevs instance, got {inst.problem.value}")
     g = inst.graph
     check_size("cevs", g.n, size_limit)
-    if exact_packing:
-        packing = max_p3_packing(g, exact=True, size_limit=g.n)
-        if packing.size > inst.budget:
-            return None
     res = cevs_search(g, inst.budget)
     if res is None:
         return None
@@ -539,18 +517,15 @@ def cover_to_modifications(g: Graph, cover: SigmaCliqueCover) -> ModificationSeq
     (a singleton {v} with v not isolated after editing) pays the rest.
     """
     breakdown = cover_cost(g, cover)  # NotACover / UnknownVertex on bad input
-    inside: set[frozenset[VertexId]] = set()
-    for s in cover.sets:
-        for u, w in itertools.combinations(sorted(s), 2):
-            inside.add(frozenset((u, w)))
-    adds = sorted(
-        (tuple(sorted(p)) for p in inside if not g.has_edge(*tuple(p))),
-    )
-    deletes = sorted(
-        (u, w) for u, w in g.edges() if frozenset((u, w)) not in inside
-    )
-    edits = [EdgeAdd(u, w) for u, w in adds] + [EdgeDelete(u, w) for u, w in deletes]
-    edited = ModificationSequence(tuple(edits)).apply_to(g)
+    shared = shared_rows(g, family_masks(g, cover.sets))
+    # the edited graph is the union of the sets' cliques; the additions and
+    # deletions are the two halves of its difference with g, each read off
+    # as a graph in edge order
+    edited = Graph(g.vertices, tuple(shared))
+    added = Graph(g.vertices, tuple(s & ~r for s, r in zip(shared, g.rows)))
+    deleted = Graph(g.vertices, tuple(r & ~s for s, r in zip(shared, g.rows)))
+    edits = [EdgeAdd(u, w) for u, w in added.edges()]
+    edits += [EdgeDelete(u, w) for u, w in deleted.edges()]
     core, _ = remove_isolated(edited)
     pruned = SigmaCliqueCover.of(s for s in cover.sets if len(s) >= 2)
     pullouts = cover_to_splits(core, pruned) if core.n else ModificationSequence()
@@ -586,9 +561,10 @@ def modifications_to_cover(g: Graph, seq: ModificationSequence) -> SigmaCliqueCo
     splits = [s for s in seq.steps if isinstance(s, VertexSplit)]
     edited = ModificationSequence(tuple(edits)).apply_to(g)
     cover = splits_to_cover(edited, ModificationSequence(tuple(splits)))
-    sets = set(cover.sets)
-    covered = set().union(*sets) if sets else set()
-    sets |= {frozenset((v,)) for v in edited.vertices if v not in covered}
-    out = SigmaCliqueCover.of(sets)
+    covered = 0
+    for mask in family_masks(edited, cover.sets):
+        covered |= mask
+    missed = edited.vertices_of_mask(((1 << edited.n) - 1) & ~covered)
+    out = SigmaCliqueCover.of([*cover.sets, *([v] for v in missed)])
     assert cover_cost(g, out).total <= seq.length, "cover cost exceeds length"
     return out

@@ -126,7 +126,9 @@ def test_apply_and_intermediates(p3):
     seq = ModificationSequence(
         (EdgeAdd("a", "c"), EdgeDelete("a", "b"), VertexSplit(Split.of("c", ["a"], ["b"])))
     )
-    graphs = seq.intermediate_graphs(p3)
+    graphs = [
+        ModificationSequence(seq.steps[:i]).apply_to(p3) for i in range(seq.length + 1)
+    ]
     assert [g.edge_count for g in graphs] == [2, 3, 2, 2]
     assert graphs[-1].has_vertex("c.0") and not graphs[-1].has_vertex("c")
     assert seq.apply_to(p3) == graphs[-1]
@@ -322,12 +324,28 @@ def test_cover_cost_matches_bruteforce_up_to_n3():
         ]
         for mask in range(1, 1 << len(subsets)):
             family = [subsets[i] for i in range(len(subsets)) if mask >> i & 1]
+            cover = SigmaCliqueCover.of(family)
             want = oracles.cover_cost(names, edges, family)
             if want is None:
                 with pytest.raises(NotACover):
-                    cover_cost(g, SigmaCliqueCover.of(family))
+                    cover_cost(g, cover)
+                with pytest.raises(NotACover):
+                    cover_respects_critical_cliques(g, cover)
             else:
-                assert cover_cost(g, SigmaCliqueCover.of(family)).total == want
+                assert cover_cost(g, cover).total == want
+                assert cover_respects_critical_cliques(g, cover) == (
+                    oracles.family_respects(names, edges, family)
+                )
+            cliques = all(oracles.is_clique(edges, c) for c in family)
+            edges_covered = all(
+                any({u, w} <= c for c in family) for u, w in edges
+            )
+            vertices_covered = set().union(*family) == set(names)
+            # budgets at the family's own weight and size: only shape counts
+            sigma = verify_sigma_cover(g, cover, cover.weight)
+            assert sigma.valid == (cliques and edges_covered)
+            node = verify_node_cover(g, NodeCliqueCover.of(family), len(family))
+            assert node.valid == (cliques and vertices_covered)
 
 
 def test_cost_breakdown_adds_up():

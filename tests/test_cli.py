@@ -67,10 +67,11 @@ def test_solve_ncc(work, capsys):
     assert "minimum cliques 1" in capsys.readouterr().out
 
 
-def test_solve_parallel_flag_is_gone(work, capsys):
+@pytest.mark.parametrize("flag", ["--parallel", "--exact-packing"])
+def test_solve_parallel_flag_is_gone(work, capsys, flag):
     assert run("solve", work / "p3.graph", "--problem", "scc", "--budget", "4",
-               "--parallel") == 2
-    assert "--parallel" in capsys.readouterr().err
+               flag) == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_solve_respects_explicit_output(work):
@@ -280,6 +281,34 @@ def test_reduce_cvs_to_cevs_with_isolated_vertex_is_exit_2(work, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "isolated vertex c" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_reduce_cvs_to_cevs_name_collision_is_exit_2(work, capsys):
+    # a.0 and a_0 both blow up to a_0_1, a_0_2
+    g = work / "collide.graph"
+    g.write_text("graph 2 1\nv a.0\nv a_0\ne a.0 a_0\n")
+    assert run("reduce", g, "--from", "cvs", "--to", "cevs", "--budget", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "collide under blow-up naming" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        # strings where lists of names belong: never read letter by letter
+        '{"schema": "splitclust.certificate/1", "problem": "scc", "budget": 4,'
+        ' "kind": "cover", "payload": {"sets": ["ab", "bc"]}}',
+    ],
+    ids=["top-level list", "set string"],
+)
+def test_verify_malformed_certificate_is_exit_2(work, capsys, text):
+    cert = work / "bad.json"
+    cert.write_text(text)
+    assert run("verify", work / "p3.graph", cert) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 def test_size_limit_exit_3_and_override(work, capsys):

@@ -181,6 +181,10 @@ def test_ncc_covers_deserialize_as_node_covers():
         lambda o: o.update(problem="sat"),
         lambda o: o.update(budget=-1),
         lambda o: o["payload"].update(sets=[[]]),
+        lambda o: o["payload"].update(sets=["ab", "bc"]),
+        lambda o: o["payload"].update(sets="ab"),
+        lambda o: o["payload"].update(sets=[["a", 1]]),
+        lambda o: o.update(payload=[["a", "b"]]),
     ],
 )
 def test_certificate_validation(mangle):
@@ -197,6 +201,34 @@ def test_sequence_step_validation():
         Certificate("cevs", 1, "sequence", ModificationSequence((EdgeAdd("a", "b"),)))
     )
     obj["payload"]["steps"][0]["op"] = "paint"
+    with pytest.raises(FormatError):
+        certificate_from_obj(obj)
+
+
+def _envelope(kind: str, payload) -> dict:
+    return {"schema": "splitclust.certificate/1", "problem": "cevs", "budget": 3,
+            "kind": kind, "payload": payload}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [1, 2],
+        _envelope("sequence", {"steps": [1]}),
+        _envelope("sequence", {"steps": "ab"}),
+        _envelope("sequence", {"steps": [{"op": "add", "u": 1, "v": "b"}]}),
+        _envelope("sequence", {"steps": [{"op": "delete", "u": "a", "v": ["b"]}]}),
+        _envelope("sequence", {"steps": [
+            {"op": "split", "target": "b", "left": "a", "right": ["c"]}]}),
+        _envelope("sequence", {"steps": [
+            {"op": "split", "target": ["b"], "left": ["a"], "right": ["c"]}]}),
+        _envelope("packing", {"triples": ["abc"]}),
+        _envelope("packing", {"triples": [["a", "b", 3]]}),
+    ],
+    ids=["top-level list", "step number", "steps string", "u number", "v list",
+         "left string", "target list", "triple string", "triple number"],
+)
+def test_certificate_json_shapes_are_checked(obj):
     with pytest.raises(FormatError):
         certificate_from_obj(obj)
 

@@ -180,13 +180,6 @@ def test_cevs_matches_bruteforce():
                     assert verify_modification_sequence(g, seq, k, "cevs").valid
 
 
-def test_cevs_exact_packing_prefilter_agrees(ccl8):
-    plain = solve_cevs_exact(Instance(Problem.CEVS, ccl8, 5))
-    seeded = solve_cevs_exact(Instance(Problem.CEVS, ccl8, 5), exact_packing=True)
-    assert plain is None and seeded is None
-    assert solve_cevs_exact(Instance(Problem.CEVS, ccl8, 6), exact_packing=True)
-
-
 def test_cevs_counterexample_optimum(ccl8):
     res = solve_cevs_exact(Instance(Problem.CEVS, ccl8, 6))
     assert res is not None
