@@ -38,7 +38,6 @@ from .graph import (
     VertexId,
     apply_split,
     critical_clique_graph,
-    enumerate_induced_p3,
     is_cluster_graph,
     remove_isolated,
 )
@@ -81,7 +80,6 @@ from .reductions import (
     universal_names,
 )
 from .solvers import (
-    BadSizeLimit,
     NotNormalized,
     SizeLimitExceeded,
     cevs_search,

@@ -174,9 +174,6 @@ class VertexSplit:
     split: Split
 
 
-ModificationStep = "EdgeAdd | EdgeDelete | VertexSplit"
-
-
 @dataclass(frozen=True)
 class ModificationSequence:
     """An ordered list of edge additions, edge deletions, and vertex splits."""

@@ -49,7 +49,6 @@ from .reductions import (
     reduce_ncc_to_scc,
 )
 from .solvers import (
-    BadSizeLimit,
     SizeLimitExceeded,
     max_p3_packing,
     solve_cevs_exact,
@@ -372,18 +371,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, budget=True):
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        if budget:
+            p.add_argument("--budget", type=_nonneg, required=True)
+
+    def size_limit(p):
         p.add_argument(
             "--size-limit-override", type=_nonneg, default=None, metavar="N",
             help="raise the soft size limit to N vertices",
         )
-        if budget:
-            p.add_argument("--budget", type=_nonneg, required=True)
 
     p = sub.add_parser("solve", help="decide an instance, writing a certificate on YES")
     p.add_argument("graph")
     p.add_argument("--problem", choices=[x.value for x in Problem], required=True)
     p.add_argument("-o", "--output", help="certificate path")
     common(p)
+    size_limit(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("kernelize", help="shrink a cvs instance to <= 3k+3 vertices")
@@ -416,6 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-packing", action="store_true")
     p.add_argument("-o", "--output", help="write the packing as a certificate")
     common(p, budget=False)
+    size_limit(p)
     p.set_defaults(func=cmd_lowerbound)
 
     p = sub.add_parser("hunt", help="sweep small graphs for optimum-structure"
@@ -427,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="continue after the last report already in -o")
     p.add_argument("-o", "--output", help="report file (line-delimited JSON)")
-    p.add_argument("--size-limit-override", type=_nonneg, default=None, metavar="N")
+    size_limit(p)
     p.set_defaults(func=cmd_hunt)
     return parser
 
@@ -444,8 +447,7 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.func(args)
-    except (FormatError, BadSizeLimit, IsolatedVertexPresent, DuplicateVertex,
-            OSError) as exc:
+    except (FormatError, IsolatedVertexPresent, DuplicateVertex, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeLimitExceeded as exc:

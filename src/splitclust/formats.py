@@ -12,8 +12,9 @@ for split copies and must be 0 or 1.  Duplicate edges, self-loops, undeclared
 endpoints, and count mismatches are parse errors.  Budgets never live in the
 graph file; they travel on the command line or in certificate envelopes.
 
-Certificates, instances, and traces travel as JSON envelopes with a schema
-tag.  Serialization is canonical and byte-stable: members are emitted in the
+Certificates and traces (which embed their instances) travel as JSON
+envelopes with a schema tag; certificates are the one JSON input.
+Serialization is canonical and byte-stable: members are emitted in the
 library's vertex order and objects with sorted keys, so writing the same
 value twice produces identical bytes.
 """
@@ -150,13 +151,6 @@ def graph_to_obj(g: Graph) -> dict:
     }
 
 
-def graph_from_obj(obj) -> Graph:
-    try:
-        return Graph.build(obj["vertices"], [tuple(e) for e in obj["edges"]])
-    except (KeyError, TypeError, GraphError) as exc:
-        raise FormatError(f"bad graph object: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
@@ -258,7 +252,8 @@ def certificate_from_obj(obj) -> Certificate:
         if problem not in PROBLEMS:
             raise FormatError(f"unknown problem {problem!r}")
         budget = obj["budget"]
-        if not isinstance(budget, int) or budget < 0:
+        # bool is a subclass of int: a JSON true is not a budget of 1
+        if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
             raise FormatError("budget must be a non-negative integer")
         kind = obj["kind"]
         payload = _expect(obj["payload"], dict, "payload")
@@ -311,21 +306,6 @@ def instance_to_obj(inst) -> dict:
         "budget": inst.budget,
         "graph": graph_to_obj(inst.graph),
     }
-
-
-def instance_from_obj(obj):
-    from .reductions import Instance, Problem
-
-    try:
-        problem = Problem(obj["problem"])
-        budget = obj["budget"]
-        if not isinstance(budget, int) or budget < 0:
-            raise FormatError("budget must be a non-negative integer")
-        return Instance(problem, graph_from_obj(obj["graph"]), budget)
-    except FormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad instance object: {exc}") from exc
 
 
 def reduction_trace_to_obj(trace) -> dict:

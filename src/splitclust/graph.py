@@ -128,9 +128,6 @@ class VertexId:
         return f"VertexId({str(self)!r})"
 
 
-VertexLike = "VertexId | str"
-
-
 def _vid(v: VertexId | str) -> VertexId:
     return VertexId.parse(v)
 
@@ -514,18 +511,6 @@ def induced_p3_indices(g: Graph) -> Iterator[tuple[int, int, int]]:
         for x, z in itertools.combinations(nbrs, 2):
             if not g.rows[x] >> z & 1:
                 yield (x, j, z)
-
-
-def enumerate_induced_p3(g: Graph) -> list[tuple[VertexId, VertexId, VertexId]]:
-    """All induced paths on three vertices as (endpoint, center, endpoint).
-
-    Endpoints are in canonical order within each triple and the listing is
-    sorted lexicographically; a graph is a cluster graph iff this is empty.
-    """
-    triples = sorted(induced_p3_indices(g))
-    return [
-        (g.vertices[x], g.vertices[j], g.vertices[z]) for x, j, z in triples
-    ]
 
 
 def is_cluster_graph(g: Graph) -> bool:

@@ -15,12 +15,14 @@ pair (i,j), i < j, ordered by (j,i).  That order lets the minimum be built
 one position at a time: place vertices level by level, keep only the
 orderings whose next column is minimal, and merge orderings that agree on
 (used vertex set, adjacency patterns of the rest) since their continuations
-coincide.  Level n is enumerated by extending each canonical (n-1)-vertex
-graph with every possible neighborhood and canonicalizing; every n-vertex
-graph arises this way from deleting its last vertex.  The n=8 level ships
-as package data (12346 classes); smaller levels are computed on demand.
-Scaling past n=8 is the bottleneck: level 9 alone has 274668 classes and
-roughly 3.2 million extension canonizations.
+coincide.  Level n is built by orderly generation: the first n-1 columns of
+a canonical form are the canonical form of its first n-1 vertices, so each
+canonical n-vertex graph extends a canonical (n-1)-vertex one by a last
+column, and keeping the extensions that are their own canonical form lists
+every class exactly once, in increasing order, with no deduplication.  The
+n=8 level ships as package data (12346 classes); smaller levels are computed
+on demand.  Scaling past n=8 is the bottleneck: level 9 alone has 274668
+classes and roughly 3.2 million extension canonizations.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .certificates import (
     cover_cost,
     cover_respects_critical_cliques,
 )
-from .graph import Graph, component_masks
+from .graph import Graph, VertexId, component_masks
 from .solvers import cevs_search, check_size
 
 
@@ -99,15 +101,10 @@ def _rows_from_bits(n: int, bits: int) -> list[int]:
 
 
 def graph_from_canonical(n: int, bits: int) -> Graph:
-    rows = _rows_from_bits(n, bits)
-    names = [str(i) for i in range(n)]
-    edges = [
-        (names[i], names[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rows[i] >> j & 1
-    ]
-    return Graph.build(names, edges)
+    # the names "0" .. "n-1" sort numerically, so they are already in vertex
+    # order and the canonical rows are the graph's rows
+    names = tuple(VertexId(str(i)) for i in range(n))
+    return Graph(names, tuple(_rows_from_bits(n, bits)))
 
 
 # ---------------------------------------------------------------------------
@@ -119,19 +116,25 @@ _LEVELS: dict[int, list[int]] = {}
 
 
 def _extend_level(prev: list[int], n: int) -> list[int]:
-    out: set[int] = set()
+    """The canonical n-vertex forms, increasing, from the (n-1)-vertex ones.
+
+    Orderly generation.  The canonical form is the least bitstring over all
+    orderings, and its first n-1 columns depend only on the first n-1
+    vertices.  An ordering with a smaller prefix would give a smaller
+    string, so the canonical form's prefix is the least prefix over all
+    orderings; in particular it is the least over orderings of those same
+    n-1 vertices, that is their canonical form.  So every canonical form c
+    has c >> (n-1) in `prev`, and testing each extension c of each entry of
+    `prev` for canonicity finds every class exactly once.  The ranges of c
+    are disjoint and increase with `prev`, so the output is sorted.
+    """
+    out: list[int] = []
     for bits in prev:
-        base = _rows_from_bits(n - 1, bits)
-        for nbhd in range(1 << (n - 1)):
-            rows = list(base)
-            rows.append(nbhd)
-            rest = nbhd
-            while rest:
-                i = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                rows[i] |= 1 << (n - 1)
-            out.add(_canonical_bits(rows, n))
-    return sorted(out)
+        base = bits << (n - 1)
+        for c in range(base, base + (1 << (n - 1))):
+            if _canonical_bits(_rows_from_bits(n, c), n) == c:
+                out.append(c)
+    return out
 
 
 def _load_data_level(n: int) -> list[int] | None:

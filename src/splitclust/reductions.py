@@ -289,13 +289,14 @@ def splits_to_cover(g: Graph, seq: ModificationSequence) -> SigmaCliqueCover:
     trivial = sorted((s for s in sets if len(s) == 1), key=_canon_key)
     assert len(trivial) >= iso, "fewer trivial clusters than original isolates"
     drop = set(trivial[:iso])
-    family = {s for s in sets if s not in drop}
-    for step in reversed(seq.steps):
-        u = step.split.target
-        u0, u1 = u.child(0), u.child(1)
-        family = {
-            (s - {u0, u1} | {u}) if (u0 in s or u1 in s) else s for s in family
-        }
+    # contract in one forward pass: map each live name to the vertex of g it
+    # descends from.  Live names are unique at every step, so this is the
+    # composition of the contractions t.0, t.1 -> t taken in reverse
+    origin = {v: v for v in g.vertices}
+    for step in seq.steps:
+        t = step.split.target
+        origin[t.child(0)] = origin[t.child(1)] = origin.pop(t)
+    family = {frozenset(origin[v] for v in s) for s in sets if s not in drop}
     out = SigmaCliqueCover.of(family)
     check = verify_sigma_cover(g, out, g.n - iso + seq.length)
     assert check.valid, f"contracted cover failed to verify: {check.reason}"

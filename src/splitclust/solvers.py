@@ -3,8 +3,8 @@
 All four problems are NP-hard, so everything here is branch and bound with
 admissible lower bounds, built to be exact, deterministic, and honest about
 scale: soft size limits reject inputs that would silently take hours, and
-every limit can be overridden per call, via --size-limit-override on the
-command line, or with the SPLITCLUST_SIZE_LIMIT environment variable.
+every limit can be overridden per call with `size_limit=`, which the command
+line sets from --size-limit-override.
 
 * Edge covering by cliques (scc) branches on the lexicographically smallest
   uncovered edge over all cliques containing it, largest candidate first.
@@ -31,7 +31,6 @@ command line, or with the SPLITCLUST_SIZE_LIMIT environment variable.
 from __future__ import annotations
 
 import itertools
-import os
 
 from .certificates import (
     EdgeAdd,
@@ -75,34 +74,16 @@ class SizeLimitExceeded(Exception):
     """The input is past the soft size limit for this operation."""
 
 
-class BadSizeLimit(ValueError):
-    """SPLITCLUST_SIZE_LIMIT is set but is not a non-negative integer."""
-
-
 class NotNormalized(Exception):
     """A sequence must run additions, then deletions, then splits."""
 
 
-def resolve_size_limit(kind: str, override: int | None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get("SPLITCLUST_SIZE_LIMIT")
-    if env is not None:
-        try:
-            limit = int(env)
-        except ValueError:
-            limit = -1
-        if limit < 0:
-            raise BadSizeLimit(
-                f"SPLITCLUST_SIZE_LIMIT must be a non-negative integer, got {env!r}"
-            )
-        return limit
-    return DEFAULT_SIZE_LIMITS[kind]
-
-
 def check_size(kind: str, n: int, override: int | None) -> None:
-    """Raise SizeLimitExceeded when n vertices are past the `kind` limit."""
-    limit = resolve_size_limit(kind, override)
+    """Raise SizeLimitExceeded when n vertices are past the `kind` limit.
+
+    The limit is `override` when given, else DEFAULT_SIZE_LIMITS[kind].
+    """
+    limit = DEFAULT_SIZE_LIMITS[kind] if override is None else override
     if n > limit:
         raise SizeLimitExceeded(
             f"{n} vertices exceed the {kind} soft limit of {limit}"
@@ -215,9 +196,10 @@ def _first_uncovered(uncov: list[int]) -> tuple[int, int] | None:
     return None
 
 
-def _scc_component_min(rows: tuple[int, ...], cap: int) -> tuple[int, list[int]] | None:
-    """Minimum-weight clique family covering all edges, if its weight <= cap."""
-    table = _NccTable(rows)
+def _scc_component_min(table: _NccTable, cap: int) -> tuple[int, list[int]] | None:
+    """Minimum-weight clique family covering all edges of `table.rows`, if its
+    weight <= cap; `table` supplies the lower bounds and keeps its memo."""
+    rows = table.rows
     best: tuple[int, list[int]] | None = None
 
     def bound(uncov: list[int]) -> int:
@@ -263,17 +245,17 @@ def solve_scc_exact(
     """
     check_size("scc", g.n, size_limit)
     comps = [g.induced(g.vertices_of_mask(c)) for c in g.component_masks()]
+    tables = [_NccTable(comp.rows) for comp in comps]
     lbs = [
-        sum(_NccTable(comp.rows).min_size(row) for row in comp.rows if row)
-        for comp in comps
+        sum(table.min_size(row) for row in table.rows if row) for table in tables
     ]
     slack = budget - sum(lbs)
     if slack < 0:
         return None
     total = 0
     sets: list[frozenset[VertexId]] = []
-    for comp, lb in zip(comps, lbs):
-        res = _scc_component_min(comp.rows, lb + slack)
+    for comp, table, lb in zip(comps, tables, lbs):
+        res = _scc_component_min(table, lb + slack)
         if res is None:
             return None
         weight, masks = res

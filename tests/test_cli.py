@@ -266,14 +266,6 @@ def test_missing_graph_file_is_exit_2(work, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_non_integer_size_limit_env_is_exit_2(work, monkeypatch, capsys):
-    monkeypatch.setenv("SPLITCLUST_SIZE_LIMIT", "abc")
-    assert run("solve", work / "p3.graph", "--problem", "scc", "--budget", "4") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "SPLITCLUST_SIZE_LIMIT" in err
-    assert len(err.strip().splitlines()) == 1
-
-
 def test_reduce_cvs_to_cevs_with_isolated_vertex_is_exit_2(work, capsys):
     g = work / "iso.graph"
     g.write_text("graph 3 1\nv a\nv b\nv c\ne a b\n")
@@ -322,8 +314,16 @@ def test_size_limit_exit_3_and_override(work, capsys):
                "--size-limit-override", "10") == 0
 
 
-def test_env_var_lowers_limit(work, monkeypatch):
-    monkeypatch.setenv("SPLITCLUST_SIZE_LIMIT", "2")
-    assert run("solve", work / "p3.graph", "--problem", "scc", "--budget", "4") == 3
-    monkeypatch.delenv("SPLITCLUST_SIZE_LIMIT")
-    assert run("solve", work / "p3.graph", "--problem", "scc", "--budget", "4") == 0
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernelize", "--budget", "1"],
+        ["reduce", "--from", "cvs", "--to", "scc", "--budget", "1"],
+    ],
+    ids=["kernelize", "reduce"],
+)
+def test_size_limit_override_only_where_a_limit_applies(work, capsys, argv):
+    # kernelize and reduce are polynomial and have no size limit to override
+    cmd, *rest = argv
+    assert run(cmd, work / "p3.graph", *rest, "--size-limit-override", "0") == 2
+    assert "--size-limit-override" in capsys.readouterr().err

@@ -23,7 +23,7 @@ from splitclust.graph import (
     apply_split,
     component_masks,
     critical_clique_graph,
-    enumerate_induced_p3,
+    induced_p3_indices,
     is_cluster_graph,
     remove_isolated,
 )
@@ -310,8 +310,10 @@ def test_induced_p3_matches_bruteforce_up_to_n4():
         for g in graphs_on(n):
             names, edges = oracle_form(g)
             want = sorted(oracles.induced_p3s(names, edges))
+            vs = g.vertices
             got = sorted(
-                (str(x), str(c), str(z)) for x, c, z in enumerate_induced_p3(g)
+                (str(vs[x]), str(vs[c]), str(vs[z]))
+                for x, c, z in induced_p3_indices(g)
             )
             assert got == want
 
@@ -325,7 +327,7 @@ def test_is_cluster_graph_matches_bruteforce_up_to_n5():
 
 def test_cluster_graph_iff_no_induced_p3():
     for g in graphs_on(4):
-        assert is_cluster_graph(g) == (next(iter(enumerate_induced_p3(g)), None) is None)
+        assert is_cluster_graph(g) == (next(induced_p3_indices(g), None) is None)
 
 
 # ---------------------------------------------------------------- critical cliques

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -93,6 +94,23 @@ def test_cached_level_counts():
 
     for n, want in enumerate(ALL_CLASSES, start=1):
         assert len(_level(n)) == want
+
+
+def test_shipped_level_8_is_the_orderly_extension_of_level_7():
+    """Every shipped n = 8 form extends a level-7 form and is canonical.
+
+    Orderly generation keeps exactly the extensions that are their own
+    canonical form, in increasing order; a seeded sample of the entries is
+    re-canonized (all 12346 would take seconds).
+    """
+    from splitclust.hunter import _canonical_bits, _level, _rows_from_bits
+
+    level8 = _level(8)
+    assert all(a < b for a, b in zip(level8, level8[1:]))
+    level7 = set(_level(7))
+    assert all(c >> 7 in level7 for c in level8)
+    for c in random.Random(1).sample(level8, 1000):
+        assert _canonical_bits(_rows_from_bits(8, c), 8) == c
 
 
 def test_enumeration_yields_pairwise_non_isomorphic():

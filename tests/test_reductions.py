@@ -229,6 +229,29 @@ def test_splits_to_cover_round_trip():
             assert verify_sigma_cover(g, back, g.n + seq.length).valid
 
 
+def test_splits_to_cover_when_a_copy_name_recurs():
+    """Splitting c.0 and then c gives c.0 a second life as a copy of c.
+
+    The final c.0 must contract to c, and c.0.0 (a copy of the first c.0)
+    to c.0.
+    """
+    from splitclust.reductions import splits_to_cover
+
+    g = Graph.build(
+        ["a", "b", "c", "c.0", "d", "e"],
+        [("a", "c"), ("b", "c"), ("c.0", "d"), ("c.0", "e")],
+    )
+    seq = ModificationSequence(
+        (
+            VertexSplit(Split.of("c.0", ["d"], ["e"])),
+            VertexSplit(Split.of("c", ["a"], ["b"])),
+        )
+    )
+    assert splits_to_cover(g, seq) == SigmaCliqueCover.of(
+        [["a", "c"], ["b", "c"], ["c.0", "d"], ["c.0", "e"]]
+    )
+
+
 def test_splits_to_cover_validations(p3):
     from splitclust.certificates import EdgeAdd
     from splitclust.reductions import splits_to_cover

@@ -23,10 +23,10 @@ from splitclust.solvers import (
     DEFAULT_SIZE_LIMITS,
     NotNormalized,
     SizeLimitExceeded,
+    check_size,
     cover_to_modifications,
     max_p3_packing,
     modifications_to_cover,
-    resolve_size_limit,
     solve_cevs_exact,
     solve_cvs_exact,
     solve_ncc_exact,
@@ -37,18 +37,18 @@ from splitclust.solvers import (
 # ---------------------------------------------------------------- size limits
 
 
-def test_resolve_size_limit_precedence(monkeypatch):
-    monkeypatch.delenv("SPLITCLUST_SIZE_LIMIT", raising=False)
-    assert resolve_size_limit("scc", None) == DEFAULT_SIZE_LIMITS["scc"]
-    assert resolve_size_limit("scc", 5) == 5
-    monkeypatch.setenv("SPLITCLUST_SIZE_LIMIT", "7")
-    assert resolve_size_limit("scc", None) == 7
-    assert resolve_size_limit("hunt", None) == 7
-    assert resolve_size_limit("scc", 4) == 4  # explicit beats environment
+def test_check_size_limits():
+    for kind, limit in DEFAULT_SIZE_LIMITS.items():
+        check_size(kind, limit, None)
+        with pytest.raises(SizeLimitExceeded):
+            check_size(kind, limit + 1, None)
+        # an explicit override is the limit
+        check_size(kind, limit + 1, limit + 1)
+        with pytest.raises(SizeLimitExceeded):
+            check_size(kind, limit + 1, limit)
 
 
-def test_size_limit_raises(monkeypatch):
-    monkeypatch.delenv("SPLITCLUST_SIZE_LIMIT", raising=False)
+def test_size_limit_raises():
     big = Graph.build([str(i) for i in range(10)], [])
     with pytest.raises(SizeLimitExceeded):
         solve_cevs_exact(Instance(Problem.CEVS, big, 0))
