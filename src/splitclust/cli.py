@@ -42,7 +42,6 @@ from .reductions import (
     Instance,
     IsolatedVertexPresent,
     Problem,
-    ReductionTrace,
     convert_cvs_scc,
     convert_scc_cvs,
     reduce_cvs_to_cevs,
@@ -174,16 +173,11 @@ def cmd_kernelize(args) -> int:
 
 
 _REDUCTIONS = {
-    ("ncc", "scc"): lambda inst: reduce_ncc_to_scc(inst),
-    ("cvs", "cevs"): lambda inst: reduce_cvs_to_cevs(inst),
-    ("cvs", "scc"): lambda inst: _with_trace(inst, convert_cvs_scc(inst)),
-    ("scc", "cvs"): lambda inst: _with_trace(inst, convert_scc_cvs(inst)),
+    ("ncc", "scc"): reduce_ncc_to_scc,
+    ("cvs", "cevs"): reduce_cvs_to_cevs,
+    ("cvs", "scc"): convert_cvs_scc,
+    ("scc", "cvs"): convert_scc_cvs,
 }
-
-
-def _with_trace(inst: Instance, out: Instance) -> tuple[Instance, ReductionTrace]:
-    kind = f"{inst.problem.value}-to-{out.problem.value}"
-    return out, ReductionTrace(kind, inst, out, {})
 
 
 def cmd_reduce(args) -> int:

@@ -8,7 +8,8 @@ Graphs travel as a line-oriented text format::
     e <id> <id>
 
 Ids are whitespace-free tokens; dot-separated suffix components are reserved
-for split copies and must be 0 or 1.  Duplicate edges, self-loops, undeclared
+for split copies and must be 0 or 1, so a file may not declare both a name
+and one of its copies (c and c.0.1).  Duplicate edges, self-loops, undeclared
 endpoints, and count mismatches are parse errors.  Budgets never live in the
 graph file; they travel on the command line or in certificate envelopes.
 
@@ -54,7 +55,7 @@ class FormatError(Exception):
 def parse_graph_text(text: str) -> Graph:
     header: tuple[int, int] | None = None
     vertices: list[VertexId] = []
-    seen_vertices: set[VertexId] = set()
+    seen_vertices: dict[VertexId, int] = {}  # name -> its line
     edges: list[tuple[VertexId, VertexId]] = []
     seen_edges: set[frozenset[VertexId]] = set()
 
@@ -85,7 +86,7 @@ def parse_graph_text(text: str) -> Graph:
                 fail(lineno, str(exc))
             if v in seen_vertices:
                 fail(lineno, f"duplicate vertex {v}")
-            seen_vertices.add(v)
+            seen_vertices[v] = lineno
             vertices.append(v)
         elif fields[0] == "e":
             if len(fields) != 3:
@@ -113,6 +114,12 @@ def parse_graph_text(text: str) -> Graph:
             f"header announces {header[0]} vertices / {header[1]} edges,"
             f" found {len(vertices)} / {len(edges)}"
         )
+    # a split would name its copies like these, so lineage must stay unambiguous
+    for v in vertices:
+        for depth in range(len(v.branches)):
+            ancestor = VertexId(v.root, v.branches[:depth])
+            if ancestor in seen_vertices:
+                fail(seen_vertices[v], f"vertex {v} is a split copy of vertex {ancestor}")
     return Graph.build(vertices, edges)
 
 

@@ -8,9 +8,10 @@ back onto v restores the original graph, which is what makes split sequences
 auditable.
 
 Names are hierarchical: a root token plus a 0/1 branch per split, rendered
-with dots ("c", "c.0", "c.0.1").  The total order on names is the order on
-(root, branch sequence), with all-digit roots compared numerically so that
-"v2" style and plain-number ids both sort the way a human expects.
+with dots ("c", "c.0", "c.0.1").  A name is a tuple that is its own sort
+key: the order on names is the order on (root, branch sequence), with
+all-digit roots compared numerically so that "v2" style and plain-number
+ids both sort the way a human expects.
 
 Graphs are immutable.  Adjacency is kept as one Python int bitmask per
 vertex over the lexicographic vertex order; Python ints are arbitrary
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
@@ -55,33 +56,37 @@ class ForeignNeighbor(GraphError):
 # ---------------------------------------------------------------------------
 
 
-@functools.total_ordering
-@dataclass(frozen=True, slots=True)
-class VertexId:
-    """A vertex name: root token plus the 0/1 branch taken at each split."""
+class VertexId(tuple):
+    """A vertex name: root token plus the 0/1 branch taken at each split.
 
-    root: str
-    branches: tuple[int, ...] = ()
-    # sort_key, computed on first use, and the hash every dict and set lookup
-    # asks for; slots instead of a per-name __dict__ keep the thousands of
-    # names a certificate holds small
-    _key: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _hash: int = field(default=0, init=False, repr=False, compare=False)
+    The name is its own sort key: the tuple ``(0, int(root), root,
+    branches)`` for an all-digit root and ``(1, 0, root, branches)``
+    otherwise, so all-digit roots sort numerically among themselves and
+    before other roots, and the root string breaks ties like "01" vs "1".
+    Order, equality, hashing and pickling are the tuple's own.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.root or "." in self.root or any(c.isspace() for c in self.root):
-            raise GraphError(f"bad vertex root token: {self.root!r}")
-        if not all(b in (0, 1) for b in self.branches):
-            raise GraphError(f"branch components must be 0 or 1: {self.branches!r}")
-        # the value the generated __hash__ gave, so set and dict orders stay
-        object.__setattr__(self, "_hash", hash((self.root, self.branches)))
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, root: str, branches: tuple[int, ...] = ()) -> VertexId:
+        if not root or "." in root or any(c.isspace() for c in root):
+            raise GraphError(f"bad vertex root token: {root!r}")
+        if not all(b in (0, 1) for b in branches):
+            raise GraphError(f"branch components must be 0 or 1: {branches!r}")
+        if root.isdecimal():  # the digits int() reads
+            return tuple.__new__(cls, (0, int(root), root, tuple(branches)))
+        return tuple.__new__(cls, (1, 0, root, tuple(branches)))
 
-    def __reduce__(self):
-        # string hashes differ between processes: rebuild, do not copy, _hash
-        return (VertexId, (self.root, self.branches))
+    def __getnewargs__(self) -> tuple[str, tuple[int, ...]]:
+        return self[2], self[3]
+
+    @property
+    def root(self) -> str:
+        return self[2]
+
+    @property
+    def branches(self) -> tuple[int, ...]:
+        return self[3]
 
     @classmethod
     def parse(cls, token: str | VertexId) -> VertexId:
@@ -102,24 +107,6 @@ class VertexId:
             self.root == ancestor.root
             and self.branches[: len(ancestor.branches)] == ancestor.branches
         )
-
-    @property
-    def sort_key(self) -> tuple:
-        # All-digit roots sort numerically among themselves and before other
-        # roots; the root string itself breaks ties like "01" vs "1".
-        key = self._key
-        if key is None:
-            if self.root.isdigit():
-                key = (0, int(self.root), self.root, self.branches)
-            else:
-                key = (1, 0, self.root, self.branches)
-            object.__setattr__(self, "_key", key)
-        return key
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, VertexId):
-            return NotImplemented
-        return self.sort_key < other.sort_key
 
     def __str__(self) -> str:
         return ".".join([self.root, *map(str, self.branches)])
@@ -455,7 +442,7 @@ class GraphEditor:
         # dict order keeps the surviving start rows in their sorted order
         order = list(self._index.values())
         if len(names) > start.n:
-            order.sort(key=lambda i: names[i].sort_key)
+            order.sort(key=names.__getitem__)
         cuts = [p for p in range(1, len(order)) if order[p] != order[p - 1] + 1]
         bounds = [0, *cuts, len(order)]
         runs = [  # rows lo..hi-1 move by shift

@@ -192,7 +192,7 @@ class HuntReport:
 
 
 def _family_key(fam) -> tuple:
-    return tuple(sorted(tuple(v.sort_key for v in sorted(s)) for s in fam))
+    return tuple(sorted(tuple(sorted(s)) for s in fam))
 
 
 def _analyze(g: Graph, n: int, index: int, canonical: str) -> HuntReport:
@@ -252,22 +252,18 @@ def hunt(
     `skip_until = (n, index)` resumes after that report (same flags assumed).
     """
     check_size("hunt", max_n, size_limit)
-    for n in range(1, max_n + 1):
-        items = []
-        for index, bits in enumerate(_level(n)):
-            if skip_until is not None and (
-                n < skip_until[0] or (n == skip_until[0] and index <= skip_until[1])
-            ):
-                continue
-            if connected_only and len(component_masks(_rows_from_bits(n, bits))) > 1:
-                continue
-            items.append((n, index, bits))
-        if parallel and len(items) > 1:
-            with ProcessPoolExecutor() as pool:
-                yield from pool.map(_hunt_worker, items, chunksize=8)
-        else:
-            for item in items:
-                yield _hunt_worker(item)
+    items = (
+        (n, index, bits)
+        for n in range(1, max_n + 1)
+        for index, bits in enumerate(_level(n))
+        if (skip_until is None or (n, index) > skip_until)
+        and not (connected_only and len(component_masks(_rows_from_bits(n, bits))) > 1)
+    )
+    if not parallel:
+        yield from map(_hunt_worker, items)
+        return
+    with ProcessPoolExecutor() as pool:
+        yield from pool.map(_hunt_worker, items, chunksize=8)
 
 
 def report_to_obj(report: HuntReport) -> dict:

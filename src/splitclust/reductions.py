@@ -190,7 +190,7 @@ def translate_scc_cert_to_ncc(inst: Instance, cover: SigmaCliqueCover) -> NodeCl
     universals = universal_names(g, 2 * g.edge_count + 1)
     def covering_weight(u: VertexId) -> int:
         return sum(len(s) for s in cover.sets if u in s)
-    star = min(universals, key=lambda u: (covering_weight(u), u.sort_key))
+    star = min(universals, key=lambda u: (covering_weight(u), u))
     sets = [s - {star} for s in cover.sets if star in s]
     out = NodeCliqueCover.of(s for s in sets if s)
     check = verify_node_cover(g, out, inst.budget)
@@ -242,11 +242,11 @@ def cover_to_splits(g: Graph, cover: SigmaCliqueCover) -> ModificationSequence:
     for k, s in enumerate(cover.sets):
         for v in s:
             holders.setdefault(v, []).append(k)
-    multi = [(v.sort_key, v) for v, ks in holders.items() if len(ks) >= 2]
+    multi = [v for v, ks in holders.items() if len(ks) >= 2]
     heapq.heapify(multi)
     steps: list[VertexSplit] = []
     while multi:
-        _, u = heapq.heappop(multi)
+        u = heapq.heappop(multi)
         u_in, u_out = u.child(0), u.child(1)
         for copy in (u_in, u_out):
             if copy in holders:
@@ -254,7 +254,7 @@ def cover_to_splits(g: Graph, cover: SigmaCliqueCover) -> ModificationSequence:
         # renaming can reorder sets when a name descends from u.0, so C1 is
         # found by the current members, not by the order at the start
         ks = holders.pop(u)
-        c1 = min(ks, key=lambda k: sorted(v.sort_key for v in sets[k]))
+        c1 = min(ks, key=lambda k: sorted(sets[k]))
         rest = [k for k in ks if k != c1]
         inside = frozenset(sets[c1]) - {u}
         outside = frozenset().union(*(sets[k] for k in rest)) - {u}
@@ -264,7 +264,7 @@ def cover_to_splits(g: Graph, cover: SigmaCliqueCover) -> ModificationSequence:
             sets[k].add(u_in if k == c1 else u_out)
         holders[u_in], holders[u_out] = [c1], rest
         if len(rest) >= 2:
-            heapq.heappush(multi, (u_out.sort_key, u_out))
+            heapq.heappush(multi, u_out)
     seq = ModificationSequence(tuple(steps))
     assert is_cluster_graph(seq.apply_to(g)), "pull-out loop ended off a cluster graph"
     assert seq.length == cover.weight - g.n, "split count drifted from the excess"
@@ -303,15 +303,16 @@ def splits_to_cover(g: Graph, seq: ModificationSequence) -> SigmaCliqueCover:
     return out
 
 
-def convert_cvs_scc(inst: Instance) -> Instance:
+def convert_cvs_scc(inst: Instance) -> tuple[Instance, ReductionTrace]:
     """cvs (G, k) to the equivalent scc (G, |V| - |isolated| + k), same graph."""
     _require(inst, Problem.CVS)
     g = inst.graph
     iso = len(g.isolated_vertices())
-    return Instance(Problem.SCC, g, g.n - iso + inst.budget)
+    out = Instance(Problem.SCC, g, g.n - iso + inst.budget)
+    return out, ReductionTrace("cvs-to-scc", inst, out, {})
 
 
-def convert_scc_cvs(inst: Instance) -> Instance:
+def convert_scc_cvs(inst: Instance) -> tuple[Instance, ReductionTrace]:
     """scc (G, s) to the equivalent cvs (G, s - |V| + |isolated|), same graph.
 
     Budgets below |V| - |isolated| admit no cover at all (every non-isolated
@@ -325,7 +326,8 @@ def convert_scc_cvs(inst: Instance) -> Instance:
         raise BudgetUnderflow(
             f"weight budget {inst.budget} is below |V| - |isolated| = {floor}"
         )
-    return Instance(Problem.CVS, g, inst.budget - floor)
+    out = Instance(Problem.CVS, g, inst.budget - floor)
+    return out, ReductionTrace("scc-to-cvs", inst, out, {})
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,47 @@ def test_verify_names_the_same_unknown_vertex_under_any_hash_seed(work):
     assert reasons == ["certificate references unknown vertex g"] * 2
 
 
+def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # string hashes, and so set and dict orders, differ with PYTHONHASHSEED;
+    # every command's stdout and every file it writes must not
+    runs = []
+    for g in ("ccl8", "k3", "p3"):
+        for problem, budget in (("scc", 20), ("ncc", 4), ("cvs", 6), ("cevs", 6)):
+            cert = f"{g}.{problem}.cert.json"
+            runs.append(["solve", f"{g}.graph", "--problem", problem,
+                         "--budget", budget, "-o", cert])
+            runs.append(["verify", f"{g}.graph", cert])
+        runs.append(["lowerbound", f"{g}.graph", "--exact-packing"])
+        runs.append(["kernelize", f"{g}.graph", "--budget", 2])
+    for src, dst, budget in (("ncc", "scc", 3), ("cvs", "scc", 2),
+                             ("scc", "cvs", 20), ("cvs", "cevs", 2)):
+        runs.append(["reduce", "ccl8.graph", "--from", src, "--to", dst,
+                     "--budget", budget])
+    runs.append(["hunt", "--max-n", 5, "-o", "hunt.jsonl"])
+    code = (
+        "import json, sys; from splitclust.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    print(argv[0], main([str(a) for a in argv]), flush=True)\n"
+    )
+    outputs = []
+    for seed in ("0", "3"):
+        work = tmp_path / seed
+        work.mkdir()
+        for name in ("ccl8.graph", "k3.graph", "p3.graph"):
+            shutil.copy(DATA / name, work / name)
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(runs)],
+            cwd=work, capture_output=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr.decode()
+        files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+        outputs.append((out.stdout, files))
+    assert len(outputs[0][1]) == 3 + 12 + 3 * 2 + 4 * 2 + 1
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------- lowerbound
 
 
@@ -264,6 +305,20 @@ def test_missing_graph_file_is_exit_2(work, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "nope.graph" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("problem", ["cvs", "cevs"])
+def test_graph_declaring_a_name_and_its_split_copy_is_exit_2(work, capsys, problem):
+    # c.0 is the name a split of c would give its first copy
+    g = work / "copy.graph"
+    g.write_text(
+        "graph 7 11\nv c\nv c.0\nv a\nv b\nv d\nv e\nv f\n"
+        "e c a\ne c b\ne c d\ne c e\ne c f\ne c.0 d\n"
+        "e a d\ne a e\ne b d\ne b f\ne d e\n"
+    )
+    assert run("solve", g, "--problem", problem, "--budget", "11") == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 3: vertex c.0 is a split copy of vertex c\n"
 
 
 def test_reduce_cvs_to_cevs_with_isolated_vertex_is_exit_2(work, capsys):

@@ -79,6 +79,7 @@ def test_save_load_graph(tmp_path):
         ("graph 3 1\nv a\nv b\ne a b\n", "announces 3 vertices"),
         ("graph 1 0\nv a.2\n", "line 2"),
         ("graph 1 0\nv a b c\n", "expected 'v <id>'"),
+        ("graph 2 0\nv c.0.1\nv c\n", "line 2: vertex c.0.1 is a split copy of vertex c"),
     ],
 )
 def test_parse_errors(text, fragment):

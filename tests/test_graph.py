@@ -61,14 +61,22 @@ def test_vertex_id_order_numeric_roots_first():
     assert [str(v) for v in ordered] == ["2", "2.1", "10", "a", "a.0", "a.1", "b"]
 
 
-def test_vertex_id_hash_is_that_of_root_and_branches():
-    """The cached hash keeps the generated one, so set and dict orders stay."""
+def test_vertex_id_is_its_own_sort_key():
+    assert VertexId.parse("07") == (0, 7, "07", ())
+    assert VertexId.parse("c.0.1") == (1, 0, "c", (0, 1))
+    assert repr(VertexId.parse("c.0.1")) == "VertexId('c.0.1')"
+    # equal numbers tie-break on the root string; "²" is a digit int() cannot read
+    ordered = sorted(VertexId.parse(t) for t in ["b", "²", "01", "1"])
+    assert [str(v) for v in ordered] == ["01", "1", "b", "²"]
+
+
+def test_vertex_id_pickle_round_trip():
+    """A pickled name comes back equal, with the same hash."""
     for token in ["c", "c.0.1", "07", "7", "7.0", "x.1.0"]:
         v = VertexId.parse(token)
-        assert hash(v) == hash((v.root, v.branches))
-        assert hash(v.child(1)) == hash((v.root, v.branches + (1,)))
         copy = pickle.loads(pickle.dumps(v))
         assert copy == v and hash(copy) == hash(v)
+        assert type(copy) is VertexId and str(copy) == token
 
 
 def test_pickled_vertex_ids_hash_anew_in_another_process():

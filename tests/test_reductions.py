@@ -267,13 +267,15 @@ def test_splits_to_cover_validations(p3):
 
 
 def test_convert_cvs_scc_budgets(p3):
-    scc_inst = convert_cvs_scc(Instance(Problem.CVS, p3, 1))
+    scc_inst, trace = convert_cvs_scc(Instance(Problem.CVS, p3, 1))
     assert scc_inst.problem is Problem.SCC and scc_inst.budget == 4
-    back = convert_scc_cvs(scc_inst)
+    assert trace.kind == "cvs-to-scc" and trace.target is scc_inst
+    back, trace = convert_scc_cvs(scc_inst)
     assert back.problem is Problem.CVS and back.budget == 1
+    assert trace.kind == "scc-to-cvs" and trace.source is scc_inst
 
     iso = Graph.build("abc", [("a", "b")])
-    assert convert_cvs_scc(Instance(Problem.CVS, iso, 2)).budget == 2 + 2
+    assert convert_cvs_scc(Instance(Problem.CVS, iso, 2))[0].budget == 2 + 2
 
 
 def test_convert_scc_cvs_underflow(p3):
