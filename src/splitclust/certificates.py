@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graph import (
     Graph,
@@ -447,6 +447,13 @@ def cover_cost(g: Graph, cover: SigmaCliqueCover) -> CostBreakdown:
     return CostBreakdown(total, nonedges_inside, edges_outside, excess)
 
 
+def sets_respect_classes(set_masks: Sequence[int], class_masks: Iterable[int]) -> bool:
+    """True when each class mask is contained in or disjoint from each set mask."""
+    return not any(
+        mask & cls and cls & ~mask for cls in class_masks for mask in set_masks
+    )
+
+
 def cover_respects_critical_cliques(g: Graph, cover: SigmaCliqueCover) -> bool:
     """True when every closed-neighborhood class is kept whole by every set.
 
@@ -454,12 +461,9 @@ def cover_respects_critical_cliques(g: Graph, cover: SigmaCliqueCover) -> bool:
     the cover; a cover violating this somewhere "cuts" a critical clique.
     """
     masks = _cover_masks(g, cover)
-    for members in critical_clique_graph(g).classes:
-        cls = g.mask_of(members)
-        for mask in masks:
-            if mask & cls and cls & ~mask:
-                return False
-    return True
+    return sets_respect_classes(
+        masks, (g.mask_of(c) for c in critical_clique_graph(g).classes)
+    )
 
 
 def verify_cevs_cover(g: Graph, cover: SigmaCliqueCover, budget: int) -> VerifyReport:

@@ -74,7 +74,13 @@ class VertexId(tuple):
         if not all(b in (0, 1) for b in branches):
             raise GraphError(f"branch components must be 0 or 1: {branches!r}")
         if root.isdecimal():  # the digits int() reads
-            return tuple.__new__(cls, (0, int(root), root, tuple(branches)))
+            try:
+                value = int(root)
+            except ValueError:  # past the interpreter's integer string limit
+                raise GraphError(
+                    f"all-digit vertex root of {len(root)} digits is too long"
+                ) from None
+            return tuple.__new__(cls, (0, value, root, tuple(branches)))
         return tuple.__new__(cls, (1, 0, root, tuple(branches)))
 
     def __getnewargs__(self) -> tuple[str, tuple[int, ...]]:
@@ -481,22 +487,16 @@ def apply_split(g: Graph, split: Split) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def induced_p3_indices(g: Graph) -> Iterator[tuple[int, int, int]]:
-    """Every induced path on three vertices as an index triple (x, center, z).
+def induced_p3_indices(rows: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """Every induced path on three vertices of adjacency rows as an index
+    triple (x, center, z).
 
     Endpoints satisfy x < z; triples come grouped by center, so callers that
     need the lexicographic order sort them.
     """
-    for j in range(g.n):
-        row = g.rows[j]
-        nbrs = []
-        rest = row
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            nbrs.append(i)
-        for x, z in itertools.combinations(nbrs, 2):
-            if not g.rows[x] >> z & 1:
+    for j, row in enumerate(rows):
+        for x, z in itertools.combinations(_bits(row), 2):
+            if not rows[x] >> z & 1:
                 yield (x, j, z)
 
 

@@ -6,7 +6,9 @@ For each graph one pass of the uncapped label search, started from the
 cost of the all-singletons cover (|E|), returns the exact optimum together
 with *all* optimal covers, so the flags quantify over genuinely every
 optimum; the hunter reports whether some optimum cuts a class and whether
-some optimum respects them all, with witnesses.
+some optimum respects them all, with witnesses.  The search picks its own
+vertex order for the enumeration (see `solvers.cevs_search`); the reports do
+not depend on it, since covers are sorted before witnesses are chosen.
 
 Isomorphism classes are enumerated by canonical form.  The canonical form of
 an n-vertex graph is the lexicographically smallest adjacency bitstring over
@@ -36,9 +38,10 @@ from typing import Iterator
 from .certificates import (
     SigmaCliqueCover,
     cover_cost,
-    cover_respects_critical_cliques,
+    family_masks,
+    sets_respect_classes,
 )
-from .graph import Graph, VertexId, component_masks
+from .graph import Graph, VertexId, component_masks, critical_clique_graph
 from .solvers import cevs_search, check_size
 
 
@@ -202,10 +205,11 @@ def _analyze(g: Graph, n: int, index: int, canonical: str) -> HuntReport:
     assert families, "the all-singletons cover was not reached"
     covers = [SigmaCliqueCover.of(fam) for fam in families]
     optimum = cover_cost(g, covers[0]).total
+    classes = [g.mask_of(c) for c in critical_clique_graph(g).classes]
     witness_cutting = witness_respecting = None
     for cover in covers:
         assert cover_cost(g, cover).total == optimum, "kept covers differ in cost"
-        if cover_respects_critical_cliques(g, cover):
+        if sets_respect_classes(family_masks(g, cover.sets), classes):
             if witness_respecting is None:
                 witness_respecting = cover
         elif witness_cutting is None:

@@ -16,7 +16,7 @@ line sets from --size-limit-override.
   over maximal cliques containing it), shared with solve_ncc_exact.
 * Splitting to clusters (cvs) is solved by covering edges with weight
   |V| - |isolated| + budget and realizing the cover as pull-out splits.
-* Editing with splitting (cevs) assigns each vertex, in order, a nonempty
+* Editing with splitting (cevs) assigns each vertex, in turn, a nonempty
   set of cluster labels; a vertex in t labels pays t-1, and each earlier
   vertex pays 1 when the pair disagrees with adjacency (edge across labels,
   or non-edge sharing one), counted with bitmasks over the placed vertices.
@@ -25,12 +25,18 @@ line sets from --size-limit-override.
   bound at vertex i is a greedy packing of the induced paths whose center
   and far endpoint are both >= i, each of which must still be paid for at a
   vertex >= i.  `solve_cevs_exact` and the hunter run this one search; it
-  needs no cap on the number of labels (see `cevs_search`).
+  needs no cap on the number of labels (see `cevs_search`).  Enumerating
+  every optimum visits the vertices fewest-open-neighbours first, which
+  cannot change the set it returns; the first-optimum search keeps index
+  order, since its first optimal leaf is the certificate.  Both skip label
+  combinations that mirror one already tried, which loses no cover and
+  never the first optimal leaf.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 from .certificates import (
     EdgeAdd,
@@ -300,7 +306,7 @@ def _greedy_packing(triples: list[tuple[int, int, int]]) -> list[tuple[int, int,
     return chosen
 
 
-def _suffix_packing_bounds(g: Graph) -> list[int]:
+def _suffix_packing_bounds(rows: Sequence[int]) -> list[int]:
     """pk[i] = greedy packing size among triples (x, c, z) with c, z >= i.
 
     pk[i] bounds the cost the cevs search still charges once vertices 0..i-1
@@ -314,10 +320,10 @@ def _suffix_packing_bounds(g: Graph) -> list[int]:
     A path with c < i or z < i stays out: its excess at c or its pair xz is
     charged at a placed vertex and may already be paid.
     """
-    triples = sorted(induced_p3_indices(g))
+    triples = sorted(induced_p3_indices(rows))
     return [
         len(_greedy_packing([t for t in triples if t[1] >= i and t[2] >= i]))
-        for i in range(g.n + 1)
+        for i in range(len(rows) + 1)
     ]
 
 
@@ -371,7 +377,7 @@ def max_p3_packing(
     branch and bound over the conflict structure instead (soft size limit,
     since packings certify lower bounds and greedy is always sound).
     """
-    triples = sorted(induced_p3_indices(g))
+    triples = sorted(induced_p3_indices(g.rows))
     if exact:
         check_size("packing", g.n, size_limit)
         chosen = _exact_packing(triples)
@@ -387,11 +393,31 @@ def max_p3_packing(
 # ---------------------------------------------------------------------------
 
 
+def _search_order(rows: Sequence[int]) -> list[int]:
+    """A greedy search order: repeatedly the unplaced vertex with the fewest
+    unplaced neighbours, ties to the most placed neighbours, then the
+    smallest index."""
+    unplaced = (1 << len(rows)) - 1
+    order = []
+    while unplaced:
+        v = min(
+            (v for v in range(len(rows)) if unplaced >> v & 1),
+            key=lambda v: (
+                (rows[v] & unplaced).bit_count(),
+                -(rows[v] & ~unplaced).bit_count(),
+                v,
+            ),
+        )
+        order.append(v)
+        unplaced &= ~(1 << v)
+    return order
+
+
 def cevs_search(g: Graph, budget: int, *, collect_all: bool = False):
     """One branch-and-bound pass over covers of editing-with-splitting cost <= budget.
 
-    Vertices are assigned label sets in lexicographic order.  A vertex taking
-    t labels pays t-1 immediately (its share of the size excess), and each
+    Vertices are assigned label sets one at a time.  A vertex taking t
+    labels pays t-1 immediately (its share of the size excess), and each
     placed pair pays 1 when adjacency and label-sharing disagree, so the
     accumulated cost of a full assignment is exactly the cover cost.  Label
     counts need no explicit bound: every label is nonempty, so the excess
@@ -407,13 +433,40 @@ def cevs_search(g: Graph, budget: int, *, collect_all: bool = False):
     so the pass returns the set of all distinct minimum-cost covers (empty
     when the optimum exceeds the budget; a budget of |E|, the cost of the
     all-singletons cover, always suffices).
+
+    Vertex order.  With `collect_all` the vertices are searched in
+    `_search_order`, a greedy order that places the vertex with the fewest
+    unplaced neighbours next.  Over all 1,044 classes with 7 vertices, each
+    under a fixed relabeling, it visits 536,649 search nodes where index
+    order visits 1,332,062.  The set of all minimum-cost covers does not
+    depend on the order.  Without `collect_all` the search keeps index
+    order, because its answer, the first optimal leaf in that order, is the
+    certificate `solve_cevs_exact` returns and callers pin byte for byte.
+    The order follows the mode the caller asked for, not a setting.
+
+    Mirror-image labels.  Labels created together at one vertex stay equal
+    until one takes a vertex the other does not, and swapping two equal
+    labels from then on gives another assignment with the same cover and
+    cost.  So a combination may hold label l, while it equals label l-1,
+    only if it holds l-1 too.  The labels taken are then a prefix of each
+    run of equal labels, which keeps equal labels adjacent.  Each cover
+    keeps exactly one of its assignments, so in collect_all mode every
+    distinct cover is still reached, once.  A leaf this skips has a mirror
+    image of equal cost that comes earlier in search order: the two agree up
+    to the vertex where the rule applied, there they take the same number
+    of labels, as many of them old ones, and the mirror's combination is
+    lexicographically smaller.  So the first optimal leaf is never skipped,
+    and the first-optimum answer is unchanged.
     """
     n = g.n
-    rows = g.rows
-    pk = _suffix_packing_bounds(g)
+    order = _search_order(g.rows) if collect_all else list(range(n))
+    rows = [
+        sum(1 << k for k, u in enumerate(order) if g.rows[v] >> u & 1) for v in order
+    ]
+    pk = _suffix_packing_bounds(rows)
     members: list[int] = []
     best: tuple[int, tuple[int, ...]] | None = None
-    found: set[frozenset[frozenset[VertexId]]] = set()
+    found: set[tuple[int, ...]] = set()
     limit = budget
 
     def dfs(i: int, cost: int) -> None:
@@ -423,12 +476,16 @@ def cevs_search(g: Graph, budget: int, *, collect_all: bool = False):
                 if cost < limit:
                     limit = cost
                     found.clear()
-                found.add(frozenset(frozenset(g.vertices_of_mask(m)) for m in members))
+                found.add(tuple(sorted(members)))
             else:
                 best = (cost, tuple(members))
                 limit = cost - 1
             return
         L = len(members)
+        tied = 0
+        for lbl in range(1, L):
+            if members[lbl] == members[lbl - 1]:
+                tied |= 1 << lbl
         ibit = 1 << i
         prev = ibit - 1
         adj = rows[i] & prev
@@ -440,9 +497,12 @@ def cevs_search(g: Graph, budget: int, *, collect_all: bool = False):
             for e in range(min(t, L), -1, -1):
                 r = t - e
                 for combo in itertools.combinations(range(L), e):
-                    shared = 0
+                    shared = taken = 0
                     for lbl in combo:
                         shared |= members[lbl]
+                        taken |= 1 << lbl
+                    if taken & tied & ~(taken << 1):
+                        continue
                     newcost = (
                         cost + (t - 1)
                         + (adj & ~shared).bit_count() + (non & shared).bit_count()
@@ -459,12 +519,16 @@ def cevs_search(g: Graph, budget: int, *, collect_all: bool = False):
 
     if pk[0] <= budget:
         dfs(0, 0)
+
+    def named(mask: int) -> frozenset[VertexId]:
+        return frozenset(g.vertices[v] for k, v in enumerate(order) if mask >> k & 1)
+
     if collect_all:
-        return found
+        return {frozenset(map(named, leaf)) for leaf in found}
     if best is None:
         return None
     cost, masks = best
-    return cost, [frozenset(g.vertices_of_mask(m)) for m in masks]
+    return cost, [named(m) for m in masks]
 
 
 def solve_cevs_exact(

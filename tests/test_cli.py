@@ -296,6 +296,16 @@ def test_malformed_graph_is_exit_2(work, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_overlong_numeric_vertex_name_is_exit_2(work, capsys):
+    # int() refuses strings past Python's integer string limit (4,300 digits)
+    long_name = "1" * 5000
+    bad = work / "long.graph"
+    bad.write_text(f"graph 2 1\nv {long_name}\nv a\ne {long_name} a\n")
+    assert run("solve", bad, "--problem", "cevs", "--budget", "1") == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 2: all-digit vertex root of 5000 digits is too long\n"
+
+
 def test_missing_budget_is_exit_2(work):
     assert run("solve", work / "p3.graph", "--problem", "scc") == 2
 

@@ -321,7 +321,7 @@ def test_induced_p3_matches_bruteforce_up_to_n4():
             vs = g.vertices
             got = sorted(
                 (str(vs[x]), str(vs[c]), str(vs[z]))
-                for x, c, z in induced_p3_indices(g)
+                for x, c, z in induced_p3_indices(g.rows)
             )
             assert got == want
 
@@ -335,7 +335,7 @@ def test_is_cluster_graph_matches_bruteforce_up_to_n5():
 
 def test_cluster_graph_iff_no_induced_p3():
     for g in graphs_on(4):
-        assert is_cluster_graph(g) == (next(induced_p3_indices(g), None) is None)
+        assert is_cluster_graph(g) == (next(induced_p3_indices(g.rows), None) is None)
 
 
 # ---------------------------------------------------------------- critical cliques

@@ -34,6 +34,11 @@ REPORTS_UPTO_6_SHA256 = (
     "2634b6ff8f2c0ece2f2e8121638db011457d083e74d5efbcc925d97c7f4927c4"
 )
 
+# the same for the 1,044 classes with n = 7, recorded from the index-order
+# enumerating search before it took the fewest-open-neighbours vertex order
+REPORTS_N7_SHA256 = (
+    "95d3b4d41c6332a5369700c437230891a33daaf6f315c61be89acc6c949ab2ab"
+)
 
 # ---------------------------------------------------------------- canonical form
 
@@ -134,21 +139,34 @@ def test_enumeration_size_limit():
 
 
 def test_hunt_reports_match_bruteforce_up_to_n4():
-    for rep in hunt(4):
-        g = rep.graph
-        names, edges = oracle_form(g)
-        best, fams = oracles.all_optimal_cover_families(names, edges)
-        assert rep.optimum == best
-        assert rep.optimal_covers == len(fams)
-        families = cevs_search(g, rep.optimum, collect_all=True)
-        mine = {
-            frozenset(frozenset(str(v) for v in c) for c in fam) for fam in families
-        }
-        assert mine == fams
-        cut = any(not oracles.family_respects(names, edges, f) for f in fams)
-        resp = any(oracles.family_respects(names, edges, f) for f in fams)
-        assert rep.exists_optimum_cutting == cut
-        assert rep.exists_optimum_respecting == resp
+    """Each class, canonical and under a seeded relabeling, against the oracle.
+
+    The relabeling moves the vertices' index order, so the enumerating
+    search meets each class in more than one vertex order.
+    """
+    rng = random.Random(9)
+    for canon in hunt(4):
+        perm = list(range(canon.n))
+        rng.shuffle(perm)
+        names = [str(v) for v in perm]
+        relabeled = Graph.build(
+            names, [(names[int(str(u))], names[int(str(w))]) for u, w in canon.graph.edges()]
+        )
+        for g, rep in ((canon.graph, canon), (relabeled, hunt_graph(relabeled))):
+            names, edges = oracle_form(g)
+            best, fams = oracles.all_optimal_cover_families(names, edges)
+            assert rep.optimum == best
+            assert rep.optimal_covers == len(fams)
+            families = cevs_search(g, rep.optimum, collect_all=True)
+            mine = {
+                frozenset(frozenset(str(v) for v in c) for c in fam)
+                for fam in families
+            }
+            assert mine == fams
+            cut = any(not oracles.family_respects(names, edges, f) for f in fams)
+            resp = any(oracles.family_respects(names, edges, f) for f in fams)
+            assert rep.exists_optimum_cutting == cut
+            assert rep.exists_optimum_respecting == resp
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +178,14 @@ def test_reports_upto_n6_match_pinned_digest(reports_upto_6):
     assert len(reports_upto_6) == sum(ALL_CLASSES[:6]) == 208
     blob = json.dumps([report_to_obj(r) for r in reports_upto_6], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == REPORTS_UPTO_6_SHA256
+
+
+def test_reports_n7_match_pinned_digest():
+    """The 1,044 n = 7 reports, pinned like the n <= 6 ones."""
+    reports = list(hunt(7, skip_until=(6, ALL_CLASSES[5] - 1)))
+    assert len(reports) == ALL_CLASSES[6]
+    blob = json.dumps([report_to_obj(r) for r in reports], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == REPORTS_N7_SHA256
 
 
 def test_capped_solver_matches_uncapped_optimum_upto_n6(reports_upto_6):
