@@ -44,7 +44,6 @@ from .graph import (
 from .hunter import (
     HuntReport,
     canonical_form,
-    canonical_key,
     enumerate_graphs,
     graph_from_canonical,
     hunt,

@@ -431,18 +431,26 @@ class CostBreakdown:
 def cover_cost(g: Graph, cover: SigmaCliqueCover) -> CostBreakdown:
     """Editing-with-splitting cost of the clustering a vertex cover describes.
 
-    Requires the sets to cover every vertex (the sets need not be cliques).
-    Non-edges inside sets are counted once per pair even when the pair lies
-    in several sets.
+    Requires the sets to cover every vertex (the sets need not be cliques);
+    raises UnknownVertex or NotACover otherwise.  See :func:`masks_cost`.
     """
-    masks = _cover_masks(g, cover)
+    return masks_cost(g, _cover_masks(g, cover))
+
+
+def masks_cost(g: Graph, masks: Sequence[int]) -> CostBreakdown:
+    """Editing-with-splitting cost of a family of distinct row masks of `g`.
+
+    The masks must cover every vertex; that is not checked here.  Non-edges
+    inside sets are counted once per pair even when the pair lies in several
+    sets.
+    """
     nonedges_inside = edges_outside = 0
     for row, shared in zip(g.rows, shared_rows(g, masks)):
         nonedges_inside += (shared & ~row).bit_count()
         edges_outside += (row & ~shared).bit_count()
     nonedges_inside //= 2
     edges_outside //= 2
-    excess = sum(len(s) for s in cover.sets) - g.n
+    excess = sum(mask.bit_count() for mask in masks) - g.n
     total = nonedges_inside + edges_outside + excess
     return CostBreakdown(total, nonedges_inside, edges_outside, excess)
 
@@ -460,9 +468,8 @@ def cover_respects_critical_cliques(g: Graph, cover: SigmaCliqueCover) -> bool:
     That is, each class is either contained in or disjoint from each set of
     the cover; a cover violating this somewhere "cuts" a critical clique.
     """
-    masks = _cover_masks(g, cover)
     return sets_respect_classes(
-        masks, (g.mask_of(c) for c in critical_clique_graph(g).classes)
+        _cover_masks(g, cover), critical_clique_graph(g).masks
     )
 
 

@@ -275,29 +275,35 @@ def cmd_lowerbound(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_resume(path: Path) -> tuple[int, int] | None:
-    """The (n, index) of the last complete report in `path`, if any.
+def _read_resume(path: Path) -> tuple[tuple[int, int] | None, list[tuple]]:
+    """The (n, index) of the last complete report in `path`, if any, and the
+    (n, cutting, respecting) flags of every complete report, for the summary.
 
     Each report is written as one newline-terminated line, so text after the
     last newline is a report cut short by a crash: it is cut off the file,
     and the run resumes after the last complete report.
     """
     if not path.exists():
-        return None
+        return None, []
     data = path.read_bytes()
     complete = data[: data.rfind(b"\n") + 1]
     if len(complete) < len(data):
         with path.open("r+b") as fh:
             fh.truncate(len(complete))
     last = None
+    done = []
     for lineno, line in enumerate(complete.decode().splitlines(), 1):
         if line.strip():
             try:
                 obj = json.loads(line)
                 last = (obj["n"], obj["index"])
+                done.append(
+                    (obj["n"], obj["existsOptimumCutting"],
+                     obj["existsOptimumRespecting"])
+                )
             except (ValueError, KeyError, TypeError) as exc:
                 raise FormatError(f"{path} line {lineno}: not a hunt report") from exc
-    return last
+    return last, done
 
 
 def cmd_hunt(args) -> int:
@@ -308,15 +314,15 @@ def cmd_hunt(args) -> int:
         print(json.dumps(report_to_obj(report), sort_keys=True))
         return 0
     skip = None
+    reports = []
     sink = sys.stdout
     handle = None
     if args.output:
         out = Path(args.output)
         if args.resume:
-            skip = _read_resume(out)
+            skip, reports = _read_resume(out)
         handle = out.open("a" if args.resume else "w")
         sink = handle
-    reports = []
     try:
         for report in hunt(
             args.max_n,
@@ -438,6 +444,14 @@ def main(argv=None) -> int:
     if getattr(args, "command", None) == "hunt":
         if (args.max_n is None) == (args.graph is None):
             print("hunt needs exactly one of --max-n or --graph", file=sys.stderr)
+            return 2
+        sweep_flags = args.output, args.connected, args.parallel, args.resume
+        if args.graph is not None and any(sweep_flags):
+            print("hunt --graph takes no -o, --connected, --parallel or --resume",
+                  file=sys.stderr)
+            return 2
+        if args.resume and not args.output:
+            print("hunt --resume needs -o", file=sys.stderr)
             return 2
     try:
         return args.func(args)

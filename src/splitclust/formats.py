@@ -37,6 +37,7 @@ from .certificates import (
     VertexSplit,
 )
 from .graph import Graph, GraphError, Split, VertexId
+from .kernel import IsolateRemoval, RuleIStep, RuleIIStep
 
 CERTIFICATE_SCHEMA = "splitclust.certificate/1"
 TRACE_SCHEMA = "splitclust.trace/1"
@@ -326,8 +327,6 @@ def reduction_trace_to_obj(trace) -> dict:
 
 
 def kernel_trace_to_obj(trace) -> dict:
-    from .kernel import IsolateRemoval, RuleIStep, RuleIIStep
-
     steps = []
     for step in trace.steps:
         if isinstance(step, IsolateRemoval):

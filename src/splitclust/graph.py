@@ -121,10 +121,6 @@ class VertexId(tuple):
         return f"VertexId({str(self)!r})"
 
 
-def _vid(v: VertexId | str) -> VertexId:
-    return VertexId.parse(v)
-
-
 def _bits(mask: int) -> Iterator[int]:
     """The indices of the set bits of `mask`, ascending."""
     while mask:
@@ -176,7 +172,7 @@ class Graph:
         vertices: Iterable[VertexId | str],
         edges: Iterable[tuple[VertexId | str, VertexId | str]] = (),
     ) -> Graph:
-        vs = [_vid(v) for v in vertices]
+        vs = [VertexId.parse(v) for v in vertices]
         seen: set[VertexId] = set()
         for v in vs:
             if v in seen:
@@ -186,7 +182,7 @@ class Graph:
         index = {v: i for i, v in enumerate(vs)}
         rows = [0] * len(vs)
         for a, b in edges:
-            u, w = _vid(a), _vid(b)
+            u, w = VertexId.parse(a), VertexId.parse(b)
             if u not in index:
                 raise UnknownVertex(f"edge endpoint {u} is not a declared vertex")
             if w not in index:
@@ -212,11 +208,11 @@ class Graph:
         return sum(row.bit_count() for row in self.rows) // 2
 
     def has_vertex(self, v: VertexId | str) -> bool:
-        return _vid(v) in self._index
+        return VertexId.parse(v) in self._index
 
     def index(self, v: VertexId | str) -> int:
         try:
-            return self._index[_vid(v)]
+            return self._index[VertexId.parse(v)]
         except KeyError:
             raise UnknownVertex(f"unknown vertex {v}") from None
 
@@ -273,7 +269,7 @@ class Graph:
     # -- derived graphs -------------------------------------------------------
 
     def induced(self, keep: Iterable[VertexId | str]) -> Graph:
-        kept = [_vid(v) for v in keep]
+        kept = [VertexId.parse(v) for v in keep]
         unknown = [v for v in kept if v not in self._index]
         if unknown:
             raise UnknownVertex(f"unknown vertex {min(unknown)}")
@@ -285,7 +281,7 @@ class Graph:
         return self._without(((1 << self.n) - 1) & ~mask)
 
     def without_vertices(self, drop: Iterable[VertexId | str]) -> Graph:
-        gone = [_vid(v) for v in drop]
+        gone = [VertexId.parse(v) for v in drop]
         unknown = [v for v in gone if v not in self._index]
         if unknown:
             raise UnknownVertex(f"unknown vertex {min(unknown)}")
@@ -294,16 +290,6 @@ class Graph:
     def _without(self, drop: int) -> Graph:
         edit = GraphEditor(self)
         edit._remove(drop)
-        return edit.graph()
-
-    def add_edge(self, u: VertexId | str, w: VertexId | str) -> Graph:
-        edit = GraphEditor(self)
-        edit.add_edge(u, w)
-        return edit.graph()
-
-    def delete_edge(self, u: VertexId | str, w: VertexId | str) -> Graph:
-        edit = GraphEditor(self)
-        edit.delete_edge(u, w)
         return edit.graph()
 
 
@@ -340,9 +326,9 @@ class Split:
         neighbors_b: Iterable[VertexId | str],
     ) -> Split:
         return cls(
-            _vid(target),
-            frozenset(_vid(v) for v in neighbors_a),
-            frozenset(_vid(v) for v in neighbors_b),
+            VertexId.parse(target),
+            frozenset(VertexId.parse(v) for v in neighbors_a),
+            frozenset(VertexId.parse(v) for v in neighbors_b),
         )
 
 
@@ -369,7 +355,7 @@ class GraphEditor:
 
     def _at(self, v: VertexId | str) -> int:
         try:
-            return self._index[_vid(v)]
+            return self._index[VertexId.parse(v)]
         except KeyError:
             raise UnknownVertex(f"unknown vertex {v}") from None
 
@@ -538,17 +524,19 @@ class CriticalCliqueGraph:
     Each class induces a clique, and between two classes either all edges or
     none are present, so the quotient is again a simple graph.  ``reducible``
     marks classes whose quotient neighborhood is a clique; those are exactly
-    the classes the kernel's shrinking rule may eat.
+    the classes the kernel's shrinking rule may eat.  ``masks[c]`` is class
+    c as a row mask of ``graph``.
     """
 
     graph: Graph
     classes: tuple[tuple[VertexId, ...], ...]
+    masks: tuple[int, ...]
     rows: tuple[int, ...]
     reducible: tuple[bool, ...]
 
     def class_index(self, v: VertexId | str) -> int:
         try:
-            return self._lookup[_vid(v)]
+            return self._lookup[VertexId.parse(v)]
         except KeyError:
             raise UnknownVertex(f"unknown vertex {v}") from None
 
@@ -591,4 +579,5 @@ def critical_clique_graph(g: Graph) -> CriticalCliqueGraph:
         all(not row & ~rows[d] & ~(1 << d) for d in _bits(row)) for row in rows
     )
     classes = tuple(tuple(g.vertices[i] for i in group) for group in groups)
-    return CriticalCliqueGraph(g, classes, tuple(rows), reducible)
+    masks = tuple(sum(1 << i for i in group) for group in groups)
+    return CriticalCliqueGraph(g, classes, masks, tuple(rows), reducible)

@@ -6,9 +6,11 @@ For each graph one pass of the uncapped label search, started from the
 cost of the all-singletons cover (|E|), returns the exact optimum together
 with *all* optimal covers, so the flags quantify over genuinely every
 optimum; the hunter reports whether some optimum cuts a class and whether
-some optimum respects them all, with witnesses.  The search picks its own
-vertex order for the enumeration (see `solvers.cevs_search`); the reports do
-not depend on it, since covers are sorted before witnesses are chosen.
+some optimum respects them all, with witnesses.  Covers stay row masks, and
+each is tested against the class masks of `critical_clique_graph`; only the
+two witnesses are named.  The search picks its own vertex order for the
+enumeration (see `solvers.cevs_search`); the reports do not depend on it,
+since covers are sorted before witnesses are chosen.
 
 Isomorphism classes are enumerated by canonical form.  The canonical form of
 an n-vertex graph is the lexicographically smallest adjacency bitstring over
@@ -30,17 +32,14 @@ classes and roughly 3.2 million extension canonizations.
 from __future__ import annotations
 
 import bisect
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .certificates import (
-    SigmaCliqueCover,
-    cover_cost,
-    family_masks,
-    sets_respect_classes,
-)
+from .certificates import SigmaCliqueCover, masks_cost, sets_respect_classes
+from .formats import graph_to_obj
 from .graph import Graph, VertexId, component_masks, critical_clique_graph
 from .solvers import cevs_search, check_size
 
@@ -85,11 +84,6 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     return g.n, _canonical_bits(g.rows, g.n)
 
 
-def canonical_key(g: Graph) -> str:
-    n, bits = canonical_form(g)
-    return f"{n}:{bits:x}"
-
-
 def _rows_from_bits(n: int, bits: int) -> list[int]:
     rows = [0] * n
     total = n * (n - 1) // 2
@@ -114,11 +108,7 @@ def graph_from_canonical(n: int, bits: int) -> Graph:
 # enumeration, with the n=8 level as package data
 # ---------------------------------------------------------------------------
 
-_DATA_LEVELS = {8: "graphs8.txt"}
-_LEVELS: dict[int, list[int]] = {}
-
-
-def _extend_level(prev: list[int], n: int) -> list[int]:
+def _extend_level(prev: Sequence[int], n: int) -> list[int]:
     """The canonical n-vertex forms, increasing, from the (n-1)-vertex ones.
 
     Orderly generation.  The canonical form is the least bitstring over all
@@ -140,26 +130,15 @@ def _extend_level(prev: list[int], n: int) -> list[int]:
     return out
 
 
-def _load_data_level(n: int) -> list[int] | None:
-    try:
-        path = resources.files("splitclust").joinpath(f"data/{_DATA_LEVELS[n]}")
-        text = path.read_text()
-    except (KeyError, FileNotFoundError):
-        return None
-    return [int(line, 16) for line in text.split()]
-
-
-def _level(n: int) -> list[int]:
-    if n in _LEVELS:
-        return _LEVELS[n]
+@functools.cache
+def _level(n: int) -> tuple[int, ...]:
+    """The canonical n-vertex forms, increasing; level 8 is package data."""
     if n <= 1:
-        out = [0]
-    else:
-        out = _load_data_level(n)
-        if out is None:
-            out = _extend_level(_level(n - 1), n)
-    _LEVELS[n] = out
-    return out
+        return (0,)
+    if n == 8:
+        text = resources.files("splitclust").joinpath("data/graphs8.txt").read_text()
+        return tuple(int(line, 16) for line in text.split())
+    return tuple(_extend_level(_level(n - 1), n))
 
 
 def enumerate_graphs(
@@ -194,37 +173,35 @@ class HuntReport:
     witness_respecting: SigmaCliqueCover | None
 
 
-def _family_key(fam) -> tuple:
-    return tuple(sorted(tuple(sorted(s)) for s in fam))
+def _analyze(g: Graph, n: int, index: int, bits: int) -> HuntReport:
+    found = cevs_search(g, g.edge_count, collect_all=True)
+    assert found is not None, "the all-singletons cover was not reached"
+    optimum, covers = found
+    classes = critical_clique_graph(g).masks
 
+    def members(mask: int) -> tuple[int, ...]:
+        return tuple(i for i in range(n) if mask >> i & 1)
 
-def _analyze(g: Graph, n: int, index: int, canonical: str) -> HuntReport:
-    families = sorted(
-        cevs_search(g, g.edge_count, collect_all=True), key=_family_key
-    )
-    assert families, "the all-singletons cover was not reached"
-    covers = [SigmaCliqueCover.of(fam) for fam in families]
-    optimum = cover_cost(g, covers[0]).total
-    classes = [g.mask_of(c) for c in critical_clique_graph(g).classes]
-    witness_cutting = witness_respecting = None
-    for cover in covers:
-        assert cover_cost(g, cover).total == optimum, "kept covers differ in cost"
-        if sets_respect_classes(family_masks(g, cover.sets), classes):
-            if witness_respecting is None:
-                witness_respecting = cover
-        elif witness_cutting is None:
-            witness_cutting = cover
+    # the first cover that cuts a class (False) and that respects all (True);
+    # index order is name order, so sorting the covers by their sets' sorted
+    # member indices sorts them as their sets' sorted names would
+    witnesses: dict[bool, SigmaCliqueCover] = {}
+    for masks in sorted(covers, key=lambda masks: sorted(map(members, masks))):
+        assert masks_cost(g, masks).total == optimum, "kept covers differ in cost"
+        respects = sets_respect_classes(masks, classes)
+        if respects not in witnesses:
+            witnesses[respects] = SigmaCliqueCover.of(map(g.vertices_of_mask, masks))
     return HuntReport(
         n=n,
         index=index,
-        canonical=canonical,
+        canonical=f"{n}:{bits:x}",
         graph=g,
         optimum=optimum,
-        optimal_covers=len(families),
-        exists_optimum_cutting=witness_cutting is not None,
-        exists_optimum_respecting=witness_respecting is not None,
-        witness_cutting=witness_cutting,
-        witness_respecting=witness_respecting,
+        optimal_covers=len(covers),
+        exists_optimum_cutting=False in witnesses,
+        exists_optimum_respecting=True in witnesses,
+        witness_cutting=witnesses.get(False),
+        witness_respecting=witnesses.get(True),
     )
 
 
@@ -235,12 +212,12 @@ def hunt_graph(g: Graph, *, size_limit: int | None = None) -> HuntReport:
     level = _level(n)
     index = bisect.bisect_left(level, bits)
     assert index < len(level) and level[index] == bits, "canonical form not in level"
-    return _analyze(g, n, index, f"{n}:{bits:x}")
+    return _analyze(g, n, index, bits)
 
 
 def _hunt_worker(args) -> HuntReport:
     n, index, bits = args
-    return _analyze(graph_from_canonical(n, bits), n, index, f"{n}:{bits:x}")
+    return _analyze(graph_from_canonical(n, bits), n, index, bits)
 
 
 def hunt(
@@ -271,8 +248,6 @@ def hunt(
 
 
 def report_to_obj(report: HuntReport) -> dict:
-    from .formats import graph_to_obj
-
     def cover_obj(cover: SigmaCliqueCover | None):
         if cover is None:
             return None

@@ -25,12 +25,13 @@ line sets from --size-limit-override.
   bound at vertex i is a greedy packing of the induced paths whose center
   and far endpoint are both >= i, each of which must still be paid for at a
   vertex >= i.  `solve_cevs_exact` and the hunter run this one search; it
-  needs no cap on the number of labels (see `cevs_search`).  Enumerating
-  every optimum visits the vertices fewest-open-neighbours first, which
-  cannot change the set it returns; the first-optimum search keeps index
-  order, since its first optimal leaf is the certificate.  Both skip label
-  combinations that mirror one already tried, which loses no cover and
-  never the first optimal leaf.
+  needs no cap on the number of labels (see `cevs_search`).  Covers come out
+  as row masks of the graph; `solve_cevs_exact` names its certificate's
+  sets.  Enumerating every optimum visits the vertices fewest-open-neighbours
+  first, which cannot change the set it returns; the first-optimum search
+  keeps index order, since its first optimal leaf is the certificate.  Both
+  skip label combinations that mirror one already tried, which loses no
+  cover and never the first optimal leaf.
 """
 
 from __future__ import annotations
@@ -427,11 +428,13 @@ def cevs_search(g: Graph, budget: int, *, collect_all: bool = False):
 
     The incumbent starts at `budget`, and a child is pruned when its cost
     plus the suffix packing bound of the next vertex exceeds the incumbent.
-    Returns the first minimum-cost assignment in search order as
-    (cost, sets), or None when none is within budget.  With `collect_all`,
-    covers that tie the incumbent are kept and a cheaper cover clears them,
-    so the pass returns the set of all distinct minimum-cost covers (empty
-    when the optimum exceeds the budget; a budget of |E|, the cost of the
+    Covers are row masks of `g`, one per label.  Returns the first
+    minimum-cost assignment in search order as (cost, masks), or None when
+    none is within budget.  With `collect_all`, covers that tie the
+    incumbent are kept and a cheaper cover clears them, so the pass returns
+    (optimum, covers), where `covers` is the set of all distinct
+    minimum-cost covers, each a sorted tuple of masks; it too returns None
+    when the optimum exceeds the budget (a budget of |E|, the cost of the
     all-singletons cover, always suffices).
 
     Vertex order.  With `collect_all` the vertices are searched in
@@ -519,16 +522,15 @@ def cevs_search(g: Graph, budget: int, *, collect_all: bool = False):
 
     if pk[0] <= budget:
         dfs(0, 0)
-
-    def named(mask: int) -> frozenset[VertexId]:
-        return frozenset(g.vertices[v] for k, v in enumerate(order) if mask >> k & 1)
-
-    if collect_all:
-        return {frozenset(map(named, leaf)) for leaf in found}
-    if best is None:
+    if not collect_all:
+        return best
+    if not found:
         return None
-    cost, masks = best
-    return cost, [named(m) for m in masks]
+
+    def unpermuted(mask: int) -> int:
+        return sum(1 << v for k, v in enumerate(order) if mask >> k & 1)
+
+    return limit, {tuple(sorted(map(unpermuted, leaf))) for leaf in found}
 
 
 def solve_cevs_exact(
@@ -542,8 +544,8 @@ def solve_cevs_exact(
     res = cevs_search(g, inst.budget)
     if res is None:
         return None
-    cost, sets = res
-    cover = SigmaCliqueCover.of(sets)
+    cost, masks = res
+    cover = SigmaCliqueCover.of(map(g.vertices_of_mask, masks))
     seq = cover_to_modifications(g, cover)
     assert seq.length == cost <= inst.budget, "sequence length drifted from cost"
     return cover, seq

@@ -281,9 +281,38 @@ def test_hunt_resume_drops_a_truncated_last_line(work, capsys):
     assert out.read_text() == full
 
 
+def test_hunt_resume_summary_counts_the_reports_already_written(work, capsys):
+    out = work / "reports.jsonl"
+    assert run("hunt", "--max-n", "4", "-o", out) == 0
+    full, summary = out.read_text(), capsys.readouterr().out
+    out.write_text("".join(full.splitlines(keepends=True)[:5]))  # a crash
+    assert run("hunt", "--max-n", "4", "-o", out, "--resume") == 0
+    assert out.read_text() == full
+    assert capsys.readouterr().out == summary
+
+
 def test_hunt_argument_exclusivity(work, capsys):
     assert run("hunt") == 2
     assert run("hunt", "--max-n", "3", "--graph", work / "ccl8.graph") == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--graph", "p3.graph", "-o", "x.jsonl"],
+        ["--graph", "p3.graph", "--connected"],
+        ["--graph", "p3.graph", "--parallel"],
+        ["--graph", "p3.graph", "--resume"],
+        ["--max-n", "2", "--resume"],
+    ],
+)
+def test_hunt_rejects_flags_it_would_ignore(work, capsys, monkeypatch, flags):
+    monkeypatch.chdir(work)
+    assert run("hunt", *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert not (work / "x.jsonl").exists()
 
 
 # ---------------------------------------------------------------- exit codes

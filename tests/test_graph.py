@@ -15,6 +15,7 @@ from splitclust.graph import (
     DuplicateVertex,
     ForeignNeighbor,
     Graph,
+    GraphEditor,
     GraphError,
     NeighborhoodNotCovered,
     Split,
@@ -137,14 +138,21 @@ def test_induced_and_without_vertices():
         g.without_vertices(["z"])
 
 
+def flipped(g: Graph, method: str, u: str, w: str) -> Graph:
+    """g after one edge flip on a GraphEditor."""
+    edit = GraphEditor(g)
+    getattr(edit, method)(u, w)
+    return edit.graph()
+
+
 def test_add_and_delete_edge():
     g = Graph.build("abc", [("a", "b")])
-    assert g.add_edge("b", "c").edge_count == 2
-    assert g.delete_edge("a", "b").edge_count == 0
+    assert flipped(g, "add_edge", "b", "c").edge_count == 2
+    assert flipped(g, "delete_edge", "a", "b").edge_count == 0
     with pytest.raises(GraphError):
-        g.add_edge("a", "b")
+        flipped(g, "add_edge", "a", "b")
     with pytest.raises(GraphError):
-        g.delete_edge("b", "c")
+        flipped(g, "delete_edge", "b", "c")
 
 
 def test_component_masks_match_bruteforce_up_to_n4():
@@ -259,9 +267,9 @@ def test_edits_equal_build_of_the_edited_lists():
         u, w = rng.sample(names, 2)
         rest = [e for e in edges if set(e) != {u, w}]
         if g.has_edge(u, w):
-            assert g.delete_edge(u, w) == Graph.build(names, rest)
+            assert flipped(g, "delete_edge", u, w) == Graph.build(names, rest)
         else:
-            assert g.add_edge(u, w) == Graph.build(names, rest + [(u, w)])
+            assert flipped(g, "add_edge", u, w) == Graph.build(names, rest + [(u, w)])
 
         keep = rng.sample(names, rng.randint(0, len(names)))
         inside = Graph.build(keep, [e for e in edges if set(e) <= set(keep)])
@@ -286,10 +294,12 @@ def test_edits_equal_build_of_the_edited_lists():
 def test_edit_errors_name_the_offending_vertex():
     g = Graph.build(["c", "c.1", "c.0.1", "07", "7"], [("c", "07"), ("07", "7")])
     cases = [
-        (lambda: g.add_edge("c", "c"), GraphError, "self-loop at c"),
-        (lambda: g.add_edge("07", "c"), GraphError, "edge 07 c already present"),
-        (lambda: g.add_edge("c", "z"), UnknownVertex, "unknown vertex z"),
-        (lambda: g.delete_edge("c", "7"), GraphError, "edge c 7 not present"),
+        (lambda: GraphEditor(g).add_edge("c", "c"), GraphError, "self-loop at c"),
+        (lambda: GraphEditor(g).add_edge("07", "c"), GraphError,
+         "edge 07 c already present"),
+        (lambda: GraphEditor(g).add_edge("c", "z"), UnknownVertex, "unknown vertex z"),
+        (lambda: GraphEditor(g).delete_edge("c", "7"), GraphError,
+         "edge c 7 not present"),
         (lambda: g.induced(["7", "z", "y"]), UnknownVertex, "unknown vertex y"),
         (lambda: g.induced(["7", "07", "7", "07"]), DuplicateVertex,
          "duplicate vertex 07"),
@@ -349,6 +359,7 @@ def test_critical_classes_match_bruteforce_up_to_n4():
             cc = critical_clique_graph(g)
             got = sorted(sorted(str(v) for v in cls) for cls in cc.classes)
             assert got == want
+            assert cc.masks == tuple(g.mask_of(cls) for cls in cc.classes)
 
 
 def test_quotient_has_singleton_classes():

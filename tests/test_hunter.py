@@ -10,10 +10,10 @@ import pytest
 import oracles
 from conftest import graphs_on, oracle_form
 from splitclust.certificates import cover_cost, cover_respects_critical_cliques
+from splitclust import hunter
 from splitclust.graph import Graph
 from splitclust.hunter import (
     canonical_form,
-    canonical_key,
     enumerate_graphs,
     graph_from_canonical,
     hunt,
@@ -64,7 +64,6 @@ def test_canonical_form_ignores_vertex_names(ccl8):
         [(str(u).upper(), str(w).upper()) for u, w in ccl8.edges()],
     )
     assert canonical_form(renamed) == canonical_form(ccl8)
-    assert canonical_key(renamed) == canonical_key(ccl8)
 
 
 def test_graph_from_canonical_round_trip():
@@ -157,16 +156,36 @@ def test_hunt_reports_match_bruteforce_up_to_n4():
             best, fams = oracles.all_optimal_cover_families(names, edges)
             assert rep.optimum == best
             assert rep.optimal_covers == len(fams)
-            families = cevs_search(g, rep.optimum, collect_all=True)
+            optimum, covers = cevs_search(g, rep.optimum, collect_all=True)
+            assert optimum == best
             mine = {
-                frozenset(frozenset(str(v) for v in c) for c in fam)
-                for fam in families
+                frozenset(frozenset(str(v) for v in g.vertices_of_mask(m)) for m in masks)
+                for masks in covers
             }
             assert mine == fams
             cut = any(not oracles.family_respects(names, edges, f) for f in fams)
             resp = any(oracles.family_respects(names, edges, f) for f in fams)
             assert rep.exists_optimum_cutting == cut
             assert rep.exists_optimum_respecting == resp
+
+
+def test_search_below_the_optimum_finds_nothing_up_to_n4():
+    for rep in hunt(4):
+        g = rep.graph
+        assert cevs_search(g, rep.optimum)[0] == rep.optimum
+        assert cevs_search(g, rep.optimum - 1) is None
+        assert cevs_search(g, rep.optimum - 1, collect_all=True) is None
+
+
+def test_missing_level_8_data_is_an_os_error(monkeypatch, tmp_path, ccl8):
+    """Level 8 is read from package data, never regenerated in its place."""
+    monkeypatch.setattr(hunter.resources, "files", lambda package: tmp_path)
+    hunter._level.cache_clear()
+    try:
+        with pytest.raises(OSError):
+            hunt_graph(ccl8)
+    finally:
+        hunter._level.cache_clear()
 
 
 @pytest.fixture(scope="module")
