@@ -400,6 +400,19 @@ def verify_p3_packing(g: Graph, packing: P3Packing) -> VerifyReport:
             return VerifyReport(
                 False, f"({x},{y},{z}) is not an induced path with center {y}", metrics
             )
+    # triples of distinct vertices share two vertices exactly when they share
+    # a pair, so sets of centers and pairs find a conflict in one pass; the
+    # pairwise scan runs only then, to name the first conflicting two
+    centers: set[VertexId] = set()
+    pairs: set[frozenset[VertexId]] = set()
+    for t in packing.triples:
+        mine = {frozenset(pair) for pair in itertools.combinations(t, 2)}
+        if t[1] in centers or not pairs.isdisjoint(mine):
+            break
+        centers.add(t[1])
+        pairs |= mine
+    else:
+        return VerifyReport(True, None, metrics)
     for t1, t2 in itertools.combinations(packing.triples, 2):
         if len(set(t1) & set(t2)) >= 2:
             return VerifyReport(
@@ -412,7 +425,7 @@ def verify_p3_packing(g: Graph, packing: P3Packing) -> VerifyReport:
             return VerifyReport(
                 False, f"two triples share the center {t1[1]}", metrics
             )
-    return VerifyReport(True, None, metrics)
+    raise AssertionError("a shared center or pair with no conflicting two triples")
 
 
 # ---------------------------------------------------------------------------

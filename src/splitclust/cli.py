@@ -49,6 +49,7 @@ from .reductions import (
 )
 from .solvers import (
     SizeLimitExceeded,
+    check_size,
     max_p3_packing,
     solve_cevs_exact,
     solve_cvs_exact,
@@ -287,12 +288,18 @@ def _read_resume(path: Path) -> tuple[tuple[int, int] | None, list[tuple]]:
         return None, []
     data = path.read_bytes()
     complete = data[: data.rfind(b"\n") + 1]
+    try:
+        text = complete.decode()
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path}: not a hunt report file (not UTF-8: {exc.reason})"
+        ) from exc
     if len(complete) < len(data):
         with path.open("r+b") as fh:
             fh.truncate(len(complete))
     last = None
     done = []
-    for lineno, line in enumerate(complete.decode().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if line.strip():
             try:
                 obj = json.loads(line)
@@ -313,6 +320,9 @@ def cmd_hunt(args) -> int:
         )
         print(json.dumps(report_to_obj(report), sort_keys=True))
         return 0
+    # `hunt` is a generator: it checks the limit when first iterated, which
+    # would be after the output file is opened and truncated
+    check_size("hunt", args.max_n, args.size_limit_override)
     skip = None
     reports = []
     sink = sys.stdout

@@ -23,10 +23,13 @@ coincide.  Level n is built by orderly generation: the first n-1 columns of
 a canonical form are the canonical form of its first n-1 vertices, so each
 canonical n-vertex graph extends a canonical (n-1)-vertex one by a last
 column, and keeping the extensions that are their own canonical form lists
-every class exactly once, in increasing order, with no deduplication.  The
-n=8 level ships as package data (12346 classes); smaller levels are computed
-on demand.  Scaling past n=8 is the bottleneck: level 9 alone has 274668
-classes and roughly 3.2 million extension canonizations.
+every class exactly once, in increasing order, with no deduplication.  A
+last column below a bound read off the shorter form's columns cannot be
+canonical, so only the columns from that bound up are canonized: 2682 of
+the 9984 extensions at n=7 and 28062 of 133632 at n=8.  The n=8 level
+ships as package data (12346 classes); smaller levels are computed on
+demand.  Scaling past n=8 is the bottleneck: level 9 alone has 274668
+classes and roughly 3.2 million extensions.
 """
 
 from __future__ import annotations
@@ -108,6 +111,18 @@ def graph_from_canonical(n: int, bits: int) -> Graph:
 # enumeration, with the n=8 level as package data
 # ---------------------------------------------------------------------------
 
+def _least_last_column(bits: int, n: int) -> int:
+    """The least last column that can extend the (n-1)-vertex form `bits` to
+    a canonical n-vertex form: the largest of its columns k in 1..n-2, each
+    shifted left by n-1-k (see `_extend_level`)."""
+    least = 0
+    for k in range(n - 2, 0, -1):
+        # the columns are packed last one lowest, column k being k bits wide
+        least = max(least, (bits & ((1 << k) - 1)) << (n - 1 - k))
+        bits >>= k
+    return least
+
+
 def _extend_level(prev: Sequence[int], n: int) -> list[int]:
     """The canonical n-vertex forms, increasing, from the (n-1)-vertex ones.
 
@@ -120,11 +135,22 @@ def _extend_level(prev: Sequence[int], n: int) -> list[int]:
     has c >> (n-1) in `prev`, and testing each extension c of each entry of
     `prev` for canonicity finds every class exactly once.  The ranges of c
     are disjoint and increase with `prev`, so the output is sorted.
+
+    Most extensions fail a cheap test first.  Let c extend `bits` by a last
+    column `last` (vertex n-1's adjacency to 0..n-2, vertex 0 the most
+    significant bit).  For k in 1..n-2, the ordering 0..k-1, n-1, k..n-2
+    keeps columns 0..k-1 of c and has the top k bits of `last`, that is
+    last >> (n-1-k), as its column k.  If that is below column k of c, this
+    ordering gives a smaller string and c is not canonical.  Since
+    last >> s < col holds exactly when last < col << s, only the columns
+    from `_least_last_column(bits, n)` up are canonized; the others are
+    rejected without a test.  This leaves 376 of 1088 extensions at n=6,
+    2682 of 9984 at n=7 and 28062 of 133632 at n=8.
     """
     out: list[int] = []
     for bits in prev:
         base = bits << (n - 1)
-        for c in range(base, base + (1 << (n - 1))):
+        for c in range(base + _least_last_column(bits, n), base + (1 << (n - 1))):
             if _canonical_bits(_rows_from_bits(n, c), n) == c:
                 out.append(c)
     return out

@@ -300,10 +300,22 @@ def _compatible(t1: tuple[int, int, int], t2: tuple[int, int, int]) -> bool:
 
 
 def _greedy_packing(triples: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """First fit: each triple compatible with every one chosen before it.
+
+    Two triples of three distinct vertices share two vertices exactly when
+    they share a pair, so compatibility with all chosen triples is a lookup
+    of the center and of the three pairs.
+    """
     chosen: list[tuple[int, int, int]] = []
+    centers: set[int] = set()
+    pairs: set[tuple[int, int]] = set()
     for t in triples:
-        if all(_compatible(t, c) for c in chosen):
+        x, c, z = t
+        mine = [(min(a, b), max(a, b)) for a, b in ((x, c), (c, z), (x, z))]
+        if c not in centers and pairs.isdisjoint(mine):
             chosen.append(t)
+            centers.add(c)
+            pairs.update(mine)
     return chosen
 
 

@@ -26,7 +26,8 @@ from splitclust.certificates import (
     verify_p3_packing,
     verify_sigma_cover,
 )
-from splitclust.graph import Graph, Split, UnknownVertex
+from splitclust.graph import Graph, Split, UnknownVertex, induced_p3_indices
+from splitclust.solvers import max_p3_packing
 
 
 # ---------------------------------------------------------------- set families
@@ -281,6 +282,47 @@ def test_verify_p3_packing_rejections(p3, ccl8):
     two_shared = P3Packing.of([("a", "b", "c"), ("a", "h", "c")])
     # a and c shared between distinct centers b, h
     assert not verify_p3_packing(ccl8, two_shared).valid
+
+
+def test_verify_p3_packing_names_the_first_conflicting_pair():
+    """Packings mutated to share a center or two vertices get the reason a
+    scan over every pair of triples, in order, gives for the first conflict."""
+
+    def pairwise_reason(triples):
+        for t1, t2 in itertools.combinations(triples, 2):
+            if len(set(t1) & set(t2)) >= 2:
+                return (
+                    f"triples ({t1[0]},{t1[1]},{t1[2]}) and ({t2[0]},{t2[1]},{t2[2]})"
+                    " share two vertices"
+                )
+            if t1[1] == t2[1]:
+                return f"two triples share the center {t1[1]}"
+        return None
+
+    rng = random.Random(12)
+    mutated = 0
+    for _ in range(40):
+        n = rng.randint(5, 16)
+        names = [f"v{i}" for i in range(n)]
+        edges = [e for e in itertools.combinations(names, 2) if rng.random() < 0.4]
+        g = Graph.build(names, edges)
+        packing = max_p3_packing(g)
+        assert verify_p3_packing(g, packing).valid
+        paths = sorted(
+            (g.vertices[x], g.vertices[c], g.vertices[z])
+            for x, c, z in induced_p3_indices(g.rows)
+        )
+        for t in packing.triples:
+            for u in paths:
+                if u in packing.triples:
+                    continue
+                if u[1] == t[1] or len(set(u) & set(t)) >= 2:
+                    bad = P3Packing.of(list(packing.triples) + [u])
+                    rep = verify_p3_packing(g, bad)
+                    assert not rep.valid
+                    assert rep.reason == pairwise_reason(bad.triples)
+                    mutated += 1
+    assert mutated > 100
 
 
 # ---------------------------------------------------------------- cover costs

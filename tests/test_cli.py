@@ -291,6 +291,25 @@ def test_hunt_resume_summary_counts_the_reports_already_written(work, capsys):
     assert capsys.readouterr().out == summary
 
 
+def test_hunt_past_the_size_limit_leaves_the_output_file_alone(work, capsys):
+    out = work / "reports.jsonl"
+    assert run("hunt", "--max-n", "3", "-o", out) == 0
+    before = out.read_bytes()
+    capsys.readouterr()
+    assert run("hunt", "--max-n", "9", "-o", out) == 3
+    assert out.read_bytes() == before
+    assert "exceed the hunt soft limit" in capsys.readouterr().err
+
+
+def test_hunt_resume_on_a_file_that_is_not_utf8_is_exit_2(work, capsys):
+    out = work / "reports.jsonl"
+    out.write_bytes(b"\xff\xfe\n")
+    assert run("hunt", "--max-n", "3", "-o", out, "--resume") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}:") and err.count("\n") == 1
+    assert out.read_bytes() == b"\xff\xfe\n"
+
+
 def test_hunt_argument_exclusivity(work, capsys):
     assert run("hunt") == 2
     assert run("hunt", "--max-n", "3", "--graph", work / "ccl8.graph") == 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import json
@@ -100,19 +101,49 @@ def test_cached_level_counts():
         assert len(_level(n)) == want
 
 
+def test_last_column_pre_test_rejects_no_canonical_form():
+    """Up to n = 6, every extension below `_least_last_column` is not
+    canonical, and the bound is the largest column k, read from the rows,
+    shifted past the last column's low n-1-k bits."""
+    from splitclust.hunter import _canonical_bits, _least_last_column, _level, _rows_from_bits
+
+    for n in range(2, 7):
+        rejected = 0
+        for bits in _level(n - 1):
+            rows = _rows_from_bits(n - 1, bits)
+            columns = [
+                sum((rows[k] >> i & 1) << (k - 1 - i) for i in range(k))
+                for k in range(n - 1)
+            ]
+            least = _least_last_column(bits, n)
+            assert least == max(
+                [columns[k] << (n - 1 - k) for k in range(1, n - 1)], default=0
+            )
+            for c in range(bits << (n - 1), (bits << (n - 1)) + least):
+                assert _canonical_bits(_rows_from_bits(n, c), n) != c
+                rejected += 1
+        assert rejected or n <= 2
+
+
 def test_shipped_level_8_is_the_orderly_extension_of_level_7():
-    """Every shipped n = 8 form extends a level-7 form and is canonical.
+    """The shipped n = 8 forms are the orderly extensions of level 7.
 
     Orderly generation keeps exactly the extensions that are their own
-    canonical form, in increasing order; a seeded sample of the entries is
-    re-canonized (all 12346 would take seconds).
+    canonical form, in increasing order.  For a seeded sample of level-7
+    forms, the extensions `_extend_level` finds must be exactly the shipped
+    entries in that form's range, so a missing class fails too; a sample of
+    the entries is re-canonized (all of level 8 would take about 16 s).
     """
-    from splitclust.hunter import _canonical_bits, _level, _rows_from_bits
+    from splitclust.hunter import _canonical_bits, _extend_level, _level, _rows_from_bits
 
     level8 = _level(8)
     assert all(a < b for a, b in zip(level8, level8[1:]))
-    level7 = set(_level(7))
-    assert all(c >> 7 in level7 for c in level8)
+    level7 = _level(7)
+    assert {c >> 7 for c in level8} <= set(level7)
+    for bits in random.Random(1).sample(level7, 100):
+        lo = bisect.bisect_left(level8, bits << 7)
+        hi = bisect.bisect_left(level8, (bits + 1) << 7)
+        assert _extend_level([bits], 8) == list(level8[lo:hi])
     for c in random.Random(1).sample(level8, 1000):
         assert _canonical_bits(_rows_from_bits(8, c), 8) == c
 

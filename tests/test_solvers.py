@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -17,7 +18,8 @@ from splitclust.certificates import (
     verify_p3_packing,
     verify_sigma_cover,
 )
-from splitclust.graph import Graph
+from splitclust import solvers
+from splitclust.graph import Graph, induced_p3_indices
 from splitclust.reductions import Instance, Problem
 from splitclust.solvers import (
     DEFAULT_SIZE_LIMITS,
@@ -156,6 +158,28 @@ def test_packing_lower_bounds_editing_cost():
         assert res is not None
         cover, seq = res
         assert packing.size <= cover_cost(g, cover).total
+
+
+def test_greedy_packing_equals_the_pairwise_first_fit():
+    """The center and pair sets choose what testing every chosen triple did."""
+
+    def pairwise(triples):
+        chosen = []
+        for t in triples:
+            if all(t[1] != c[1] and len(set(t) & set(c)) <= 1 for c in chosen):
+                chosen.append(t)
+        return chosen
+
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(3, 30)
+        p = rng.choice([0.1, 0.3, 0.5, 0.8])
+        names = [f"v{i}" for i in range(n)]
+        edges = [e for e in itertools.combinations(names, 2) if rng.random() < p]
+        triples = sorted(induced_p3_indices(Graph.build(names, edges).rows))
+        assert solvers._greedy_packing(triples) == pairwise(triples)
+        rng.shuffle(triples)
+        assert solvers._greedy_packing(triples) == pairwise(triples)
 
 
 def test_packing_on_counterexample(ccl8):
