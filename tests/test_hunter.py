@@ -12,6 +12,7 @@ import oracles
 from conftest import graphs_on, oracle_form
 from splitclust.certificates import cover_cost, cover_respects_critical_cliques
 from splitclust import hunter
+from splitclust.formats import Certificate, dumps_certificate
 from splitclust.graph import Graph
 from splitclust.hunter import (
     canonical_form,
@@ -39,6 +40,13 @@ REPORTS_UPTO_6_SHA256 = (
 # enumerating search before it took the fewest-open-neighbours vertex order
 REPORTS_N7_SHA256 = (
     "95d3b4d41c6332a5369700c437230891a33daaf6f315c61be89acc6c949ab2ab"
+)
+
+# sha256 of the 416 `solve_cevs_exact` certificates at budget |E| for every
+# class with n <= 6, canonical and relabeled, joined by newlines; recorded
+# from the first optimal leaf of the index-order search
+SOLVER_CERTIFICATES_UPTO_6_SHA256 = (
+    "33ff652b820c6235c73be10bed3af3b485c7f3a521214b3dc61c8634831ea5c7"
 )
 
 # ---------------------------------------------------------------- canonical form
@@ -238,12 +246,30 @@ def test_reports_n7_match_pinned_digest():
     assert hashlib.sha256(blob.encode()).hexdigest() == REPORTS_N7_SHA256
 
 
-def test_capped_solver_matches_uncapped_optimum_upto_n6(reports_upto_6):
+def test_solver_certificates_upto_n6_match_pinned_digest(reports_upto_6):
+    """`solve_cevs_exact` at budget |E| on every class with n <= 6, canonical
+    and under a seeded relabeling: each sequence is as long as the hunt's
+    optimum, and the 416 certificates are pinned byte for byte."""
+    rng = random.Random(6)
+    texts = []
     for rep in reports_upto_6:
-        g = rep.graph
-        res = solve_cevs_exact(Instance(Problem.CEVS, g, g.edge_count))
-        assert res is not None
-        assert res[1].length == rep.optimum, rep.canonical
+        perm = list(range(rep.n))
+        rng.shuffle(perm)
+        names = [str(v) for v in perm]
+        relabeled = Graph.build(
+            names, [(names[int(str(u))], names[int(str(w))]) for u, w in rep.graph.edges()]
+        )
+        for g in (rep.graph, relabeled):
+            res = solve_cevs_exact(Instance(Problem.CEVS, g, g.edge_count))
+            assert res is not None
+            seq = res[1]
+            assert seq.length == rep.optimum, rep.canonical
+            texts.append(
+                dumps_certificate(Certificate("cevs", g.edge_count, "sequence", seq))
+            )
+    assert len(texts) == 416
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == SOLVER_CERTIFICATES_UPTO_6_SHA256
 
 
 def test_witnesses_are_sound():
