@@ -131,8 +131,15 @@ def format_graph_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def load_graph(path: str | Path) -> Graph:
-    return parse_graph_text(Path(path).read_text())
+    return parse_graph_text(_read_text(path))
 
 
 def save_graph(g: Graph, path: str | Path) -> None:
@@ -292,11 +299,13 @@ def loads_certificate(text: str) -> Certificate:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"certificate is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError("certificate JSON is nested too deeply") from exc
     return certificate_from_obj(obj)
 
 
 def load_certificate(path: str | Path) -> Certificate:
-    return loads_certificate(Path(path).read_text())
+    return loads_certificate(_read_text(path))
 
 
 def save_certificate(cert: Certificate, path: str | Path) -> None:

@@ -200,7 +200,7 @@ class HuntReport:
 
 
 def _analyze(g: Graph, n: int, index: int, bits: int) -> HuntReport:
-    found = cevs_search(g, g.edge_count, collect_all=True)
+    found = cevs_search(g, g.edge_count)
     assert found is not None, "the all-singletons cover was not reached"
     optimum, covers = found
     classes = critical_clique_graph(g).masks

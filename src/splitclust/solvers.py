@@ -20,18 +20,16 @@ line sets from --size-limit-override.
   set of cluster labels; a vertex in t labels pays t-1, and each earlier
   vertex pays 1 when the pair disagrees with adjacency (edge across labels,
   or non-edge sharing one), counted with bitmasks over the placed vertices.
-  One branch-and-bound pass finds the optimum, or with `collect_all` every
-  optimal cover: the incumbent starts at the budget and only falls.  The
-  bound at vertex i is a greedy packing of the induced paths whose center
-  and far endpoint are both >= i, each of which must still be paid for at a
-  vertex >= i.  `solve_cevs_exact` and the hunter run this one search; it
-  needs no cap on the number of labels (see `cevs_search`).  Covers come out
-  as row masks of the graph; `solve_cevs_exact` names its certificate's
-  sets.  Enumerating every optimum visits the vertices fewest-open-neighbours
-  first, which cannot change the set it returns; the first-optimum search
-  keeps index order, since its first optimal leaf is the certificate.  Both
-  skip label combinations that mirror one already tried, which loses no
-  cover and never the first optimal leaf.
+  One branch-and-bound pass finds every optimal cover: the incumbent starts
+  at the budget and only falls.  The bound at vertex i is a greedy packing
+  of the induced paths whose center and far endpoint are both >= i, each of
+  which must still be paid for at a vertex >= i.  `solve_cevs_exact` and the
+  hunter run this one search; it needs no cap on the number of labels (see
+  `cevs_search`).  It visits the vertices fewest-open-neighbours first and
+  skips label combinations that mirror one already tried, neither of which
+  changes the set of optima it returns.  Covers come out as row masks of the
+  graph; `solve_cevs_exact` certifies the optimum with the least
+  `_certificate_key` and names its sets.
 """
 
 from __future__ import annotations
@@ -426,7 +424,7 @@ def _search_order(rows: Sequence[int]) -> list[int]:
     return order
 
 
-def cevs_search(g: Graph, budget: int, *, collect_all: bool = False):
+def cevs_search(g: Graph, budget: int):
     """One branch-and-bound pass over covers of editing-with-splitting cost <= budget.
 
     Vertices are assigned label sets one at a time.  A vertex taking t
@@ -440,24 +438,17 @@ def cevs_search(g: Graph, budget: int, *, collect_all: bool = False):
 
     The incumbent starts at `budget`, and a child is pruned when its cost
     plus the suffix packing bound of the next vertex exceeds the incumbent.
-    Covers are row masks of `g`, one per label.  Returns the first
-    minimum-cost assignment in search order as (cost, masks), or None when
-    none is within budget.  With `collect_all`, covers that tie the
-    incumbent are kept and a cheaper cover clears them, so the pass returns
-    (optimum, covers), where `covers` is the set of all distinct
-    minimum-cost covers, each a sorted tuple of masks; it too returns None
-    when the optimum exceeds the budget (a budget of |E|, the cost of the
-    all-singletons cover, always suffices).
+    Covers that tie the incumbent are kept and a cheaper cover clears them,
+    so the pass returns (optimum, covers), where `covers` is the set of all
+    distinct minimum-cost covers, each a sorted tuple of row masks of `g`,
+    one per label; it returns None when the optimum exceeds the budget (a
+    budget of |E|, the cost of the all-singletons cover, always suffices).
 
-    Vertex order.  With `collect_all` the vertices are searched in
-    `_search_order`, a greedy order that places the vertex with the fewest
-    unplaced neighbours next.  Over all 1,044 classes with 7 vertices, each
-    under a fixed relabeling, it visits 536,649 search nodes where index
-    order visits 1,332,062.  The set of all minimum-cost covers does not
-    depend on the order.  Without `collect_all` the search keeps index
-    order, because its answer, the first optimal leaf in that order, is the
-    certificate `solve_cevs_exact` returns and callers pin byte for byte.
-    The order follows the mode the caller asked for, not a setting.
+    Vertex order.  The vertices are searched in `_search_order`, a greedy
+    order that places the vertex with the fewest unplaced neighbours next.
+    Over all 1,044 classes with 7 vertices, each under a fixed relabeling,
+    it visits 536,649 search nodes where index order visits 1,332,062.  The
+    set of all minimum-cost covers does not depend on the order.
 
     Mirror-image labels.  Labels created together at one vertex stay equal
     until one takes a vertex the other does not, and swapping two equal
@@ -465,36 +456,26 @@ def cevs_search(g: Graph, budget: int, *, collect_all: bool = False):
     cost.  So a combination may hold label l, while it equals label l-1,
     only if it holds l-1 too.  The labels taken are then a prefix of each
     run of equal labels, which keeps equal labels adjacent.  Each cover
-    keeps exactly one of its assignments, so in collect_all mode every
-    distinct cover is still reached, once.  A leaf this skips has a mirror
-    image of equal cost that comes earlier in search order: the two agree up
-    to the vertex where the rule applied, there they take the same number
-    of labels, as many of them old ones, and the mirror's combination is
-    lexicographically smaller.  So the first optimal leaf is never skipped,
-    and the first-optimum answer is unchanged.
+    keeps exactly one of its assignments, so every distinct cover is still
+    reached, once.
     """
     n = g.n
-    order = _search_order(g.rows) if collect_all else list(range(n))
+    order = _search_order(g.rows)
     rows = [
         sum(1 << k for k, u in enumerate(order) if g.rows[v] >> u & 1) for v in order
     ]
     pk = _suffix_packing_bounds(rows)
     members: list[int] = []
-    best: tuple[int, tuple[int, ...]] | None = None
     found: set[tuple[int, ...]] = set()
     limit = budget
 
     def dfs(i: int, cost: int) -> None:
-        nonlocal best, limit
+        nonlocal limit
         if i == n:
-            if collect_all:
-                if cost < limit:
-                    limit = cost
-                    found.clear()
-                found.add(tuple(sorted(members)))
-            else:
-                best = (cost, tuple(members))
-                limit = cost - 1
+            if cost < limit:
+                limit = cost
+                found.clear()
+            found.add(tuple(sorted(members)))
             return
         L = len(members)
         tied = 0
@@ -534,8 +515,6 @@ def cevs_search(g: Graph, budget: int, *, collect_all: bool = False):
 
     if pk[0] <= budget:
         dfs(0, 0)
-    if not collect_all:
-        return best
     if not found:
         return None
 
@@ -545,10 +524,54 @@ def cevs_search(g: Graph, budget: int, *, collect_all: bool = False):
     return limit, {tuple(sorted(map(unpermuted, leaf))) for leaf in found}
 
 
+def _certificate_key(
+    n: int, masks: Sequence[int]
+) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The key whose least value over a graph's optimal covers picks the
+    cover `solve_cevs_exact` certifies.
+
+    The least key belongs to the first optimal leaf of the label search run
+    in index order, so certificates do not depend on the vertex order that
+    `cevs_search` uses.
+
+    Label order.  In index order a label is created at its set's lowest
+    vertex, after every label created before.  Labels created together stay
+    equal until one takes a vertex the other does not, and under the mirror
+    rule that is the earlier one.  So the labels are the sets in order of
+    their first difference: of two sets, the one holding the first vertex
+    where they differ comes first.  This also orders sets by lowest member,
+    so the old labels at v (those holding a vertex below v) come first, and
+    their positions among themselves are their positions among all sets.
+
+    Child order.  At vertex v the search tries t_v labels in increasing
+    order, then e_v old ones among them in decreasing order, then the old
+    labels' positions P_v as combinations in lexicographic order.  So its
+    leaves come in increasing order of the tuple of (t_v, -e_v, P_v) over v
+    in index order, and the mirror rule keeps the one leaf of each cover
+    whose labels are in the order above.
+
+    First optimal leaf.  The bound is admissible, and the incumbent stays
+    at or above the optimum until an optimal leaf is reached, so the first
+    optimal leaf is never pruned: it has the least key.  An optimal cover
+    never holds a set twice (dropping the copy cuts the excess and changes
+    no sharing), so a cover's labels are its distinct sets.
+    """
+    sets = sorted(masks, key=lambda m: [-(m >> v & 1) for v in range(n)])
+    key = []
+    for v in range(n):
+        holders = [k for k, m in enumerate(sets) if m >> v & 1]
+        old = tuple(k for k in holders if sets[k] & ((1 << v) - 1))
+        key.append((len(holders), -len(old), old))
+    return key
+
+
 def solve_cevs_exact(
     inst: Instance, *, size_limit: int | None = None
 ) -> tuple[SigmaCliqueCover, ModificationSequence] | None:
-    """A minimum-cost cover and a matching modification sequence, if <= budget."""
+    """A minimum-cost cover and a matching modification sequence, if <= budget.
+
+    Of the optimal covers, the one with the least `_certificate_key`.
+    """
     if inst.problem is not Problem.CEVS:
         raise ValueError(f"expected a cevs instance, got {inst.problem.value}")
     g = inst.graph
@@ -556,7 +579,8 @@ def solve_cevs_exact(
     res = cevs_search(g, inst.budget)
     if res is None:
         return None
-    cost, masks = res
+    cost, covers = res
+    masks = min(covers, key=lambda masks: _certificate_key(g.n, masks))
     cover = SigmaCliqueCover.of(map(g.vertices_of_mask, masks))
     seq = cover_to_modifications(g, cover)
     assert seq.length == cost <= inst.budget, "sequence length drifted from cost"

@@ -32,6 +32,17 @@ def graphs_on(n: int, *, isolate_free: bool = False):
         yield g
 
 
+def relabeled(g: Graph, rng) -> Graph:
+    """`g`, with vertices "0".."n-1", under a permutation of the names that
+    `rng` shuffles; the permutation moves the vertices' index order."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    names = [str(v) for v in perm]
+    return Graph.build(
+        names, [(names[int(str(u))], names[int(str(w))]) for u, w in g.edges()]
+    )
+
+
 @pytest.fixture(scope="session")
 def ccl8() -> Graph:
     return load_graph(DATA / "ccl8.graph")

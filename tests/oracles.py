@@ -258,6 +258,56 @@ def all_optimal_cover_families(names, edges):
     return best, set(found)
 
 
+def first_optimal_leaf(order, edges):
+    """The optimum and the cover of the first optimal leaf of a label search
+    that places the vertices in `order`.
+
+    Vertex i takes t labels, t increasing; of them, e already exist, e
+    decreasing, chosen as combinations of label positions in lexicographic
+    order, and t - e are new labels appended at the end.  A label equal to
+    the one before it is taken only together with it.  Each placement pays
+    t - 1 plus one per earlier vertex whose adjacency disagrees with sharing
+    a label.  The cap on the cost is raised from 0 until a leaf fits it, so
+    the first leaf found costs the optimum.
+    """
+    labels: list[set[str]] = []
+
+    def dfs(i: int, cost: int, cap: int):
+        if i == len(order):
+            return frozenset(frozenset(lbl) for lbl in labels)
+        v = order[i]
+        n_old = len(labels)
+        for t in range(1, cap - cost + 2):
+            for e in range(min(t, n_old), -1, -1):
+                for combo in itertools.combinations(range(n_old), e):
+                    if any(
+                        k in combo and k - 1 not in combo and labels[k] == labels[k - 1]
+                        for k in range(1, n_old)
+                    ):
+                        continue
+                    shared = set().union(*(labels[k] for k in combo))
+                    paid = t - 1 + sum(
+                        adjacent(edges, u, v) != (u in shared) for u in order[:i]
+                    )
+                    if cost + paid > cap:
+                        continue
+                    for k in combo:
+                        labels[k].add(v)
+                    labels.extend({v} for _ in range(t - e))
+                    leaf = dfs(i + 1, cost + paid, cap)
+                    del labels[n_old:]
+                    for k in combo:
+                        labels[k].discard(v)
+                    if leaf is not None:
+                        return leaf
+        return None
+
+    for cap in itertools.count():
+        leaf = dfs(0, 0, cap)
+        if leaf is not None:
+            return cap, leaf
+
+
 def critical_classes(names, edges) -> list[frozenset[str]]:
     closed = {u: neighbors(names, edges, u) | {u} for u in names}
     out = {}

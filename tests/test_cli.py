@@ -416,6 +416,38 @@ def test_verify_malformed_certificate_is_exit_2(work, capsys, text):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "{bad}", "--problem", "cevs", "--budget", "1"),
+        ("verify", "{bad}", "{cert}"),
+        ("verify", "{graph}", "{bad}"),
+        ("kernelize", "{bad}", "--budget", "0"),
+        ("reduce", "{bad}", "--from", "ncc", "--to", "scc", "--budget", "1"),
+        ("lowerbound", "{bad}"),
+        ("hunt", "--graph", "{bad}"),
+    ],
+    ids=["solve", "verify graph", "verify certificate", "kernelize", "reduce",
+         "lowerbound", "hunt"],
+)
+def test_input_file_that_is_not_utf8_is_exit_2(work, capsys, argv):
+    bad = work / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\n")
+    paths = {"bad": bad, "graph": work / "p3.graph", "cert": work / "two-set-cover.json"}
+    assert run(*(a.format(**paths) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and "not UTF-8" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_deeply_nested_certificate_is_exit_2(work, capsys):
+    cert = work / "deep.json"
+    cert.write_text("[" * 100_000 + "]" * 100_000)
+    assert run("verify", work / "p3.graph", cert) == 2
+    err = capsys.readouterr().err
+    assert err == "error: certificate JSON is nested too deeply\n"
+
+
 def test_size_limit_exit_3_and_override(work, capsys):
     big = work / "big.graph"
     names = [f"v{i}" for i in range(10)]

@@ -9,7 +9,7 @@ import random
 import pytest
 
 import oracles
-from conftest import graphs_on, oracle_form
+from conftest import graphs_on, oracle_form, relabeled
 from splitclust.certificates import cover_cost, cover_respects_critical_cliques
 from splitclust import hunter
 from splitclust.formats import Certificate, dumps_certificate
@@ -184,18 +184,13 @@ def test_hunt_reports_match_bruteforce_up_to_n4():
     """
     rng = random.Random(9)
     for canon in hunt(4):
-        perm = list(range(canon.n))
-        rng.shuffle(perm)
-        names = [str(v) for v in perm]
-        relabeled = Graph.build(
-            names, [(names[int(str(u))], names[int(str(w))]) for u, w in canon.graph.edges()]
-        )
-        for g, rep in ((canon.graph, canon), (relabeled, hunt_graph(relabeled))):
+        other = relabeled(canon.graph, rng)
+        for g, rep in ((canon.graph, canon), (other, hunt_graph(other))):
             names, edges = oracle_form(g)
             best, fams = oracles.all_optimal_cover_families(names, edges)
             assert rep.optimum == best
             assert rep.optimal_covers == len(fams)
-            optimum, covers = cevs_search(g, rep.optimum, collect_all=True)
+            optimum, covers = cevs_search(g, rep.optimum)
             assert optimum == best
             mine = {
                 frozenset(frozenset(str(v) for v in g.vertices_of_mask(m)) for m in masks)
@@ -213,7 +208,6 @@ def test_search_below_the_optimum_finds_nothing_up_to_n4():
         g = rep.graph
         assert cevs_search(g, rep.optimum)[0] == rep.optimum
         assert cevs_search(g, rep.optimum - 1) is None
-        assert cevs_search(g, rep.optimum - 1, collect_all=True) is None
 
 
 def test_missing_level_8_data_is_an_os_error(monkeypatch, tmp_path, ccl8):
@@ -253,13 +247,7 @@ def test_solver_certificates_upto_n6_match_pinned_digest(reports_upto_6):
     rng = random.Random(6)
     texts = []
     for rep in reports_upto_6:
-        perm = list(range(rep.n))
-        rng.shuffle(perm)
-        names = [str(v) for v in perm]
-        relabeled = Graph.build(
-            names, [(names[int(str(u))], names[int(str(w))]) for u, w in rep.graph.edges()]
-        )
-        for g in (rep.graph, relabeled):
+        for g in (rep.graph, relabeled(rep.graph, rng)):
             res = solve_cevs_exact(Instance(Problem.CEVS, g, g.edge_count))
             assert res is not None
             seq = res[1]

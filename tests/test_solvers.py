@@ -6,7 +6,7 @@ import random
 import pytest
 
 import oracles
-from conftest import graphs_on, oracle_form
+from conftest import graphs_on, oracle_form, relabeled
 from splitclust.certificates import (
     EdgeAdd,
     EdgeDelete,
@@ -20,6 +20,7 @@ from splitclust.certificates import (
 )
 from splitclust import solvers
 from splitclust.graph import Graph, induced_p3_indices
+from splitclust.hunter import hunt
 from splitclust.reductions import Instance, Problem
 from splitclust.solvers import (
     DEFAULT_SIZE_LIMITS,
@@ -202,6 +203,23 @@ def test_cevs_matches_bruteforce():
                     cover, seq = got
                     assert cover_cost(g, cover).total == want == seq.length
                     assert verify_modification_sequence(g, seq, k, "cevs").valid
+
+
+def test_certificate_key_picks_the_first_optimal_leaf_up_to_n5():
+    """The least `_certificate_key` over the optima `cevs_search` enumerates
+    is the first optimal leaf of the index-order search, on every class with
+    n <= 5, canonical and under a seeded relabeling."""
+    rng = random.Random(5)
+    for rep in hunt(5):
+        for g in (rep.graph, relabeled(rep.graph, rng)):
+            optimum, covers = solvers.cevs_search(g, g.edge_count)
+            masks = min(covers, key=lambda masks: solvers._certificate_key(g.n, masks))
+            mine = frozenset(
+                frozenset(str(v) for v in g.vertices_of_mask(m)) for m in masks
+            )
+            _, edges = oracle_form(g)
+            order = [str(v) for v in g.vertices]
+            assert oracles.first_optimal_leaf(order, edges) == (optimum, mine)
 
 
 def test_cevs_counterexample_optimum(ccl8):
