@@ -358,7 +358,6 @@ def verify_modification_sequence(
     ``problem`` is "cvs" (only vertex splits allowed) or "cevs".  The final
     graph is included in the report whenever the sequence applies cleanly.
     """
-    problem = str(getattr(problem, "value", problem)).lower()
     if problem not in ("cvs", "cevs"):
         raise ValueError(f"modification sequences decide cvs or cevs, not {problem!r}")
     metrics = {"length": seq.length, "budget": budget}

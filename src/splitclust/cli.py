@@ -49,7 +49,6 @@ from .reductions import (
 )
 from .solvers import (
     SizeLimitExceeded,
-    check_size,
     max_p3_packing,
     solve_cevs_exact,
     solve_cvs_exact,
@@ -276,16 +275,17 @@ def cmd_lowerbound(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_resume(path: Path) -> tuple[tuple[int, int] | None, list[tuple]]:
-    """The (n, index) of the last complete report in `path`, if any, and the
-    (n, cutting, respecting) flags of every complete report, for the summary.
+def _read_resume(path: Path) -> tuple[tuple[int, int] | None, list[tuple], int]:
+    """The (n, index) of the last complete report in `path`, if any, the
+    (n, cutting, respecting) flags of every complete report, for the summary,
+    and the length in bytes of the complete reports.
 
     Each report is written as one newline-terminated line, so text after the
-    last newline is a report cut short by a crash: it is cut off the file,
-    and the run resumes after the last complete report.
+    last newline is a report cut short by a crash: the caller cuts it off
+    the file, and the run resumes after the last complete report.
     """
     if not path.exists():
-        return None, []
+        return None, [], 0
     data = path.read_bytes()
     complete = data[: data.rfind(b"\n") + 1]
     try:
@@ -294,23 +294,23 @@ def _read_resume(path: Path) -> tuple[tuple[int, int] | None, list[tuple]]:
         raise FormatError(
             f"{path}: not a hunt report file (not UTF-8: {exc.reason})"
         ) from exc
-    if len(complete) < len(data):
-        with path.open("r+b") as fh:
-            fh.truncate(len(complete))
     last = None
     done = []
     for lineno, line in enumerate(text.splitlines(), 1):
         if line.strip():
             try:
                 obj = json.loads(line)
-                last = (obj["n"], obj["index"])
-                done.append(
-                    (obj["n"], obj["existsOptimumCutting"],
-                     obj["existsOptimumRespecting"])
-                )
+                n, index = obj["n"], obj["index"]
+                flags = obj["existsOptimumCutting"], obj["existsOptimumRespecting"]
+                # bool is a subclass of int: true is not an n of 1
+                if not (type(n) is type(index) is int
+                        and all(type(f) is bool for f in flags)):
+                    raise TypeError("mistyped report field")
             except (ValueError, KeyError, TypeError) as exc:
                 raise FormatError(f"{path} line {lineno}: not a hunt report") from exc
-    return last, done
+            last = (n, index)
+            done.append((n, *flags))
+    return last, done, len(complete)
 
 
 def cmd_hunt(args) -> int:
@@ -320,27 +320,25 @@ def cmd_hunt(args) -> int:
         )
         print(json.dumps(report_to_obj(report), sort_keys=True))
         return 0
-    # `hunt` is a generator: it checks the limit when first iterated, which
-    # would be after the output file is opened and truncated
-    check_size("hunt", args.max_n, args.size_limit_override)
-    skip = None
-    reports = []
+    skip, reports, keep = None, [], 0
+    if args.resume:
+        skip, reports, keep = _read_resume(Path(args.output))
+    # the call checks the size limit, so it comes before the file is touched
+    runs = hunt(
+        args.max_n,
+        connected_only=args.connected,
+        parallel=args.parallel,
+        skip_until=skip,
+        size_limit=args.size_limit_override,
+    )
     sink = sys.stdout
     handle = None
     if args.output:
-        out = Path(args.output)
+        handle = sink = Path(args.output).open("a" if args.resume else "w")
         if args.resume:
-            skip, reports = _read_resume(out)
-        handle = out.open("a" if args.resume else "w")
-        sink = handle
+            handle.truncate(keep)
     try:
-        for report in hunt(
-            args.max_n,
-            connected_only=args.connected,
-            parallel=args.parallel,
-            skip_until=skip,
-            size_limit=args.size_limit_override,
-        ):
+        for report in runs:
             print(json.dumps(report_to_obj(report), sort_keys=True), file=sink, flush=True)
             reports.append(
                 (report.n, report.exists_optimum_cutting,

@@ -38,10 +38,11 @@ from .certificates import (
 )
 from .graph import Graph, GraphError, Split, VertexId
 from .kernel import IsolateRemoval, RuleIStep, RuleIIStep
+from .reductions import Problem
 
 CERTIFICATE_SCHEMA = "splitclust.certificate/1"
 TRACE_SCHEMA = "splitclust.trace/1"
-PROBLEMS = ("scc", "ncc", "cvs", "cevs")
+PROBLEMS = tuple(p.value for p in Problem)
 
 
 class FormatError(Exception):

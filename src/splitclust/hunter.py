@@ -18,18 +18,19 @@ all vertex orderings, reading the upper triangle column by column:
 pair (i,j), i < j, ordered by (j,i).  That order lets the minimum be built
 one position at a time: place vertices level by level, keep only the
 orderings whose next column is minimal, and merge orderings that agree on
-(used vertex set, adjacency patterns of the rest) since their continuations
-coincide.  Level n is built by orderly generation: the first n-1 columns of
-a canonical form are the canonical form of its first n-1 vertices, so each
-canonical n-vertex graph extends a canonical (n-1)-vertex one by a last
-column, and keeping the extensions that are their own canonical form lists
-every class exactly once, in increasing order, with no deduplication.  A
-last column below a bound read off the shorter form's columns cannot be
-canonical, so only the columns from that bound up are canonized: 2682 of
-the 9984 extensions at n=7 and 28062 of 133632 at n=8.  The n=8 level
-ships as package data (12346 classes); smaller levels are computed on
-demand.  Scaling past n=8 is the bottleneck: level 9 alone has 274668
-classes and roughly 3.2 million extensions.
+the adjacency patterns of the unplaced vertices (which fix the placed set)
+since their continuations coincide.  Level n is built by orderly
+generation: the first n-1 columns of a canonical form are the canonical
+form of its first n-1 vertices, so each canonical n-vertex graph extends a
+canonical (n-1)-vertex one by a last column, and keeping the extensions
+that are their own canonical form lists every class exactly once, in
+increasing order, with no deduplication.  A last column below a bound read
+off the shorter form's columns cannot be canonical, so only the columns
+from that bound up are canonized: 2682 of the 9984 extensions at n=7 and
+28062 of 133632 at n=8.  The n=8 level ships as package data (12346
+classes); smaller levels are computed on demand.  Scaling past n=8 is the
+bottleneck: level 9 alone has 274668 classes and roughly 3.2 million
+extensions.
 """
 
 from __future__ import annotations
@@ -55,30 +56,19 @@ from .solvers import cevs_search, check_size
 def _canonical_bits(rows: list[int] | tuple[int, ...], n: int) -> int:
     if n <= 1:
         return 0
-    states: set[tuple[int, tuple[tuple[int, int], ...]]] = {
-        (0, tuple((v, 0) for v in range(n)))
-    }
+    # a state is the tuple of unplaced (vertex, pattern) pairs
+    states: set[tuple[tuple[int, int], ...]] = {tuple((v, 0) for v in range(n))}
     bits = 0
     for placed in range(n):
-        best = min(pat for _, pats in states for _, pat in pats)
+        best = min(pat for pats in states for _, pat in pats)
         if placed:
             bits = (bits << placed) | best
-        new_states = set()
-        for used, pats in states:
-            for v, pat in pats:
-                if pat != best:
-                    continue
-                new_states.add(
-                    (
-                        used | 1 << v,
-                        tuple(
-                            (w, (pw << 1) | (rows[v] >> w & 1))
-                            for w, pw in pats
-                            if w != v
-                        ),
-                    )
-                )
-        states = new_states
+        states = {
+            tuple((w, (pw << 1) | (rows[v] >> w & 1)) for w, pw in pats if w != v)
+            for pats in states
+            for v, pat in pats
+            if pat == best
+        }
     return bits
 
 
@@ -167,17 +157,20 @@ def _level(n: int) -> tuple[int, ...]:
     return tuple(_extend_level(_level(n - 1), n))
 
 
+def _classes(n: int, connected_only: bool) -> Iterator[tuple[int, int]]:
+    """(index, bits) of the level-n classes, the disconnected ones left out
+    when `connected_only`."""
+    for index, bits in enumerate(_level(n)):
+        if not connected_only or len(component_masks(_rows_from_bits(n, bits))) <= 1:
+            yield index, bits
+
+
 def enumerate_graphs(
     n: int, *, connected_only: bool = False, size_limit: int | None = None
 ) -> list[Graph]:
     """All n-vertex graphs up to isomorphism, canonical, in canonical-form order."""
     check_size("hunt", n, size_limit)
-    out = []
-    for bits in _level(n):
-        if connected_only and len(component_masks(_rows_from_bits(n, bits))) > 1:
-            continue
-        out.append(graph_from_canonical(n, bits))
-    return out
+    return [graph_from_canonical(n, bits) for _, bits in _classes(n, connected_only)]
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +247,8 @@ def hunt(
     skip_until: tuple[int, int] | None = None,
     size_limit: int | None = None,
 ) -> Iterator[HuntReport]:
-    """Reports for every graph with 1..max_n vertices, smallest first.
+    """Reports for every graph with 1..max_n vertices, smallest first, as a
+    lazy iterator; the size limit is checked by the call itself.
 
     `skip_until = (n, index)` resumes after that report (same flags assumed).
     """
@@ -262,13 +256,13 @@ def hunt(
     items = (
         (n, index, bits)
         for n in range(1, max_n + 1)
-        for index, bits in enumerate(_level(n))
-        if (skip_until is None or (n, index) > skip_until)
-        and not (connected_only and len(component_masks(_rows_from_bits(n, bits))) > 1)
+        for index, bits in _classes(n, connected_only)
+        if skip_until is None or (n, index) > skip_until
     )
-    if not parallel:
-        yield from map(_hunt_worker, items)
-        return
+    return _pooled(items) if parallel else map(_hunt_worker, items)
+
+
+def _pooled(items: Iterator[tuple[int, int, int]]) -> Iterator[HuntReport]:
     with ProcessPoolExecutor() as pool:
         yield from pool.map(_hunt_worker, items, chunksize=8)
 

@@ -17,13 +17,18 @@ The reductions implemented:
   backward direction picks the universal vertex of minimum covering weight
   and strips it out of its sets.
 * cvs <-> scc on the *same* graph: splitting to a cluster graph within k is
-  the same as covering edges with weight |V| - |isolated| + k.  The cover is
-  turned into an explicit split sequence by repeatedly pulling a
-  multiply-covered vertex out of its first covering set, and back again by
-  reading clusters off the split graph and contracting split copies.  The
-  graph along the way is always the union of the cliques of the current
-  sets, so each split is computed from the sets alone, with no graph built
-  (the argument is in :func:`cover_to_splits`); one replay checks the result.
+  the same as covering edges with weight |V| - |isolated| + k, since a
+  cover needs no set on an isolated vertex.  Any cover, isolated vertices
+  and singleton sets included, is turned into an explicit split sequence by
+  repeatedly pulling a multiply-covered vertex out of its first covering
+  set, then isolating a copy for each singleton on a vertex of a larger
+  set; and back again by reading clusters off the split graph and
+  contracting split copies.  The graph along the way is always the union
+  of the cliques of the current sets, so each split is computed from the
+  sets alone, with no graph built (the argument is in
+  :func:`cover_to_splits`); one replay checks the result.  It is the one
+  place a split is read off a cover: the cvs solver and the cevs
+  realization both call it.
 * cvs -> cevs: replace every vertex by a clique of k+1 copies (complete
   joins along edges); the edit budget becomes k * (k+1).  Blowing up makes
   edits useless: any solution may as well split only.
@@ -204,49 +209,59 @@ def translate_scc_cert_to_ncc(inst: Instance, cover: SigmaCliqueCover) -> NodeCl
 
 
 def cover_to_splits(g: Graph, cover: SigmaCliqueCover) -> ModificationSequence:
-    """Realize a sigma clique cover as exactly weight - |V| vertex splits.
+    """Realize a sigma clique cover as exactly weight - |covered| vertex splits.
 
-    Requires an isolate-free graph and a valid cover whose sets all have at
-    least two vertices (prune singletons first; minimum covers have none).
-    While some vertex u lies in several sets, u is pulled out of its first
-    covering set C1, first by sorted members: u.0 takes u's place in C1 and
-    u.1 its place in u's other sets.
+    Takes any valid cover of any graph; |covered| counts the vertices in
+    some set.  A vertex in no set is isolated and is left alone.  While some
+    vertex u lies in two or more sets of two or more vertices, u is pulled
+    out of its first covering set C1, first by sorted members: u.0 takes u's
+    place in C1 and u.1 its place in u's other sets.  Then, in order of
+    name, each singleton {v} whose v also lies in a larger set isolates one
+    copy of v.
 
     Every split is read off the family alone.  The invariant: the current
-    graph is the union of the cliques of the current sets.  It holds at the
-    start, since every set is a clique of g, every edge lies in a set and,
-    with no isolated vertex, so does every vertex.  So N(u) is the union of
-    u's sets minus u, and the split is ``Split(u, C1 - {u}, (union of u's
-    other sets) - {u})``.  Afterwards u.0 is adjacent to the rest of C1, u.1
-    to the rest of the other sets, the two copies share no set, and no other
-    pair changes, so the invariant holds again.  A pull-out lowers the
-    total excess by one and changes no other name's valency, so a heap of
-    the names in two or more sets, fed only with u.1, gives each next u; the
-    sets that hold a name are tracked, and no graph is built.  When the heap
-    is empty the sets are disjoint, and the graph is their cluster graph.
+    graph is the union of the cliques of the current sets of two or more
+    vertices, and its other vertices are isolated.  It holds at the start,
+    since every set is a clique of g and every edge lies in a set.  So N(u)
+    is the union of u's sets minus u, and the split is ``Split(u, C1 - {u},
+    (union of u's other sets) - {u})``.  Afterwards u.0 is adjacent to the
+    rest of C1, u.1 to the rest of the other sets, the two copies share no
+    set, and no other pair changes, so the invariant holds again.  A
+    pull-out lowers the total excess by one and changes no other name's
+    valency, so a heap of the names in two or more sets, fed only with u.1,
+    gives each next u; the sets that hold a name are tracked, and no graph
+    is built.  When the heap is empty the sets are disjoint, and the graph
+    is their cluster graph.
+
+    The isolating tail.  Then v's smallest current copy x is v itself if v
+    was never pulled out, else v.0, which holds v's first set and is never
+    split again.  x lies in one set S, so ``Split(x, S - {x}, ∅)`` is a
+    pull-out from S with no other sets: x.0 takes x's place in S, x.1 is
+    left isolated, and the graph stays a cluster graph.  Isolated names, g's
+    included, are tracked as holding no set, so no copy takes one.  The
+    tail comes after every pull-out so that a singleton changes no
+    pull-out: a cover and the same cover without its singletons get the
+    same pull-outs under the same copy names, and the cevs certificates,
+    pinned by digest, rest on exactly this order.
+
+    Counting: the pull-outs number the weight of the larger sets minus the
+    vertices in them, and the tail one per singleton on such a vertex; any
+    other singleton is its vertex's only set.  So the total is weight -
+    |covered|, which is weight - |V| when every vertex lies in a set.
     """
-    if g.isolated_vertices():
-        raise IsolatedVertexPresent(
-            f"isolated vertex {g.isolated_vertices()[0]} (remove isolates first)"
-        )
     report = verify_sigma_cover(g, cover, cover.weight)
     if not report.valid:
         raise InvalidCertificate(report.reason)
-    for s in cover.sets:
-        if len(s) < 2:
-            raise InvalidCertificate(
-                f"singleton set {{{min(s)}}} cannot be realized by splits"
-            )
-    sets = [set(s) for s in cover.sets]
-    holders: dict[VertexId, list[int]] = {}  # name -> the sets holding it
-    for k, s in enumerate(cover.sets):
+    sets = [set(s) for s in cover.sets if len(s) >= 2]
+    # name -> the sets of two or more vertices holding it
+    holders: dict[VertexId, list[int]] = {v: [] for v in g.isolated_vertices()}
+    for k, s in enumerate(sets):
         for v in s:
             holders.setdefault(v, []).append(k)
-    multi = [v for v, ks in holders.items() if len(ks) >= 2]
-    heapq.heapify(multi)
+    lone = sorted(v for s in cover.sets if len(s) == 1 for v in s if holders[v])
     steps: list[VertexSplit] = []
-    while multi:
-        u = heapq.heappop(multi)
+
+    def pull_out(u: VertexId) -> VertexId:
         u_in, u_out = u.child(0), u.child(1)
         for copy in (u_in, u_out):
             if copy in holders:
@@ -263,11 +278,20 @@ def cover_to_splits(g: Graph, cover: SigmaCliqueCover) -> ModificationSequence:
             sets[k].discard(u)
             sets[k].add(u_in if k == c1 else u_out)
         holders[u_in], holders[u_out] = [c1], rest
-        if len(rest) >= 2:
+        return u_out
+
+    multi = [v for v, ks in holders.items() if len(ks) >= 2]
+    heapq.heapify(multi)
+    while multi:
+        u_out = pull_out(heapq.heappop(multi))
+        if len(holders[u_out]) >= 2:
             heapq.heappush(multi, u_out)
+    for v in lone:
+        pull_out(v if v in holders else v.child(0))
     seq = ModificationSequence(tuple(steps))
+    covered = len(frozenset().union(*cover.sets))
     assert is_cluster_graph(seq.apply_to(g)), "pull-out loop ended off a cluster graph"
-    assert seq.length == cover.weight - g.n, "split count drifted from the excess"
+    assert seq.length == cover.weight - covered, "split count drifted from the excess"
     return seq
 
 

@@ -14,8 +14,8 @@ line sets from --size-limit-override.
   so the sum never exceeds the weight still to be paid.  Those minima are a
   memoized branch-and-bound of their own (on the smallest uncovered vertex,
   over maximal cliques containing it), shared with solve_ncc_exact.
-* Splitting to clusters (cvs) is solved by covering edges with weight
-  |V| - |isolated| + budget and realizing the cover as pull-out splits.
+* Splitting to clusters (cvs) is solved on the scc instance that
+  `convert_cvs_scc` gives, and the cover is realized by `cover_to_splits`.
 * Editing with splitting (cevs) assigns each vertex, in turn, a nonempty
   set of cluster labels; a vertex in t labels pays t-1, and each earlier
   vertex pays 1 when the pair disagrees with adjacency (edge across labels,
@@ -50,17 +50,11 @@ from .certificates import (
     shared_rows,
     verify_modification_sequence,
 )
-from .graph import (
-    Graph,
-    Split,
-    VertexId,
-    apply_split,
-    induced_p3_indices,
-    remove_isolated,
-)
+from .graph import Graph, VertexId, induced_p3_indices
 from .reductions import (
     Instance,
     Problem,
+    convert_cvs_scc,
     cover_to_splits,
     splits_to_cover,
 )
@@ -275,15 +269,12 @@ def solve_cvs_exact(
     inst: Instance, *, size_limit: int | None = None
 ) -> ModificationSequence | None:
     """A shortest all-splits sequence to a cluster graph, if length <= budget."""
-    if inst.problem is not Problem.CVS:
-        raise ValueError(f"expected a cvs instance, got {inst.problem.value}")
-    check_size("cvs", inst.graph.n, size_limit)
-    core, _ = remove_isolated(inst.graph)
-    cover = solve_scc_exact(core, core.n + inst.budget, size_limit=core.n)
+    scc, _ = convert_cvs_scc(inst)
+    check_size("cvs", scc.graph.n, size_limit)
+    cover = solve_scc_exact(scc.graph, scc.budget, size_limit=scc.graph.n)
     if cover is None:
         return None
-    pruned = SigmaCliqueCover.of(s for s in cover.sets if len(s) >= 2)
-    seq = cover_to_splits(core, pruned)
+    seq = cover_to_splits(scc.graph, cover)
     assert seq.length <= inst.budget, "cover weight drifted past the split budget"
     return seq
 
@@ -596,9 +587,10 @@ def cover_to_modifications(g: Graph, cover: SigmaCliqueCover) -> ModificationSeq
     """A normalized sequence of exactly cover-cost modifications realizing a cover.
 
     Additions (non-edges inside sets), then deletions (edges outside all
-    sets), then splits: pull-out splits realize the excess of the sets of
-    size two or more, and one isolating split per redundant singleton set
-    (a singleton {v} with v not isolated after editing) pays the rest.
+    sets), then the splits `cover_to_splits` reads off the cover on the
+    edited graph, which pay the excess: a pull-out per extra set of a
+    vertex, and an isolating split per singleton on a vertex that is also
+    in a larger set.
     """
     breakdown = cover_cost(g, cover)  # NotACover / UnknownVertex on bad input
     shared = shared_rows(g, family_masks(g, cover.sets))
@@ -610,22 +602,8 @@ def cover_to_modifications(g: Graph, cover: SigmaCliqueCover) -> ModificationSeq
     deleted = Graph(g.vertices, tuple(r & ~s for s, r in zip(shared, g.rows)))
     edits = [EdgeAdd(u, w) for u, w in added.edges()]
     edits += [EdgeDelete(u, w) for u, w in deleted.edges()]
-    core, _ = remove_isolated(edited)
-    pruned = SigmaCliqueCover.of(s for s in cover.sets if len(s) >= 2)
-    pullouts = cover_to_splits(core, pruned) if core.n else ModificationSequence()
-    redundant = sorted(
-        next(iter(s))
-        for s in cover.sets
-        if len(s) == 1 and edited.degree(next(iter(s))) > 0
-    )
-    cur = pullouts.apply_to(core)
-    splits = list(pullouts.steps)
-    for v in redundant:
-        x = min(c for c in cur.vertices if c.is_copy_of(v))
-        split = Split(x, frozenset(cur.neighbors(x)), frozenset())
-        cur = apply_split(cur, split)
-        splits.append(VertexSplit(split))
-    seq = ModificationSequence(tuple(edits + splits))
+    splits = cover_to_splits(edited, cover)
+    seq = ModificationSequence((*edits, *splits.steps))
     assert seq.length == breakdown.total, "sequence length differs from cover cost"
     check = verify_modification_sequence(g, seq, breakdown.total, "cevs")
     assert check.valid, f"realized sequence failed to verify: {check.reason}"

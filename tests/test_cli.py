@@ -301,6 +301,29 @@ def test_hunt_past_the_size_limit_leaves_the_output_file_alone(work, capsys):
     assert "exceed the hunt soft limit" in capsys.readouterr().err
 
 
+def test_hunt_resume_past_the_size_limit_keeps_a_cut_short_line(work, capsys):
+    out = work / "reports.jsonl"
+    assert run("hunt", "--max-n", "3", "-o", out) == 0
+    out.write_text(out.read_text() + '{"n": 3, "ind')  # a crash mid-write
+    before = out.read_bytes()
+    assert run("hunt", "--max-n", "9", "-o", out, "--resume") == 3
+    assert out.read_bytes() == before
+
+
+@pytest.mark.parametrize("field, value", [("n", "1"), ("index", None)])
+def test_hunt_resume_on_a_mistyped_report_is_exit_2(work, capsys, field, value):
+    out = work / "reports.jsonl"
+    assert run("hunt", "--max-n", "2", "-o", out) == 0
+    first, rest = out.read_text().split("\n", 1)
+    out.write_text(json.dumps({**json.loads(first), field: value}) + "\n" + rest)
+    before = out.read_bytes()
+    capsys.readouterr()
+    assert run("hunt", "--max-n", "3", "-o", out, "--resume") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {out} line 1: not a hunt report\n"
+    assert out.read_bytes() == before
+
+
 def test_hunt_resume_on_a_file_that_is_not_utf8_is_exit_2(work, capsys):
     out = work / "reports.jsonl"
     out.write_bytes(b"\xff\xfe\n")

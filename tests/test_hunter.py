@@ -173,6 +173,11 @@ def test_enumeration_size_limit():
         list(enumerate_graphs(9))
 
 
+def test_hunt_checks_the_size_limit_when_called():
+    with pytest.raises(SizeLimitExceeded):
+        hunt(9)  # not iterated
+
+
 # ---------------------------------------------------------------- analysis
 
 

@@ -19,3 +19,22 @@ def test_modules_import_no_private_names_of_each_other():
                 if alias.name.startswith("_"):
                     offenders.append(f"{path.name}:{node.lineno} {alias.name}")
     assert offenders == []
+
+
+def test_modules_use_every_name_they_import():
+    """A name imported but never read is dead; __init__.py is exempt, since
+    its imports are the package's re-export list."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names if isinstance(node, (ast.Import, ast.ImportFrom)) else ():
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

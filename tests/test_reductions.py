@@ -18,7 +18,7 @@ from splitclust.certificates import (
     verify_sigma_cover,
 )
 from splitclust.formats import Certificate, dumps_certificate
-from splitclust.graph import Graph, GraphError, Split, is_cluster_graph, remove_isolated
+from splitclust.graph import DuplicateVertex, Graph, GraphError, Split
 from splitclust.reductions import (
     BudgetUnderflow,
     Instance,
@@ -36,7 +36,12 @@ from splitclust.reductions import (
     translate_scc_cert_to_ncc,
     universal_names,
 )
-from splitclust.solvers import solve_cevs_exact, solve_ncc_exact, solve_scc_exact
+from splitclust.solvers import (
+    solve_cevs_exact,
+    solve_cvs_exact,
+    solve_ncc_exact,
+    solve_scc_exact,
+)
 
 
 def test_instance_rejects_negative_budget(p3):
@@ -125,29 +130,47 @@ def test_cover_to_splits_on_path(p3):
     assert verify_modification_sequence(p3, seq, seq.length, "cvs").valid
 
 
-def test_cover_to_splits_requires_isolate_free():
+def test_cover_to_splits_leaves_isolated_vertices_alone():
     g = Graph.build("abc", [("a", "b")])
-    with pytest.raises(IsolatedVertexPresent):
-        cover_to_splits(g, SigmaCliqueCover.of([["a", "b"], ["c"]]))
+    seq = cover_to_splits(g, SigmaCliqueCover.of([["a", "b"], ["c"]]))
+    assert seq.steps == ()
+    assert verify_modification_sequence(g, seq, 0, "cvs").valid
 
 
-def test_cover_to_splits_rejects_small_sets(p3):
-    with pytest.raises(InvalidCertificate):
-        cover_to_splits(p3, SigmaCliqueCover.of([["a", "b"], ["b", "c"], ["b"]]))
+def test_cover_to_splits_isolates_a_singleton_last(p3):
+    """b is pulled out of {a, b} first; then its copy b.0 is isolated."""
+    seq = cover_to_splits(p3, SigmaCliqueCover.of([["a", "b"], ["b", "c"], ["b"]]))
+    assert seq.steps == (
+        VertexSplit(Split.of("b", ["a"], ["c"])),
+        VertexSplit(Split.of("b.0", ["a"], [])),
+    )
+    assert verify_modification_sequence(p3, seq, 2, "cvs").valid
+
+
+def test_cover_to_splits_copy_names_avoid_isolated_vertices():
+    """Isolated b.1 keeps its name, so pulling b out of two sets may not
+    reuse it, in the cvs solver either."""
+    g = Graph.build(["a", "b", "c", "b.1"], [("a", "b"), ("b", "c")])
+    with pytest.raises(DuplicateVertex):
+        cover_to_splits(g, SigmaCliqueCover.of([["a", "b"], ["b", "c"]]))
+    with pytest.raises(DuplicateVertex):
+        solve_cvs_exact(Instance(Problem.CVS, g, 1))
 
 
 def test_cover_to_splits_length_formula_exhaustive():
-    """length == weight - |V| for minimum covers on all isolate-free n<=4 graphs."""
-    for n in range(2, 5):
-        for g in graphs_on(n, isolate_free=True):
+    """length == weight - |covered| on all labeled n<=4 graphs, for the
+    solver's minimum cover and for it plus a singleton per non-isolated
+    vertex."""
+    for n in range(5):
+        for g in graphs_on(n):
             names, edges = oracle_form(g)
-            w = oracles.min_scc_weight(names, edges)
-            cover = solve_scc_exact(g, w)
-            pruned = SigmaCliqueCover.of([s for s in cover.sets if len(s) >= 2])
-            seq = cover_to_splits(g, pruned)
-            assert seq.length == pruned.weight - g.n
-            final = seq.apply_to(g)
-            assert is_cluster_graph(final)
+            cover = solve_scc_exact(g, oracles.min_scc_weight(names, edges))
+            busy = [[v] for v in g.vertices if g.degree(v)]
+            for family in (cover, SigmaCliqueCover.of([*cover.sets, *busy])):
+                seq = cover_to_splits(g, family)
+                covered = set().union(*family.sets)
+                assert seq.length == family.weight - len(covered)
+                assert verify_modification_sequence(g, seq, seq.length, "cvs").valid
 
 
 def test_cover_to_splits_picks_the_first_set_by_current_members():
