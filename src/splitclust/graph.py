@@ -17,7 +17,7 @@ Graphs are immutable.  Adjacency is kept as one Python int bitmask per
 vertex over the lexicographic vertex order; Python ints are arbitrary
 precision, so the same representation covers every size this library
 handles.  :meth:`Graph.build` is the constructor for outside input: it
-parses names, sorts them and checks every edge.  Edits (splits, induced
+parses each declared name once, sorts the names and checks every edge.  Edits (splits, induced
 subgraphs, edge flips) instead run on the mutable rows of one
 :class:`GraphEditor`, which builds the edited graph once; they re-parse
 nothing.
@@ -59,6 +59,12 @@ class ForeignNeighbor(GraphError):
 class VertexId(tuple):
     """A vertex name: root token plus the 0/1 branch taken at each split.
 
+    A root is a non-empty string with no "." and no whitespace character
+    (none that ``str.isspace`` accepts); each branch is the int 0 or 1, so
+    ``True`` and ``0.0``, which compare equal to 1 and 0 but print
+    differently, are rejected.  ``branches`` may be any iterable and is
+    stored as a tuple.
+
     The name is its own sort key: the tuple ``(0, int(root), root,
     branches)`` for an all-digit root and ``(1, 0, root, branches)``
     otherwise, so all-digit roots sort numerically among themselves and
@@ -68,10 +74,13 @@ class VertexId(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, root: str, branches: tuple[int, ...] = ()) -> VertexId:
-        if not root or "." in root or any(c.isspace() for c in root):
+    def __new__(cls, root: str, branches: Iterable[int] = ()) -> VertexId:
+        # str.split() splits on exactly the characters str.isspace() accepts,
+        # and an empty root splits into []
+        if "." in root or root.split() != [root]:
             raise GraphError(f"bad vertex root token: {root!r}")
-        if not all(b in (0, 1) for b in branches):
+        steps = tuple(branches)
+        if steps and not (set(map(type, steps)) == {int} and set(steps) <= {0, 1}):
             raise GraphError(f"branch components must be 0 or 1: {branches!r}")
         if root.isdecimal():  # the digits int() reads
             try:
@@ -80,8 +89,8 @@ class VertexId(tuple):
                 raise GraphError(
                     f"all-digit vertex root of {len(root)} digits is too long"
                 ) from None
-            return tuple.__new__(cls, (0, value, root, tuple(branches)))
-        return tuple.__new__(cls, (1, 0, root, tuple(branches)))
+            return tuple.__new__(cls, (0, value, root, steps))
+        return tuple.__new__(cls, (1, 0, root, steps))
 
     def __getnewargs__(self) -> tuple[str, tuple[int, ...]]:
         return self[2], self[3]
@@ -99,13 +108,20 @@ class VertexId(tuple):
         """Parse "c.0.1" into VertexId("c", (0, 1)); passes VertexIds through."""
         if isinstance(token, VertexId):
             return token
+        if "." not in token:
+            return cls(token)
         head, *rest = token.split(".")
-        if not all(part in ("0", "1") for part in rest):
+        if not set(rest) <= {"0", "1"}:
             raise GraphError(f"branch components after dots must be 0 or 1: {token!r}")
-        return cls(head, tuple(int(part) for part in rest))
+        return cls(head, tuple(map(int, rest)))
 
     def child(self, branch: int) -> VertexId:
-        return VertexId(self.root, self.branches + (branch,))
+        """The copy on side `branch` of a split; the root is not checked again."""
+        kind, value, root, branches = self
+        branches += (branch,)
+        if type(branch) is not int or branch not in (0, 1):
+            raise GraphError(f"branch components must be 0 or 1: {branches!r}")
+        return tuple.__new__(VertexId, (kind, value, root, branches))
 
     def is_copy_of(self, ancestor: VertexId) -> bool:
         """True when this name is `ancestor` or descends from it by splits."""
@@ -115,7 +131,10 @@ class VertexId(tuple):
         )
 
     def __str__(self) -> str:
-        return ".".join([self.root, *map(str, self.branches)])
+        _, _, root, branches = self
+        if not branches:
+            return root
+        return ".".join([root, *map(str, branches)])
 
     def __repr__(self) -> str:
         return f"VertexId({str(self)!r})"
@@ -172,26 +191,34 @@ class Graph:
         vertices: Iterable[VertexId | str],
         edges: Iterable[tuple[VertexId | str, VertexId | str]] = (),
     ) -> Graph:
-        vs = [VertexId.parse(v) for v in vertices]
+        tokens = list(vertices)
+        vs = [VertexId.parse(t) for t in tokens]
         seen: set[VertexId] = set()
         for v in vs:
             if v in seen:
                 raise DuplicateVertex(f"duplicate vertex {v}")
             seen.add(v)
-        vs.sort()
-        index = {v: i for i, v in enumerate(vs)}
-        rows = [0] * len(vs)
+        order = sorted(vs)
+        # each name and each given token maps to its sorted position, so an
+        # endpoint given as declared is never parsed; a str never equals a
+        # VertexId, so the two kinds of key cannot collide
+        index = {v: i for i, v in enumerate(order)}
+        index.update(zip(tokens, map(index.__getitem__, vs)))
+        rows = [0] * len(order)
         for a, b in edges:
-            u, w = VertexId.parse(a), VertexId.parse(b)
-            if u not in index:
-                raise UnknownVertex(f"edge endpoint {u} is not a declared vertex")
-            if w not in index:
-                raise UnknownVertex(f"edge endpoint {w} is not a declared vertex")
-            if u == w:
-                raise GraphError(f"self-loop at {u}")
-            rows[index[u]] |= 1 << index[w]
-            rows[index[w]] |= 1 << index[u]
-        return cls(tuple(vs), tuple(rows))
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                u, w = VertexId.parse(a), VertexId.parse(b)
+                if u not in index:
+                    raise UnknownVertex(f"edge endpoint {u} is not a declared vertex")
+                if w not in index:
+                    raise UnknownVertex(f"edge endpoint {w} is not a declared vertex")
+                i, j = index[u], index[w]
+            if i == j:
+                raise GraphError(f"self-loop at {order[i]}")
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        return cls(tuple(order), tuple(rows))
 
     # -- basic accessors ----------------------------------------------------
 

@@ -9,6 +9,8 @@ exponential and only meant for tiny inputs.
 from __future__ import annotations
 
 import itertools
+import sys
+import unicodedata
 from functools import lru_cache
 
 Edge = tuple[str, str]
@@ -364,3 +366,77 @@ def are_isomorphic(n1, pairs1, n2, pairs2) -> bool:
     if n1 != n2:
         return False
     return iso_invariant(n1, pairs1) == iso_invariant(n2, pairs2)
+
+
+# ---------------------------------------------------------------- vertex names
+
+
+class NameRejected(Exception):
+    """The definition rejects a vertex name; the message is the package's."""
+
+
+def vertex_name(root, branches) -> tuple:
+    """The sort key VertexId(root, branches) must be, from the definition.
+
+    A root is a non-empty string with no "." and no character that
+    ``str.isspace`` accepts; a branch is the int 0 or 1 (not a bool, not a
+    float).  An all-digit root, every character a Unicode decimal digit,
+    keys as ``(0, value, root, branches)`` with its value read digit by
+    digit, and is refused when it is longer than the interpreter's integer
+    string limit; any other root keys as ``(1, 0, root, branches)``.
+    """
+    steps = tuple(branches)
+    if not root or "." in root or any(c.isspace() for c in root):
+        raise NameRejected(f"bad vertex root token: {root!r}")
+    if not all(type(b) is int and b in (0, 1) for b in steps):
+        raise NameRejected(f"branch components must be 0 or 1: {branches!r}")
+    digits = [unicodedata.decimal(c, None) for c in root]
+    if None in digits:
+        return (1, 0, root, steps)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(root) > limit:
+        raise NameRejected(f"all-digit vertex root of {len(root)} digits is too long")
+    value = 0
+    for d in digits:
+        value = 10 * value + d
+    return (0, value, root, steps)
+
+
+def parse_vertex_name(token: str) -> tuple:
+    """The sort key VertexId.parse(token) must be: a root, then "."-separated
+    branches each written "0" or "1"."""
+    head, *rest = token.split(".")
+    if any(part not in ("0", "1") for part in rest):
+        raise NameRejected(f"branch components after dots must be 0 or 1: {token!r}")
+    return vertex_name(head, tuple(1 if part == "1" else 0 for part in rest))
+
+
+def build_by_name(graph_module, vertices, edges=()):
+    """Graph.build one name at a time, the reference for the package's build.
+
+    Every declared vertex and every edge endpoint goes through
+    ``VertexId.parse``; both endpoints are parsed before either is looked
+    up.  The package's ``graph`` module comes in as an argument, so this file
+    still imports nothing from the package.
+    """
+    m = graph_module
+    vs = [m.VertexId.parse(v) for v in vertices]
+    seen = set()
+    for v in vs:
+        if v in seen:
+            raise m.DuplicateVertex(f"duplicate vertex {v}")
+        seen.add(v)
+    vs.sort()
+    index = {v: i for i, v in enumerate(vs)}
+    rows = [0] * len(vs)
+    for a, b in edges:
+        u, w = m.VertexId.parse(a), m.VertexId.parse(b)
+        if u not in index:
+            raise m.UnknownVertex(f"edge endpoint {u} is not a declared vertex")
+        if w not in index:
+            raise m.UnknownVertex(f"edge endpoint {w} is not a declared vertex")
+        if u == w:
+            raise m.GraphError(f"self-loop at {u}")
+        rows[index[u]] |= 1 << index[w]
+        rows[index[w]] |= 1 << index[u]
+    return m.Graph(tuple(vs), tuple(rows))

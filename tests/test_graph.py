@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import oracles
+import splitclust.graph as graph_module
 from conftest import graphs_on, oracle_form
 from splitclust.graph import (
     DuplicateVertex,
@@ -97,6 +98,68 @@ def test_pickled_vertex_ids_hash_anew_in_another_process():
     assert out.stdout.strip() == b"True"
 
 
+def test_vertex_id_branches_are_checked_ints():
+    """An iterator of branches is stored, not used up by the check; a bool or
+    a float equals 1 or 0 but prints as another name, so it is refused."""
+    v = VertexId("a", iter([0, 1]))
+    assert v == VertexId.parse("a.0.1") and str(v) == "a.0.1"
+    assert VertexId("a", [1]).branches == (1,)
+    for bad in [(0.0,), (True,), (0, False), (1.0, 0)]:
+        with pytest.raises(GraphError) as info:
+            VertexId("a", bad)
+        assert (type(info.value), str(info.value)) == (
+            GraphError, f"branch components must be 0 or 1: {bad!r}"
+        )
+    with pytest.raises(GraphError, match=r"must be 0 or 1: \(0, True\)"):
+        VertexId("a", (0,)).child(True)
+
+
+WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+LONG_DIGITS = "1" * 5000  # past the default integer string limit of 4,300
+
+
+def _name_outcome(call):
+    """The name a call builds, as a repr that tells 1 from True and 0.0, or
+    the type and message of the GraphError it raises."""
+    try:
+        v = call()
+    except GraphError as exc:
+        return type(exc), str(exc)
+    assert type(v) is VertexId and VertexId.parse(str(v)) == v
+    return repr(tuple(v))
+
+
+def _oracle_outcome(call):
+    try:
+        return repr(call())
+    except oracles.NameRejected as exc:
+        return GraphError, str(exc)
+
+
+def test_vertex_names_match_their_definition():
+    assert len(WHITESPACE) == 29
+    roots = [
+        *WHITESPACE, *(f"a{c}b" for c in WHITESPACE), *(f"{c}7" for c in WHITESPACE),
+        "", ".", "a.b", "a.", ".0", "a..0",
+        "a", "c", "07", "7", "٣", "٣٠", "²", "1²", "x٣",
+        LONG_DIGITS, "٣" * 5000, LONG_DIGITS + "x",
+    ]
+    branch_lists = [(), (0,), (1,), (0, 1), (2,), (-1,), (True,), (0.0,), (1, 2), [0, 1]]
+    checked = 0
+    for root in roots:
+        for branches in branch_lists:
+            got = _name_outcome(lambda: VertexId(root, branches))
+            want = _oracle_outcome(lambda: oracles.vertex_name(root, branches))
+            assert got == want, (root, branches)
+            checked += 1
+        for token in {root, root + ".0", root + ".1.0", root + ".2", root + "."}:
+            got = _name_outcome(lambda: VertexId.parse(token))
+            want = _oracle_outcome(lambda: oracles.parse_vertex_name(token))
+            assert got == want, token
+            checked += 1
+    assert checked > 1000
+
+
 # ---------------------------------------------------------------- construction
 
 
@@ -116,6 +179,81 @@ def test_build_rejections():
         Graph.build(["a"], [("a", "b")])
     with pytest.raises(GraphError):
         Graph.build(["a"], [("a", "a")])
+
+
+BUILD_NAMES = ["c", "c.0", "c.0.1", "c.1", "07", "7", "7.0", "10", "2", "a", "x.1.0", "b"]
+
+
+def _build_outcome(build, vertices, edges):
+    try:
+        return build(vertices, edges)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def _as_given(rng, name):
+    """`name` as a str or as a VertexId, at random."""
+    return VertexId.parse(name) if rng.random() < 0.5 else name
+
+
+def test_build_equals_the_name_by_name_reference():
+    """Graph.build resolves each declared token once; the reference parses
+    every token it meets.  Inputs mix str and VertexId tokens, and every
+    fifth run plants faults, so the two must also fail alike."""
+    def reference(vertices, edges):
+        return oracles.build_by_name(graph_module, vertices, edges)
+
+    faults = ["z", "c.0.0", "c.2", "a b", "", "a..0", "c."]
+    rng = random.Random(14)
+    failures = 0
+    for run in range(600):
+        names = rng.sample(BUILD_NAMES, rng.randint(0, len(BUILD_NAMES)))
+        pairs = [p for p in itertools.combinations(names, 2) if rng.random() < 0.4]
+        pairs += [(b, a) for a, b in pairs if rng.random() < 0.1]  # repeated edges
+        rng.shuffle(pairs)
+        if run % 5 == 4:
+            if names and rng.random() < 0.3:
+                names.append(rng.choice(names))
+            for _ in range(rng.randint(1, 3)):
+                a = rng.choice(names + faults)
+                b = rng.choice(names + faults) if rng.random() < 0.7 else a
+                pairs.insert(rng.randint(0, len(pairs)), (a, b))
+        declared = [_as_given(rng, v) for v in names]
+        edges = [
+            tuple(_as_given(rng, t) if t in names else t for t in pair) for pair in pairs
+        ]
+        edges = [(a, b) if rng.random() < 0.5 else (b, a) for a, b in edges]
+        got = _build_outcome(lambda vs, es: Graph.build((v for v in vs), es), declared, edges)
+        want = _build_outcome(reference, declared, edges)
+        assert got == want, (declared, edges)
+        failures += isinstance(want, tuple)
+    assert 40 < failures < 120
+
+    cases = [
+        (["a", VertexId("a")], [], DuplicateVertex, "duplicate vertex a"),
+        (["c.0.1", "b", "c.0.1"], [], DuplicateVertex, "duplicate vertex c.0.1"),
+        (["a", "b"], [("z", "a")], UnknownVertex, "edge endpoint z is not a declared vertex"),
+        (["a", "b"], [("a", "c.1")], UnknownVertex,
+         "edge endpoint c.1 is not a declared vertex"),
+        (["a", "b"], [("a", VertexId("b", (0,)))], UnknownVertex,
+         "edge endpoint b.0 is not a declared vertex"),
+        (["a", "b"], [("a", "b.2")], GraphError,
+         "branch components after dots must be 0 or 1: 'b.2'"),
+        (["a", "b"], [("a b", "a")], GraphError, "bad vertex root token: 'a b'"),
+        (["a", "b"], [("b", VertexId("b"))], GraphError, "self-loop at b"),
+        # two faults in one edge: both tokens parse before either is looked up
+        (["a", "b"], [("z", "b.x")], GraphError,
+         "branch components after dots must be 0 or 1: 'b.x'"),
+        (["a", "b"], [("z", "y")], UnknownVertex, "edge endpoint z is not a declared vertex"),
+        (["a", "b"], [("z", "z")], UnknownVertex, "edge endpoint z is not a declared vertex"),
+        (["a", "b"], [("a", "b"), ("b", "b"), ("a", "z")], GraphError, "self-loop at b"),
+    ]
+    for vertices, edges, kind, message in cases:
+        want = (kind, message)
+        assert _build_outcome(Graph.build, vertices, edges) == want
+        assert _build_outcome(reference, vertices, edges) == want
+    g = Graph.build(["b", VertexId("a")], [(VertexId("b"), "a")])
+    assert g == Graph((VertexId("a"), VertexId("b")), (0b10, 0b01))
 
 
 def test_build_merges_repeated_edges():
