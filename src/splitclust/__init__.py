@@ -63,7 +63,6 @@ from .reductions import (
     BudgetUnderflow,
     Instance,
     InvalidCertificate,
-    IsolatedVertexPresent,
     NotAClusterGraphAfter,
     Problem,
     ReductionTrace,

@@ -40,7 +40,6 @@ from .kernel import kernelize
 from .reductions import (
     BudgetUnderflow,
     Instance,
-    IsolatedVertexPresent,
     Problem,
     convert_cvs_scc,
     convert_scc_cvs,
@@ -463,7 +462,7 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.func(args)
-    except (FormatError, IsolatedVertexPresent, DuplicateVertex, OSError) as exc:
+    except (FormatError, DuplicateVertex, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeLimitExceeded as exc:

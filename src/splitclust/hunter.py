@@ -54,8 +54,6 @@ from .solvers import cevs_search, check_size
 
 
 def _canonical_bits(rows: list[int] | tuple[int, ...], n: int) -> int:
-    if n <= 1:
-        return 0
     # a state is the tuple of unplaced (vertex, pattern) pairs
     states: set[tuple[tuple[int, int], ...]] = {tuple((v, 0) for v in range(n))}
     bits = 0

@@ -4,7 +4,7 @@ Two rules, applied to a cvs instance (G, k):
 
 * Rule I   — if some closed-neighborhood class K with |K| >= 2 has a clique
   quotient neighborhood, one vertex of K is redundant: delete it (and any
-  vertices this isolates), keeping k unchanged.  Redundancy comes from the
+  vertex this isolates), keeping k unchanged.  Redundancy comes from the
   fact that some optimal solution treats all of K alike, so a class with a
   spare member never needs all its members.
 * Rule II  — once Rule I is exhausted and isolates are gone, any positive
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, VertexId, critical_clique_graph, remove_isolated
-from .reductions import Instance, IsolatedVertexPresent, Problem
+from .reductions import Instance, Problem
 
 
 class NotApplicable(Exception):
@@ -57,12 +57,11 @@ class KernelTrace:
 def rule1_applicable(g: Graph) -> VertexId | None:
     """The smallest vertex in a reducible class of size >= 2, if any.
 
-    A class is reducible when its quotient neighborhood is a clique.
-    Requires an isolate-free graph.
+    A class is reducible when its quotient neighborhood is a clique.  An
+    isolated vertex forms a class of one, so it is never picked, and deleting
+    it changes no other vertex's closed neighborhood.  So the answer on any
+    graph is the answer on the graph without its isolated vertices.
     """
-    iso = g.isolated_vertices()
-    if iso:
-        raise IsolatedVertexPresent(f"isolated vertex {iso[0]} (remove isolates first)")
     cc = critical_clique_graph(g)
     for members, red in zip(cc.classes, cc.reducible):
         if red and len(members) >= 2:
@@ -75,16 +74,19 @@ def apply_rule1(g: Graph, v: VertexId) -> tuple[Graph, tuple[VertexId, ...]]:
 
     Returns the shrunk graph and the cascade-removed vertices.  Raises
     NotApplicable unless v sits in a reducible class of size >= 2.
+
+    Deleting v lowers only the degrees of v's neighbors, so it isolates
+    exactly the neighbors of degree 1; vertices isolated before the step
+    stay.  Such a neighbor u has N[u] = {u, v}, and v's twin v' is adjacent
+    to every vertex of N[v] but itself, so u = v' and {v, v'} is a whole
+    clique component.
     """
     cc = critical_clique_graph(g)
     ci = cc.class_index(v)
     if len(cc.classes[ci]) < 2 or not cc.reducible[ci]:
         raise NotApplicable(f"Rule I does not apply to {v}")
-    shrunk = g.without_vertices([v])
-    cascaded = shrunk.isolated_vertices()
-    if cascaded:
-        shrunk = shrunk.without_vertices(cascaded)
-    return shrunk, cascaded
+    cascaded = tuple(u for u in g.neighbors(v) if g.degree(u) == 1)
+    return g.without_vertices([v, *cascaded]), cascaded
 
 
 def _canonical_negative() -> Instance:

@@ -31,7 +31,8 @@ The reductions implemented:
   realization both call it.
 * cvs -> cevs: replace every vertex by a clique of k+1 copies (complete
   joins along edges); the edit budget becomes k * (k+1).  Blowing up makes
-  edits useless: any solution may as well split only.
+  edits useless: any solution may as well split only.  An isolated vertex
+  becomes a clique component of its own, which no solution touches.
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ from .graph import (
 
 class InvalidCertificate(Exception):
     """A certificate handed to a translator does not verify."""
-
-
-class IsolatedVertexPresent(Exception):
-    """An operation requiring an isolate-free graph got one with isolates."""
 
 
 class BudgetUnderflow(Exception):
@@ -192,10 +189,11 @@ def translate_scc_cert_to_ncc(inst: Instance, cover: SigmaCliqueCover) -> NodeCl
     report = verify_sigma_cover(reduced.graph, cover, reduced.budget)
     if not report.valid:
         raise InvalidCertificate(report.reason)
-    universals = universal_names(g, 2 * g.edge_count + 1)
-    def covering_weight(u: VertexId) -> int:
-        return sum(len(s) for s in cover.sets if u in s)
-    star = min(universals, key=lambda u: (covering_weight(u), u))
+    weight = dict.fromkeys(universal_names(g, 2 * g.edge_count + 1), 0)
+    for s in cover.sets:
+        for u in s & weight.keys():
+            weight[u] += len(s)
+    star = min(weight, key=lambda u: (weight[u], u))
     sets = [s - {star} for s in cover.sets if star in s]
     out = NodeCliqueCover.of(s for s in sets if s)
     check = verify_node_cover(g, out, inst.budget)
@@ -363,14 +361,17 @@ def reduce_cvs_to_cevs(inst: Instance) -> tuple[Instance, ReductionTrace]:
     """(G, k) cvs-positive iff (G x K_{k+1}, k*(k+1)) cevs-positive.
 
     Every vertex v becomes a clique of k+1 copies v_1..v_{k+1}; edges become
-    complete joins.  Requires an isolate-free graph.
+    complete joins.  Isolated vertices need no care.  The blow-up of G is
+    the disjoint union of the blow-ups of G's components, and both problems
+    add up over components: a set that spans two components can be cut
+    along them, and an edit between two of them dropped, without raising
+    the cost.  An isolated vertex v is a component that is already a
+    cluster, and so is its blow-up, the clique on v_1..v_{k+1}; each costs
+    nothing.  So G and G - v agree on cvs at budget k, their blow-ups agree
+    on cevs at budget k*(k+1), and the equivalence for G - v carries over.
     """
     _require(inst, Problem.CVS)
     g, k = inst.graph, inst.budget
-    if g.isolated_vertices():
-        raise IsolatedVertexPresent(
-            f"isolated vertex {g.isolated_vertices()[0]} (remove isolates first)"
-        )
     copies: dict[VertexId, list[VertexId]] = {}
     for v in g.vertices:
         base = str(v).replace(".", "_")

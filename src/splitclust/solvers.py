@@ -155,8 +155,6 @@ def solve_ncc_exact(
 ) -> NodeCliqueCover | None:
     """A minimum clique partition of the vertices, if at most `budget` cliques do."""
     check_size("ncc", g.n, size_limit)
-    if g.n == 0:
-        return NodeCliqueCover.of([])
     table = _NccTable(g.rows)
     full = (1 << g.n) - 1
     if table.min_size(full) > budget:
@@ -249,8 +247,6 @@ def solve_scc_exact(
         sum(table.min_size(row) for row in table.rows if row) for table in tables
     ]
     slack = budget - sum(lbs)
-    if slack < 0:
-        return None
     total = 0
     sets: list[frozenset[VertexId]] = []
     for comp, table, lb in zip(comps, tables, lbs):

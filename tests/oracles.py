@@ -127,6 +127,12 @@ def min_ncc_size(names, edges) -> int:
     return best
 
 
+def least_covered(universals, sets) -> str:
+    """The universal vertex whose covering sets weigh least, ties by name:
+    one scan of the family per universal vertex."""
+    return min(universals, key=lambda u: (sum(len(s) for s in sets if u in s), u))
+
+
 # ---------------------------------------------------------------- splits
 
 

@@ -45,9 +45,9 @@ from splitclust.solvers import (
 )
 
 
-def _labeled_graphs(max_n: int, *, isolate_free: bool = False):
+def _labeled_graphs(max_n: int):
     for n in range(max_n + 1):
-        yield from graphs_on(n, isolate_free=isolate_free)
+        yield from graphs_on(n)
 
 
 def _min_splits_or_none(g: Graph, cap: int) -> int | None:
@@ -252,7 +252,7 @@ def test_criterion_5_covers_match_modification_sequences():
 def test_criterion_6_splits_reduce_to_editing():
     started = time.monotonic()
     pairs = 0
-    for g in _labeled_graphs(4, isolate_free=True):
+    for g in _labeled_graphs(4):
         for k in range(3):
             inst = Instance(Problem.CVS, g, k)
             reduced, trace = reduce_cvs_to_cevs(inst)
@@ -266,7 +266,7 @@ def test_criterion_6_splits_reduce_to_editing():
             pairs += 1
     elapsed = time.monotonic() - started
     print(f"criterion 6 PASS: {pairs} blow-up instances agree with the "
-          f"direct split solver on every isolate-free labeled graph with "
+          f"direct split solver on every labeled graph with "
           f"<=4 vertices, k in 0..2 ({elapsed:.1f}s)")
 
 

@@ -402,13 +402,14 @@ def test_graph_declaring_a_name_and_its_split_copy_is_exit_2(work, capsys, probl
     assert err == "error: line 3: vertex c.0 is a split copy of vertex c\n"
 
 
-def test_reduce_cvs_to_cevs_with_isolated_vertex_is_exit_2(work, capsys):
+def test_reduce_cvs_to_cevs_blows_an_isolated_vertex_up_to_a_clique(work):
     g = work / "iso.graph"
     g.write_text("graph 3 1\nv a\nv b\nv c\ne a b\n")
-    assert run("reduce", g, "--from", "cvs", "--to", "cevs", "--budget", "1") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "isolated vertex c" in err
-    assert len(err.strip().splitlines()) == 1
+    assert run("reduce", g, "--from", "cvs", "--to", "cevs", "--budget", "1") == 0
+    reduced = load_graph(work / "iso.cvs-to-cevs.graph")
+    assert reduced.n == 6 and reduced.edge_count == 7
+    assert [str(v) for v in reduced.neighbors("c_1")] == ["c_2"]
+    assert [str(v) for v in reduced.neighbors("c_2")] == ["c_1"]
 
 
 def test_reduce_cvs_to_cevs_name_collision_is_exit_2(work, capsys):

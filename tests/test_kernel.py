@@ -22,7 +22,7 @@ from splitclust.kernel import (
     kernelize,
     rule1_applicable,
 )
-from splitclust.reductions import Instance, IsolatedVertexPresent, Problem
+from splitclust.reductions import Instance, Problem
 from splitclust.solvers import solve_cvs_exact
 
 
@@ -39,10 +39,18 @@ def test_rule1_not_applicable_cases(p3, ccl8):
     assert rule1_applicable(ccl8) is None
 
 
-def test_rule1_requires_isolate_free():
-    g = Graph.build("abc", [("a", "b")])
-    with pytest.raises(IsolatedVertexPresent):
-        rule1_applicable(g)
+def test_rule1_takes_isolated_vertices():
+    g = Graph.build("abc", [("a", "b")])  # c is isolated, a class of one
+    assert str(rule1_applicable(g)) == "a"
+    assert rule1_applicable(Graph.build("ab", [])) is None
+
+
+def test_rule1_ignores_isolated_vertices_exhaustively():
+    """On every labeled graph with <= 5 vertices, Rule I picks what it picks
+    on the graph without its isolated vertices."""
+    for n in range(6):
+        for g in graphs_on(n):
+            assert rule1_applicable(g) == rule1_applicable(remove_isolated(g)[0]), g
 
 
 def test_apply_rule1_cascades(k3):
@@ -50,6 +58,12 @@ def test_apply_rule1_cascades(k3):
     assert shrunk.n == 2 and cascaded == ()
     final, cascaded = apply_rule1(shrunk, rule1_applicable(shrunk))
     assert final.n == 0 and [str(v) for v in cascaded] == ["c"]
+
+
+def test_apply_rule1_cascades_only_what_the_step_isolates():
+    g = Graph.build("abc", [("a", "b")])  # c was isolated before the step
+    shrunk, cascaded = apply_rule1(g, "a")
+    assert shrunk == Graph.build("c", []) and [str(v) for v in cascaded] == ["b"]
 
 
 def test_apply_rule1_rejects_bad_targets(p3):
@@ -60,7 +74,7 @@ def test_apply_rule1_rejects_bad_targets(p3):
 def test_rule1_preserves_answer_exhaustively():
     """Removing one member of a size->=2 reducible class never changes CVS."""
     for n in range(2, 6):
-        for g in graphs_on(n, isolate_free=True):
+        for g in graphs_on(n):
             v = rule1_applicable(g)
             if v is None:
                 continue

@@ -23,7 +23,6 @@ from splitclust.reductions import (
     BudgetUnderflow,
     Instance,
     InvalidCertificate,
-    IsolatedVertexPresent,
     NotAClusterGraphAfter,
     Problem,
     convert_cvs_scc,
@@ -102,6 +101,38 @@ def test_translate_rejects_invalid_certificates(p3):
     red, _ = reduce_ncc_to_scc(inst)
     with pytest.raises(InvalidCertificate):
         translate_scc_cert_to_ncc(inst, SigmaCliqueCover.of([["a", "b"]]))
+
+
+def test_translate_scc_cert_to_ncc_matches_per_universal_scan():
+    """The one-pass weight count picks the universal the reference scan picks,
+    on seeded covers of reduced instances, with and without extra sets."""
+    extras = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        g = Graph.build(
+            [str(i) for i in range(n)],
+            [(str(i), str(j)) for i in range(n) for j in range(i) if rng.random() < 0.5],
+        )
+        ncc = solve_ncc_exact(g, n)
+        inst = Instance(Problem.NCC, g, ncc.size + rng.randint(0, 2))
+        red, trace = reduce_ncc_to_scc(inst)
+        sets = list(translate_ncc_cert_to_scc(inst, ncc).sets)
+        universals = trace.parameters["universal"]
+        # extra sets {u, x} and {u} shift the covering weights
+        while rng.random() < 0.8:
+            extra = {rng.choice(universals)} | set(rng.sample(g.vertices, rng.randint(0, 1)))
+            if sum(map(len, sets)) + len(extra) > red.budget:
+                break
+            sets.append(frozenset(extra))
+            extras += 1
+        cover = SigmaCliqueCover.of(sets)
+        named = [set(map(str, s)) for s in cover.sets]
+        star = oracles.least_covered(universals, named)
+        expected = sorted(sorted(s - {star}) for s in named if star in s and len(s) > 1)
+        got = translate_scc_cert_to_ncc(inst, cover)
+        assert sorted(sorted(map(str, s)) for s in got.sets) == expected, seed
+    assert extras > 20
 
 
 def test_ncc_scc_decisions_agree_exhaustively():
@@ -237,19 +268,20 @@ def test_realized_certificates_match_pinned_digest():
 
 
 def test_splits_to_cover_round_trip():
-    """splits -> cover -> splits preserves weight on isolate-free graphs."""
+    """splits -> cover -> splits preserves weight on every labeled graph."""
     from splitclust.reductions import splits_to_cover
 
     for n in range(2, 5):
-        for g in graphs_on(n, isolate_free=True):
+        for g in graphs_on(n):
             names, edges = oracle_form(g)
             w = oracles.min_scc_weight(names, edges)
             cover = solve_scc_exact(g, w)
             pruned = SigmaCliqueCover.of([s for s in cover.sets if len(s) >= 2])
             seq = cover_to_splits(g, pruned)
             back = splits_to_cover(g, seq)
-            assert back.weight <= g.n + seq.length
-            assert verify_sigma_cover(g, back, g.n + seq.length).valid
+            bound = g.n - len(g.isolated_vertices()) + seq.length
+            assert back.weight <= bound
+            assert verify_sigma_cover(g, back, bound).valid
 
 
 def test_splits_to_cover_when_a_copy_name_recurs():
@@ -331,10 +363,15 @@ def test_blow_up_k0_is_identity_with_renames(p3):
     assert red.graph.n == 3 and red.graph.edge_count == 2 and red.budget == 0
 
 
-def test_blow_up_requires_isolate_free():
+def test_blow_up_of_isolated_vertex_is_a_clique_component():
     g = Graph.build("abc", [("a", "b")])
-    with pytest.raises(IsolatedVertexPresent):
-        reduce_cvs_to_cevs(Instance(Problem.CVS, g, 1))
+    red, _ = reduce_cvs_to_cevs(Instance(Problem.CVS, g, 1))
+    assert red.graph == Graph.build(
+        ["a_1", "a_2", "b_1", "b_2", "c_1", "c_2"],
+        [("a_1", "a_2"), ("b_1", "b_2"), ("c_1", "c_2"), ("a_1", "b_1"),
+         ("a_1", "b_2"), ("a_2", "b_1"), ("a_2", "b_2")],
+    )
+    assert red.budget == 2
 
 
 def test_blow_up_name_collision():

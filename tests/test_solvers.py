@@ -20,7 +20,7 @@ from splitclust.certificates import (
 )
 from splitclust import solvers
 from splitclust.graph import Graph, induced_p3_indices
-from splitclust.hunter import hunt
+from splitclust.hunter import canonical_form, hunt
 from splitclust.reductions import Instance, Problem
 from splitclust.solvers import (
     DEFAULT_SIZE_LIMITS,
@@ -84,6 +84,33 @@ def test_scc_matches_bruteforce():
             assert verify_sigma_cover(g, got, want).valid
             if want:
                 assert solve_scc_exact(g, want - 1) is None
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph.build([], []),
+        Graph.build("a", []),
+        Graph.build("ab", []),
+        Graph.build("abcd", [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")]),
+    ],
+    ids=["empty", "one vertex", "two isolated", "paw"],
+)
+def test_degenerate_inputs_take_the_general_path(g):
+    """No vertices, isolated vertices and scc budgets below the root bound
+    need no early exit in the ncc and scc solvers or the canonical form."""
+    names, edges = oracle_form(g)
+    ncc, scc = oracles.min_ncc_size(names, edges), oracles.min_scc_weight(names, edges)
+    for budget in range(4):
+        got = solve_ncc_exact(g, budget)
+        assert (got is not None) == (ncc <= budget)
+        assert got is None or (got.size == ncc and verify_node_cover(g, got, budget).valid)
+    for budget in range(-2, 8):
+        got = solve_scc_exact(g, budget)
+        assert (got is not None) == (scc <= budget)
+        assert got is None or (got.weight == scc and verify_sigma_cover(g, got, budget).valid)
+    if g.n <= 1:
+        assert canonical_form(g) == (g.n, 0)
 
 
 def test_scc_on_five_vertex_classes():
@@ -282,7 +309,7 @@ def test_modifications_to_cover_requires_normalized(p3):
 
 
 def test_modifications_round_trip_through_solver():
-    for g in graphs_on(4, isolate_free=True):
+    for g in graphs_on(4):
         res = solve_cevs_exact(Instance(Problem.CEVS, g, 6))
         assert res is not None
         cover, seq = res
