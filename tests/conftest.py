@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from splitclust import Graph
+from splitclust.certificates import SigmaCliqueCover
 from splitclust.formats import load_graph
 
 DATA = Path(__file__).parent / "data"
@@ -37,6 +38,31 @@ def relabeled(g: Graph, rng) -> Graph:
     return Graph.build(
         names, [(names[int(str(u))], names[int(str(w))]) for u, w in g.edges()]
     )
+
+
+# Numeric, hierarchical and nested names ("c.0.1" and "x.0.0" descend from
+# the 0-copies of "c" and "x").
+PLANTED_NAMES = ["c", "c.0.1", "07", "7", "x", "x.0.0", "10", "2", "a.1"]
+
+
+def planted(rng, n, sizes, overlap, noise=0):
+    """A seeded planted-overlap graph and its planted cover, no singletons."""
+    names = (PLANTED_NAMES + [f"v{i}" for i in range(n)])[:n]
+    rng.shuffle(names)
+    clusters, at = [], 0
+    while at < n:
+        size = rng.randint(*sizes)
+        clusters.append(set(names[at : at + size]))
+        at += size
+    if len(clusters[-1]) == 1:
+        last = clusters.pop()
+        clusters[-1] |= last
+    for v in rng.sample(names, int(overlap * n)):
+        rng.choice([c for c in clusters if v not in c]).add(v)
+    edges = {p for c in clusters for p in itertools.combinations(sorted(c), 2)}
+    for _ in range(noise):
+        edges ^= {tuple(sorted(rng.sample(names, 2)))}
+    return Graph.build(names, edges), SigmaCliqueCover.of(clusters)
 
 
 @pytest.fixture(scope="session")

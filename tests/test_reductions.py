@@ -1,13 +1,12 @@
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 
 import pytest
 
 import oracles
-from conftest import graphs_on, oracle_form
+from conftest import graphs_on, oracle_form, planted
 from splitclust.certificates import (
     ModificationSequence,
     NodeCliqueCover,
@@ -224,41 +223,16 @@ def test_cover_to_splits_picks_the_first_set_by_current_members():
     )
 
 
-# Numeric, hierarchical and nested names ("c.0.1" and "x.0.0" descend from
-# the 0-copies of "c" and "x").
-PLANTED_NAMES = ["c", "c.0.1", "07", "7", "x", "x.0.0", "10", "2", "a.1"]
-
-
-def _planted(rng, n, sizes, overlap, noise=0):
-    """A seeded planted-overlap graph and its planted cover, no singletons."""
-    names = (PLANTED_NAMES + [f"v{i}" for i in range(n)])[:n]
-    rng.shuffle(names)
-    clusters, at = [], 0
-    while at < n:
-        size = rng.randint(*sizes)
-        clusters.append(set(names[at : at + size]))
-        at += size
-    if len(clusters[-1]) == 1:
-        last = clusters.pop()
-        clusters[-1] |= last
-    for v in rng.sample(names, int(overlap * n)):
-        rng.choice([c for c in clusters if v not in c]).add(v)
-    edges = {p for c in clusters for p in itertools.combinations(sorted(c), 2)}
-    for _ in range(noise):
-        edges ^= {tuple(sorted(rng.sample(names, 2)))}
-    return Graph.build(names, edges), SigmaCliqueCover.of(clusters)
-
-
 def test_realized_certificates_match_pinned_digest():
     """cover_to_splits and solve_cevs_exact certificates are byte-stable."""
     rng = random.Random(4)
     texts = []
     for _ in range(12):
-        g, cover = _planted(rng, rng.randint(20, 60), (2, 6), 0.3)
+        g, cover = planted(rng, rng.randint(20, 60), (2, 6), 0.3)
         seq = cover_to_splits(g, cover)
         texts.append(dumps_certificate(Certificate("cvs", seq.length, "sequence", seq)))
     for _ in range(8):
-        g, cover = _planted(rng, rng.randint(7, 8), (2, 4), 0.2, noise=2)
+        g, cover = planted(rng, rng.randint(7, 8), (2, 4), 0.2, noise=2)
         budget = cover_cost(g, cover).total
         found, seq = solve_cevs_exact(Instance(Problem.CEVS, g, budget))
         texts.append(dumps_certificate(Certificate("cevs", budget, "cover", found)))

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
 import oracles
-from conftest import graphs_on, oracle_form, relabeled
+from conftest import graphs_on, oracle_form, planted, relabeled
 from splitclust.certificates import (
     EdgeAdd,
     EdgeDelete,
@@ -19,6 +20,7 @@ from splitclust.certificates import (
     verify_sigma_cover,
 )
 from splitclust import solvers
+from splitclust.formats import Certificate, dumps_certificate
 from splitclust.graph import Graph, induced_p3_indices
 from splitclust.hunter import canonical_form, hunt
 from splitclust.reductions import Instance, Problem
@@ -138,6 +140,32 @@ def test_scc_star_blowup_bound_is_tight():
     assert solve_scc_exact(big, 64, size_limit=big.n) is None
     cover = solve_scc_exact(big, 65, size_limit=big.n)
     assert cover is not None and cover.weight == 65
+
+
+def test_scc_and_cvs_certificates_match_pinned_digest():
+    """solve_scc_exact and solve_cvs_exact certificates are byte-stable at
+    the optimum, just above it and at a loose budget."""
+    rng = random.Random(7)
+    graphs = []
+    for _ in range(15):
+        names = [str(i) for i in range(rng.randint(12, 13))]
+        p = rng.uniform(0.30, 0.45)
+        pairs = [e for e in itertools.combinations(names, 2) if rng.random() < p]
+        graphs.append(Graph.build(names, pairs))
+    graphs += [planted(rng, rng.randint(12, 14), (3, 5), 0.25)[0] for _ in range(15)]
+    texts = []
+    for g in graphs:
+        loose = 2 * g.edge_count
+        opt = solve_scc_exact(g, loose).weight
+        for b in (opt, opt + 2, loose):
+            cover = solve_scc_exact(g, b)
+            texts.append(dumps_certificate(Certificate("scc", b, "cover", cover)))
+        k = solve_cvs_exact(Instance(Problem.CVS, g, loose)).length
+        for b in (k, k + 2, loose):
+            seq = solve_cvs_exact(Instance(Problem.CVS, g, b))
+            texts.append(dumps_certificate(Certificate("cvs", b, "sequence", seq)))
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "1094c08c7ff7566313079662c439fcee226c113ab6867bb97e1eb0c4d797384a"
 
 
 # ---------------------------------------------------------------- CVS
