@@ -13,7 +13,12 @@ line sets from --size-limit-override.
   future set through v restricted to that neighborhood is one such clique,
   so the sum never exceeds the weight still to be paid.  Those minima are a
   memoized branch-and-bound of their own (on the smallest uncovered vertex,
-  over maximal cliques containing it), shared with solve_ncc_exact.
+  over maximal cliques containing it), shared with solve_ncc_exact.  Each
+  component is searched by iterative deepening: caps rise from the root
+  bound, and the search at a cap stops at its first leaf, which at the
+  first cap that admits one is the optimum.  A child's bound is its
+  parent's, corrected on the rows the chosen clique touches, and the search
+  keeps an explicit stack rather than recursing once per chosen set.
 * Splitting to clusters (cvs) is solved on the scc instance that
   `convert_cvs_scc` gives, and the cover is realized by `cover_to_splits`.
 * Editing with splitting (cevs) assigns each vertex, in turn, a nonempty
@@ -186,50 +191,63 @@ def _cliques_with_edge(rows: tuple[int, ...], i: int, j: int) -> list[int]:
     return out
 
 
-def _first_uncovered(uncov: list[int]) -> tuple[int, int] | None:
-    for i, row in enumerate(uncov):
-        if row:
-            return i, (row & -row).bit_length() - 1
-    return None
+def _scc_first_cover(table: _NccTable, root_bound: int, cap: int) -> list[int] | None:
+    """The first clique family of the search order that covers every edge of
+    `table.rows` within weight `cap`, or None when no family does.
 
-
-def _scc_component_min(table: _NccTable, cap: int) -> tuple[int, list[int]] | None:
-    """Minimum-weight clique family covering all edges of `table.rows`, if its
-    weight <= cap; `table` supplies the lower bounds and keeps its memo."""
+    A node is the uncovered part of each row.  It branches on the smallest
+    uncovered edge over the cliques through it, by (-size, mask).  A node's
+    bound is the sum of `table.min_size` over its rows; `root_bound` must be
+    that sum at the root.  A child's bound differs only on the rows its
+    clique touches, and every row of a node is already in `table.memo`,
+    summed into the node's own bound.  A child is pruned when its weight
+    plus its bound exceeds `cap`.  The search keeps its own stack, so its
+    depth is not bound by the recursion limit.
+    """
+    if root_bound == 0:
+        return []
     rows = table.rows
-    best: tuple[int, list[int]] | None = None
+    min_size, memo = table.min_size, table.memo
 
-    def bound(uncov: list[int]) -> int:
-        return sum(table.min_size(row) for row in uncov if row)
+    def children(uncov: list[int], start: int):
+        i = start
+        while not uncov[i]:
+            i += 1
+        row = uncov[i]
+        j = (row & -row).bit_length() - 1
+        cands = sorted(_cliques_with_edge(rows, i, j), key=lambda q: (-q.bit_count(), q))
+        return i, iter(cands)
 
-    def cover_with(uncov: list[int], q: int) -> list[int]:
-        out = list(uncov)
+    stack = [(list(rows), 0, root_bound, *children(rows, 0))]
+    chosen: list[int] = []
+    while stack:
+        uncov, weight, bound, i, cands = stack[-1]
+        for q in cands:
+            w = weight + q.bit_count()
+            b = bound
+            rest = q
+            while rest:
+                row = uncov[(rest & -rest).bit_length() - 1]
+                rest &= rest - 1
+                b += min_size(row & ~q) - memo[row]
+            if w + b <= cap:
+                break
+        else:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        chosen.append(q)
+        if b == 0:
+            return chosen
+        child = list(uncov)
         rest = q
         while rest:
             x = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            out[x] &= ~q
-        return out
-
-    def dfs(uncov: list[int], weight: int, chosen: list[int]) -> None:
-        nonlocal best
-        limit = cap if best is None else min(cap, best[0] - 1)
-        if weight + bound(uncov) > limit:
-            return
-        edge = _first_uncovered(uncov)
-        if edge is None:
-            best = (weight, list(chosen))
-            return
-        cands = sorted(
-            _cliques_with_edge(rows, *edge), key=lambda q: (-q.bit_count(), q)
-        )
-        for q in cands:
-            chosen.append(q)
-            dfs(cover_with(uncov, q), weight + q.bit_count(), chosen)
-            chosen.pop()
-
-    dfs(list(rows), 0, [])
-    return best
+            child[x] &= ~q
+        stack.append((child, w, b, *children(child, i)))
+    return None
 
 
 def solve_scc_exact(
@@ -237,8 +255,19 @@ def solve_scc_exact(
 ) -> SigmaCliqueCover | None:
     """A minimum-weight clique cover of the edges, if its weight <= budget.
 
-    Solved component by component; a component's search is capped by its own
-    lower bound plus the slack the other components' lower bounds leave.
+    Solved component by component by iterative deepening: a component with
+    root bound lb is searched at caps lb, lb+1, ... up to lb plus the slack
+    the budget leaves over all root bounds, and the slack it uses is taken
+    from the slack left for the next component.  Every lower cap has failed,
+    so the first cap that admits a cover is the component's optimum.
+
+    The certificate is the first optimal leaf of the search order, the leaf
+    a search that keeps an incumbent and improves it down to the optimum
+    would return.  The bound is admissible: no node on the path to that leaf
+    has weight plus bound above the optimum, so the leaf is never pruned
+    while the cap is at least the optimum.  At cap = optimum every leaf the
+    search reaches within the cap is optimal, so the first one reached is
+    that leaf, and the search stops there.
     """
     check_size("scc", g.n, size_limit)
     comps = [g.induced(g.vertices_of_mask(c)) for c in g.component_masks()]
@@ -247,16 +276,17 @@ def solve_scc_exact(
         sum(table.min_size(row) for row in table.rows if row) for table in tables
     ]
     slack = budget - sum(lbs)
-    total = 0
     sets: list[frozenset[VertexId]] = []
     for comp, table, lb in zip(comps, tables, lbs):
-        res = _scc_component_min(table, lb + slack)
-        if res is None:
+        for cap in range(lb, lb + slack + 1):
+            masks = _scc_first_cover(table, lb, cap)
+            if masks is not None:
+                break
+        else:
             return None
-        weight, masks = res
-        total += weight
+        slack -= cap - lb
         sets += [frozenset(comp.vertices_of_mask(q)) for q in masks]
-    if total > budget:
+    if slack < 0:
         return None
     return SigmaCliqueCover.of(sets)
 

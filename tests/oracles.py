@@ -104,6 +104,43 @@ def min_scc_weight(names, edges) -> int | None:
     return best(edges)
 
 
+def first_optimal_scc_cover(names, edges) -> list[frozenset[str]]:
+    """The sets of the first least-weight leaf of the scc candidate tree,
+    component by component.
+
+    A node of a component's tree is its set of uncovered edges.  Its
+    children are the cliques through its smallest uncovered edge, largest
+    first, and among equal sizes by the bitmask of their positions in
+    `names`, smallest first; `names` stands for the vertex order.  The whole
+    tree is walked with no bound and no cap, memoized on the uncovered set:
+    a node's answer is the first child, in order, whose weight plus its own
+    answer's weight is least, followed by that answer's path.
+    """
+    pos = {v: i for i, v in enumerate(names)}
+    cliques = sorted(
+        (c for c in all_cliques(names, edges) if len(c) >= 2),
+        key=lambda c: (-len(c), sum(1 << pos[v] for v in c)),
+    )
+
+    @lru_cache(maxsize=None)
+    def best(unc: frozenset[Edge]) -> tuple[int, tuple[frozenset[str], ...]]:
+        if not unc:
+            return 0, ()
+        u, v = min(unc, key=lambda e: (pos[e[0]], pos[e[1]]))
+        result = None
+        for c in cliques:
+            if u in c and v in c:
+                weight, path = best(frozenset(e for e in unc if not (e[0] in c and e[1] in c)))
+                if result is None or len(c) + weight < result[0]:
+                    result = (len(c) + weight, (c, *path))
+        return result
+
+    out: list[frozenset[str]] = []
+    for comp in components(names, edges):
+        out += best(frozenset(e for e in edges if e[0] in comp))[1]
+    return out
+
+
 def set_partitions(items):
     items = list(items)
     if not items:

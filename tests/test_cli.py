@@ -483,6 +483,19 @@ def test_size_limit_exit_3_and_override(work, capsys):
                "--size-limit-override", "10") == 0
 
 
+@pytest.mark.parametrize("problem", ["scc", "cvs"])
+def test_solve_a_long_path_past_the_size_limit(tmp_path, capsys, problem):
+    # the scc search goes one level deeper per chosen set, 1,199 levels here
+    path = tmp_path / "path1200.graph"
+    names = [f"p{i}" for i in range(1200)]
+    body = [f"v {n}" for n in names] + [f"e {a} {b}" for a, b in zip(names, names[1:])]
+    path.write_text("graph 1200 1199\n" + "\n".join(body) + "\n")
+    assert run("solve", path, "--problem", problem, "--budget", "3000",
+               "--size-limit-override", "5000") == 0
+    assert "YES" in capsys.readouterr().out
+    assert run("verify", path, tmp_path / f"path1200.{problem}.cert.json") == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

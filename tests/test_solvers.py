@@ -125,6 +125,74 @@ def test_scc_on_five_vertex_classes():
         assert got is not None and got.weight == want
 
 
+def test_scc_returns_the_first_optimal_leaf_at_any_yes_budget():
+    """The certificate is the first least-weight leaf of the candidate tree
+    at the optimum and at every budget above it."""
+    from splitclust.hunter import enumerate_graphs
+
+    labeled = [g for n in range(5) for g in graphs_on(n)]
+    for g in labeled + enumerate_graphs(5) + enumerate_graphs(6):
+        names, edges = oracle_form(g)
+        want = SigmaCliqueCover.of(oracles.first_optimal_scc_cover(names, edges))
+        opt = want.weight
+        for budget in (opt, opt + 1, opt + 3, 2 * g.edge_count):
+            assert solve_scc_exact(g, budget) == want
+
+
+def _root_bound(names, edges) -> int:
+    """Sum over vertices of the fewest cliques node-covering the neighborhood."""
+    total = 0
+    for v in names:
+        nbrs = oracles.neighbors(names, edges, v)
+        inside = frozenset(e for e in edges if e[0] in nbrs and e[1] in nbrs)
+        total += oracles.min_ncc_size(tuple(sorted(nbrs)), inside)
+    return total
+
+
+@pytest.mark.parametrize("index", [129, 145, 147])
+def test_scc_and_cvs_deepen_past_the_root_bound(index):
+    """The three 6-vertex classes whose root bound is one below the scc
+    optimum, alone and as two disjoint copies: the search must raise its cap
+    past the root bound, within the slack each component leaves the next."""
+    from splitclust.hunter import enumerate_graphs
+
+    one = enumerate_graphs(6)[index]
+    names, edges = oracle_form(one)
+    opt = oracles.min_scc_weight(names, edges)
+    assert _root_bound(names, edges) == opt - 1
+    pairs = [(int(str(u)), int(str(w))) for u, w in one.edges()]
+    two = Graph.build(
+        [str(i) for i in range(12)],
+        [(str(a + k), str(b + k)) for a, b in pairs for k in (0, 6)],
+    )
+    for g in (one, two):
+        names, edges = oracle_form(g)
+        want = sum(
+            oracles.min_scc_weight(tuple(sorted(comp)), frozenset(e for e in edges if e[0] in comp))
+            for comp in oracles.components(names, edges)
+        )
+        for budget in range(want - 2, want + 3):
+            cover = solve_scc_exact(g, budget)
+            seq = solve_cvs_exact(Instance(Problem.CVS, g, budget - g.n))
+            assert (cover is not None) == (seq is not None) == (budget >= want)
+            if cover is not None:
+                assert cover.weight == want and verify_sigma_cover(g, cover, budget).valid
+                assert seq.length == want - g.n
+                assert verify_modification_sequence(g, seq, budget - g.n, "cvs").valid
+
+
+def test_scc_search_depth_is_not_bound_by_the_recursion_limit():
+    """The search chooses one set per level, and a path of 995 vertices
+    needs 994 levels: it must not recurse once per level."""
+    names = [f"p{i}" for i in range(995)]
+    g = Graph.build(names, list(zip(names, names[1:])))
+    cover = solve_scc_exact(g, 2 * 994, size_limit=g.n)
+    assert cover is not None and cover.weight == 2 * 994
+    assert verify_sigma_cover(g, cover, 2 * 994).valid
+    seq = solve_cvs_exact(Instance(Problem.CVS, g, 993), size_limit=g.n)
+    assert seq is not None and seq.length == 993
+
+
 def test_scc_empty_graph():
     g = Graph.build([], [])
     cover = solve_scc_exact(g, 0)
