@@ -42,6 +42,12 @@ REPORTS_N7_SHA256 = (
     "95d3b4d41c6332a5369700c437230891a33daaf6f315c61be89acc6c949ab2ab"
 )
 
+# the same for every 100th class of `enumerate_graphs(8)`, 124 classes,
+# recorded from the search that kept an incumbent falling from the budget
+REPORTS_N8_SAMPLE_SHA256 = (
+    "421716ef77be1107c8bd59d6a5f335410f02cc3fce6012d26bc939e0594d21cb"
+)
+
 # sha256 of the 416 `solve_cevs_exact` certificates at budget |E| for every
 # class with n <= 6, canonical and relabeled, joined by newlines; recorded
 # from the first optimal leaf of the index-order search
@@ -182,7 +188,8 @@ def test_hunt_checks_the_size_limit_when_called():
 
 
 def test_hunt_reports_match_bruteforce_up_to_n4():
-    """Each class, canonical and under a seeded relabeling, against the oracle.
+    """Each class, canonical and under a seeded relabeling, against the oracle,
+    with `cevs_search` run at every budget from 0 to |E|.
 
     The relabeling moves the vertices' index order, so the enumerating
     search meets each class in more than one vertex order.
@@ -195,24 +202,41 @@ def test_hunt_reports_match_bruteforce_up_to_n4():
             best, fams = oracles.all_optimal_cover_families(names, edges)
             assert rep.optimum == best
             assert rep.optimal_covers == len(fams)
-            optimum, covers = cevs_search(g, rep.optimum)
-            assert optimum == best
-            mine = {
-                frozenset(frozenset(str(v) for v in g.vertices_of_mask(m)) for m in masks)
-                for masks in covers
-            }
-            assert mine == fams
+            for budget in range(g.edge_count + 1):
+                res = cevs_search(g, budget)
+                if budget < best:
+                    assert res is None
+                    continue
+                optimum, covers = res
+                assert optimum == best
+                mine = {
+                    frozenset(
+                        frozenset(str(v) for v in g.vertices_of_mask(m)) for m in masks
+                    )
+                    for masks in covers
+                }
+                assert mine == fams
             cut = any(not oracles.family_respects(names, edges, f) for f in fams)
             resp = any(oracles.family_respects(names, edges, f) for f in fams)
             assert rep.exists_optimum_cutting == cut
             assert rep.exists_optimum_respecting == resp
 
 
-def test_search_below_the_optimum_finds_nothing_up_to_n4():
-    for rep in hunt(4):
-        g = rep.graph
-        assert cevs_search(g, rep.optimum)[0] == rep.optimum
-        assert cevs_search(g, rep.optimum - 1) is None
+def test_budget_only_caps_the_search_up_to_n6(reports_upto_6):
+    """The budget decides whether `cevs_search` answers, never what: on every
+    class with n <= 6, canonical and under a seeded relabeling, every budget
+    from the optimum up returns the same optimum and covers, and every
+    budget below it returns None."""
+    rng = random.Random(17)
+    for rep in reports_upto_6:
+        for g in (rep.graph, relabeled(rep.graph, rng)):
+            opt = rep.optimum
+            want = cevs_search(g, g.edge_count)
+            assert want[0] == opt and len(want[1]) == rep.optimal_covers
+            for budget in (opt, opt + 1, opt + 3):
+                assert cevs_search(g, budget) == want, (rep.canonical, budget)
+            assert cevs_search(g, opt - 1) is None
+            assert cevs_search(g, -1) is None
 
 
 def test_missing_level_8_data_is_an_os_error(monkeypatch, tmp_path, ccl8):
@@ -243,6 +267,14 @@ def test_reports_n7_match_pinned_digest():
     assert len(reports) == ALL_CLASSES[6]
     blob = json.dumps([report_to_obj(r) for r in reports], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == REPORTS_N7_SHA256
+
+
+def test_reports_n8_sample_match_pinned_digest():
+    """Every 100th of the 12,346 n = 8 classes, pinned like the n <= 7 reports."""
+    sample = enumerate_graphs(8)[::100]
+    assert len(sample) == 124
+    blob = json.dumps([report_to_obj(hunt_graph(g)) for g in sample], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == REPORTS_N8_SAMPLE_SHA256
 
 
 def test_solver_certificates_upto_n6_match_pinned_digest(reports_upto_6):
