@@ -2,7 +2,7 @@
 
 The question being hunted: is there a graph where *no* minimum-cost
 editing-with-splitting solution keeps every closed-neighborhood class whole?
-For each graph one pass of the uncapped label search, started from the
+For each graph the label search, deepened from its packing bound up to the
 cost of the all-singletons cover (|E|), returns the exact optimum together
 with *all* optimal covers, so the flags quantify over genuinely every
 optimum; the hunter reports whether some optimum cuts a class and whether

@@ -25,14 +25,15 @@ line sets from --size-limit-override.
   set of cluster labels; a vertex in t labels pays t-1, and each earlier
   vertex pays 1 when the pair disagrees with adjacency (edge across labels,
   or non-edge sharing one), counted with bitmasks over the placed vertices.
-  One branch-and-bound pass finds every optimal cover: the incumbent starts
-  at the budget and only falls.  The bound at vertex i is a greedy packing
-  of the induced paths whose center and far endpoint are both >= i, each of
-  which must still be paid for at a vertex >= i.  `solve_cevs_exact` and the
-  hunter run this one search; it needs no cap on the number of labels (see
-  `cevs_search`).  It visits the vertices fewest-open-neighbours first and
-  skips label combinations that mirror one already tried, neither of which
-  changes the set of optima it returns.  Covers come out as row masks of the
+  The bound at vertex i is a greedy packing of the induced paths whose
+  center and far endpoint are both >= i, each of which must still be paid
+  for at a vertex >= i.  The search deepens its cap from the root bound, and
+  the first cap that admits a leaf is the optimum, whose leaves are then
+  exactly the optimal covers.  `solve_cevs_exact` and the hunter run this
+  one search; it needs no cap on the number of labels (see `cevs_search`).
+  It visits the vertices fewest-open-neighbours first and skips label
+  combinations that mirror one already tried, neither of which changes the
+  set of optima it returns.  Covers come out as row masks of the
   graph; `solve_cevs_exact` certifies the optimum with the least
   `_certificate_key` and names its sets.
 """
@@ -112,7 +113,9 @@ class _NccTable:
         self.memo: dict[int, int] = {0: 0}
         self.choice: dict[int, int] = {}
 
-    def _maximal_cliques_at(self, v: int, mask: int) -> list[int]:
+    def _maximal_cliques_at(self, mask: int) -> list[int]:
+        """The cliques of `mask` containing its smallest vertex and maximal
+        within `mask`."""
         rows = self.rows
         out: list[int] = []
 
@@ -127,23 +130,43 @@ class _NccTable:
                 x = bit.bit_length() - 1
                 grow(q | bit, common & rows[x] & mask, ~((bit << 1) - 1))
 
-        grow(1 << v, rows[v] & mask, ~0)
+        low = mask & -mask
+        grow(low, rows[low.bit_length() - 1] & mask, ~0)
         return out
 
     def min_size(self, mask: int) -> int:
-        hit = self.memo.get(mask)
+        """The minimum clique partition size of `mask`; `choice` records the
+        first clique, in `_maximal_cliques_at` order, of one such partition.
+
+        A miss keeps its own stack of masks, one per clique taken, so the
+        depth is not bound by the recursion limit.  A frame resumes at the
+        clique whose remainder it was waiting for, now in the memo.
+        """
+        memo = self.memo
+        hit = memo.get(mask)
         if hit is not None:
             return hit
-        v = (mask & -mask).bit_length() - 1
-        best = None
-        best_q = 0
-        for q in self._maximal_cliques_at(v, mask):
-            r = 1 + self.min_size(mask & ~q)
-            if best is None or r < best:
-                best, best_q = r, q
-        self.memo[mask] = best
-        self.choice[mask] = best_q
-        return best
+        stack = [[mask, self._maximal_cliques_at(mask), 0, None, 0]]
+        while stack:
+            frame = stack[-1]
+            m, cliques, k, best, best_q = frame
+            while k < len(cliques):
+                q = cliques[k]
+                r = memo.get(m & ~q)
+                if r is None:
+                    break
+                if best is None or r + 1 < best:
+                    best, best_q = r + 1, q
+                k += 1
+            else:
+                memo[m] = best
+                self.choice[m] = best_q
+                stack.pop()
+                continue
+            frame[2:] = k, best, best_q
+            rest = m & ~cliques[k]
+            stack.append([rest, self._maximal_cliques_at(rest), 0, None, 0])
+        return memo[mask]
 
     def partition(self, mask: int) -> list[int]:
         self.min_size(mask)
@@ -442,7 +465,8 @@ def _search_order(rows: Sequence[int]) -> list[int]:
 
 
 def cevs_search(g: Graph, budget: int):
-    """One branch-and-bound pass over covers of editing-with-splitting cost <= budget.
+    """Every minimum-cost cover of editing with splitting, if the optimum is
+    at most `budget`.
 
     Vertices are assigned label sets one at a time.  A vertex taking t
     labels pays t-1 immediately (its share of the size excess), and each
@@ -453,19 +477,29 @@ def cevs_search(g: Graph, budget: int):
     therefore reachable, and exactness rests on that bound alone, with no
     assumption about how many distinct sets an optimum needs.
 
-    The incumbent starts at `budget`, and a child is pruned when its cost
-    plus the suffix packing bound of the next vertex exceeds the incumbent.
-    Covers that tie the incumbent are kept and a cheaper cover clears them,
-    so the pass returns (optimum, covers), where `covers` is the set of all
-    distinct minimum-cost covers, each a sorted tuple of row masks of `g`,
-    one per label; it returns None when the optimum exceeds the budget (a
+    Iterative deepening.  The search runs at caps pk[0], pk[0]+1, ... up to
+    `budget`, where pk is the suffix packing bound, and a child is pruned
+    when its cost plus the bound of the next vertex exceeds the cap.  Below
+    the optimum no leaf is within the cap.  At cap = optimum the bound is
+    admissible, so no node on the path to an optimal leaf is pruned, and
+    every leaf reached is optimal.  So the first cap that reaches a leaf is
+    the optimum, and its leaves are all the optimal assignments, in any
+    child order.  It returns (optimum, covers), where `covers` is the set of
+    all distinct minimum-cost covers, each a sorted tuple of row masks of
+    `g`, one per label, or None when the optimum exceeds the budget (a
     budget of |E|, the cost of the all-singletons cover, always suffices).
+
+    Children.  With room = cap - cost - pk[i+1] left at vertex i, each
+    combination of e old labels is costed once, as e-1 plus its pair costs,
+    which bounds e by room+1; then each count r of new labels that fits in
+    the room (r >= 1 when e = 0) is a child.
 
     Vertex order.  The vertices are searched in `_search_order`, a greedy
     order that places the vertex with the fewest unplaced neighbours next.
     Over all 1,044 classes with 7 vertices, each under a fixed relabeling,
-    it visits 536,649 search nodes where index order visits 1,332,062.  The
-    set of all minimum-cost covers does not depend on the order.
+    it visits 445,590 search nodes, summed over the caps, where index order
+    visits 1,176,740.  The set of all minimum-cost covers does not depend
+    on the order.
 
     Mirror-image labels.  Labels created together at one vertex stay equal
     until one takes a vertex the other does not, and swapping two equal
@@ -483,16 +517,11 @@ def cevs_search(g: Graph, budget: int):
     ]
     pk = _suffix_packing_bounds(rows)
     members: list[int] = []
-    found: set[tuple[int, ...]] = set()
-    limit = budget
+    found: list[tuple[int, ...]] = []
 
     def dfs(i: int, cost: int) -> None:
-        nonlocal limit
         if i == n:
-            if cost < limit:
-                limit = cost
-                found.clear()
-            found.add(tuple(sorted(members)))
+            found.append(tuple(sorted(members)))
             return
         L = len(members)
         tied = 0
@@ -503,42 +532,38 @@ def cevs_search(g: Graph, budget: int):
         prev = ibit - 1
         adj = rows[i] & prev
         non = prev & ~rows[i]
-        rest = pk[i + 1]
-        for t in itertools.count(1):
-            if cost + (t - 1) + rest > limit:
-                break
-            for e in range(min(t, L), -1, -1):
-                r = t - e
-                for combo in itertools.combinations(range(L), e):
-                    shared = taken = 0
-                    for lbl in combo:
-                        shared |= members[lbl]
-                        taken |= 1 << lbl
-                    if taken & tied & ~(taken << 1):
-                        continue
-                    newcost = (
-                        cost + (t - 1)
-                        + (adj & ~shared).bit_count() + (non & shared).bit_count()
-                    )
-                    if newcost + rest > limit:
-                        continue
-                    for lbl in combo:
-                        members[lbl] |= ibit
+        room = cap - cost - pk[i + 1]
+        for e in range(min(L, room + 1) + 1):
+            for combo in itertools.combinations(range(L), e):
+                shared = taken = 0
+                for lbl in combo:
+                    shared |= members[lbl]
+                    taken |= 1 << lbl
+                if taken & tied & ~(taken << 1):
+                    continue
+                base = e - 1 + (adj & ~shared).bit_count() + (non & shared).bit_count()
+                if base > room:
+                    continue
+                for lbl in combo:
+                    members[lbl] |= ibit
+                for r in range(0 if e else 1, room - base + 1):
                     members.extend([ibit] * r)
-                    dfs(i + 1, newcost)
+                    dfs(i + 1, cost + base + r)
                     del members[L:]
-                    for lbl in combo:
-                        members[lbl] &= ~ibit
+                for lbl in combo:
+                    members[lbl] &= ~ibit
 
-    if pk[0] <= budget:
+    for cap in range(pk[0], budget + 1):
         dfs(0, 0)
-    if not found:
+        if found:
+            break
+    else:
         return None
 
     def unpermuted(mask: int) -> int:
         return sum(1 << v for k, v in enumerate(order) if mask >> k & 1)
 
-    return limit, {tuple(sorted(map(unpermuted, leaf))) for leaf in found}
+    return cap, {tuple(sorted(map(unpermuted, leaf))) for leaf in found}
 
 
 def _certificate_key(
@@ -548,8 +573,9 @@ def _certificate_key(
     cover `solve_cevs_exact` certifies.
 
     The least key belongs to the first optimal leaf of the label search run
-    in index order, so certificates do not depend on the vertex order that
-    `cevs_search` uses.
+    in index order with the child order below, so certificates depend
+    neither on the vertex order nor on the child order that `cevs_search`
+    uses.
 
     Label order.  In index order a label is created at its set's lowest
     vertex, after every label created before.  Labels created together stay
@@ -560,16 +586,15 @@ def _certificate_key(
     so the old labels at v (those holding a vertex below v) come first, and
     their positions among themselves are their positions among all sets.
 
-    Child order.  At vertex v the search tries t_v labels in increasing
+    Child order.  At vertex v that search tries t_v labels in increasing
     order, then e_v old ones among them in decreasing order, then the old
     labels' positions P_v as combinations in lexicographic order.  So its
     leaves come in increasing order of the tuple of (t_v, -e_v, P_v) over v
     in index order, and the mirror rule keeps the one leaf of each cover
     whose labels are in the order above.
 
-    First optimal leaf.  The bound is admissible, and the incumbent stays
-    at or above the optimum until an optimal leaf is reached, so the first
-    optimal leaf is never pruned: it has the least key.  An optimal cover
+    First optimal leaf.  The optimal leaves are exactly the leaves within
+    the cap = optimum, so the first of them has the least key.  An optimal cover
     never holds a set twice (dropping the copy cuts the excess and changes
     no sharing), so a cover's labels are its distinct sets.
     """

@@ -496,6 +496,17 @@ def test_solve_a_long_path_past_the_size_limit(tmp_path, capsys, problem):
     assert run("verify", path, tmp_path / f"path1200.{problem}.cert.json") == 0
 
 
+def test_solve_ncc_on_many_isolated_vertices_past_the_size_limit(tmp_path, capsys):
+    # a minimum clique partition of 1,200 isolated vertices holds 1,200 cliques
+    path = tmp_path / "empty1200.graph"
+    body = [f"v v{i}" for i in range(1200)]
+    path.write_text("graph 1200 0\n" + "\n".join(body) + "\n")
+    assert run("solve", path, "--problem", "ncc", "--budget", "1200",
+               "--size-limit-override", "5000") == 0
+    assert "YES" in capsys.readouterr().out
+    assert run("verify", path, tmp_path / "empty1200.ncc.cert.json") == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

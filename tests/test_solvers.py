@@ -193,6 +193,24 @@ def test_scc_search_depth_is_not_bound_by_the_recursion_limit():
     assert seq is not None and seq.length == 993
 
 
+def test_ncc_table_depth_is_not_bound_by_the_recursion_limit():
+    """A minimum clique partition of 1,200 isolated vertices holds 1,200
+    cliques, one per level of the ncc table: it must not recurse once per
+    level.  The scc root bound of a 1,200-leaf star meets the same depth at
+    its centre."""
+    names = [f"v{i}" for i in range(1200)]
+    g = Graph.build(names, [])
+    cover = solve_ncc_exact(g, 1200, size_limit=g.n)
+    assert cover is not None and cover.size == 1200
+    assert verify_node_cover(g, cover, 1200).valid
+    assert solve_ncc_exact(g, 1199, size_limit=g.n) is None
+    star = Graph.build(["c", *names], [("c", v) for v in names])
+    cover = solve_scc_exact(star, 2400, size_limit=star.n)
+    assert cover is not None and cover.weight == 2400
+    assert verify_sigma_cover(star, cover, 2400).valid
+    assert solve_scc_exact(star, 2399, size_limit=star.n) is None
+
+
 def test_scc_empty_graph():
     g = Graph.build([], [])
     cover = solve_scc_exact(g, 0)
