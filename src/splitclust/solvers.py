@@ -115,23 +115,38 @@ class _NccTable:
 
     def _maximal_cliques_at(self, mask: int) -> list[int]:
         """The cliques of `mask` containing its smallest vertex and maximal
-        within `mask`."""
+        within `mask`, in the order of a depth-first walk that adds vertices
+        in increasing order.
+
+        A node holds its clique q, the vertices `common` adjacent to all of
+        q, and the vertices `above` it may still add.  A vertex of `common`
+        below `above` was skipped; if it is adjacent to every vertex still to
+        be added it stays in `common`, so no clique below the node is
+        maximal and the node is dropped.
+        """
         rows = self.rows
         out: list[int] = []
-
-        def grow(q: int, common: int, above: int) -> None:
-            if common == 0:
-                out.append(q)
-                return
-            cand = common & above
-            while cand:
-                bit = cand & -cand
-                cand &= cand - 1
-                x = bit.bit_length() - 1
-                grow(q | bit, common & rows[x] & mask, ~((bit << 1) - 1))
-
         low = mask & -mask
-        grow(low, rows[low.bit_length() - 1] & mask, ~0)
+        stack = [(low, rows[low.bit_length() - 1] & mask, ~0)]
+        while stack:
+            q, common, above = stack.pop()
+            if not common:
+                out.append(q)
+                continue
+            cand = common & above
+            skipped = common & ~above
+            while skipped:
+                y = skipped.bit_length() - 1
+                skipped ^= 1 << y
+                if not cand & ~rows[y]:
+                    cand = 0
+                    break
+            # pushed from the highest vertex down, so the lowest is walked first
+            while cand:
+                x = cand.bit_length() - 1
+                bit = 1 << x
+                cand ^= bit
+                stack.append((q | bit, common & rows[x] & mask, ~((bit << 1) - 1)))
         return out
 
     def min_size(self, mask: int) -> int:
@@ -139,34 +154,36 @@ class _NccTable:
         first clique, in `_maximal_cliques_at` order, of one such partition.
 
         A miss keeps its own stack of masks, one per clique taken, so the
-        depth is not bound by the recursion limit.  A frame resumes at the
-        clique whose remainder it was waiting for, now in the memo.
+        depth is not bound by the recursion limit.  A frame waiting for the
+        remainder of its k-th clique resumes at that clique, now memoized.
         """
-        memo = self.memo
+        memo, choice = self.memo, self.choice
         hit = memo.get(mask)
         if hit is not None:
             return hit
-        stack = [[mask, self._maximal_cliques_at(mask), 0, None, 0]]
-        while stack:
-            frame = stack[-1]
-            m, cliques, k, best, best_q = frame
-            while k < len(cliques):
+        cliques_at = self._maximal_cliques_at
+        stack = []
+        # best: the least partition size of a remainder m & ~q so far; each is below |m|
+        m, cliques, k, best, best_q = mask, cliques_at(mask), 0, mask.bit_count(), 0
+        while True:
+            if k < len(cliques):
                 q = cliques[k]
                 r = memo.get(m & ~q)
                 if r is None:
-                    break
-                if best is None or r + 1 < best:
-                    best, best_q = r + 1, q
+                    stack.append((m, cliques, k, best, best_q))
+                    m &= ~q
+                    cliques, k, best, best_q = cliques_at(m), 0, m.bit_count(), 0
+                    continue
+                if r < best:
+                    best, best_q = r, q
                 k += 1
-            else:
-                memo[m] = best
-                self.choice[m] = best_q
-                stack.pop()
                 continue
-            frame[2:] = k, best, best_q
-            rest = m & ~cliques[k]
-            stack.append([rest, self._maximal_cliques_at(rest), 0, None, 0])
-        return memo[mask]
+            best += 1
+            memo[m] = best
+            choice[m] = best_q
+            if not stack:
+                return best
+            m, cliques, k, best, best_q = stack.pop()
 
     def partition(self, mask: int) -> list[int]:
         self.min_size(mask)

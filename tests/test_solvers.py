@@ -196,14 +196,18 @@ def test_scc_search_depth_is_not_bound_by_the_recursion_limit():
 def test_ncc_table_depth_is_not_bound_by_the_recursion_limit():
     """A minimum clique partition of 1,200 isolated vertices holds 1,200
     cliques, one per level of the ncc table: it must not recurse once per
-    level.  The scc root bound of a 1,200-leaf star meets the same depth at
-    its centre."""
+    level, nor once per vertex of a clique it grows, as on 1,050 vertices
+    that form one clique.  The scc root bound of a 1,200-leaf star meets
+    the depth of the isolated vertices at its centre."""
     names = [f"v{i}" for i in range(1200)]
     g = Graph.build(names, [])
     cover = solve_ncc_exact(g, 1200, size_limit=g.n)
     assert cover is not None and cover.size == 1200
     assert verify_node_cover(g, cover, 1200).valid
     assert solve_ncc_exact(g, 1199, size_limit=g.n) is None
+    clique = Graph.build(names[:1050], list(itertools.combinations(names[:1050], 2)))
+    cover = solve_ncc_exact(clique, 1, size_limit=clique.n)
+    assert cover is not None and cover.sets == (frozenset(clique.vertices),)
     star = Graph.build(["c", *names], [("c", v) for v in names])
     cover = solve_scc_exact(star, 2400, size_limit=star.n)
     assert cover is not None and cover.weight == 2400
