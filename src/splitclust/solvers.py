@@ -163,7 +163,8 @@ class _NccTable:
             return hit
         cliques_at = self._maximal_cliques_at
         stack = []
-        # best: the least partition size of a remainder m & ~q so far; each is below |m|
+        # best: the least partition size so far of a remainder m & ~q, each
+        # of which is below |m|
         m, cliques, k, best, best_q = mask, cliques_at(mask), 0, mask.bit_count(), 0
         while True:
             if k < len(cliques):
@@ -610,9 +611,10 @@ def _certificate_key(
     in index order, and the mirror rule keeps the one leaf of each cover
     whose labels are in the order above.
 
-    First optimal leaf.  The optimal leaves are exactly the leaves within
-    the cap = optimum, so the first of them has the least key.  An optimal cover
-    never holds a set twice (dropping the copy cuts the excess and changes
+    First optimal leaf.  At cap = optimum the admissible bound prunes no
+    optimal leaf, so the first leaf that search reaches is the first optimal
+    leaf of the order above: it has the least key.  An optimal cover never
+    holds a set twice (dropping the copy cuts the excess and changes
     no sharing), so a cover's labels are its distinct sets.
     """
     sets = sorted(masks, key=lambda m: [-(m >> v & 1) for v in range(n)])
