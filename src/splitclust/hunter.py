@@ -19,24 +19,25 @@ pair (i,j), i < j, ordered by (j,i).  That order lets the minimum be built
 one position at a time: place vertices level by level, keep only the
 orderings whose next column is minimal, and merge orderings that agree on
 the adjacency patterns of the unplaced vertices (which fix the placed set)
-since their continuations coincide.  Level n is built by orderly
-generation: the first n-1 columns of a canonical form are the canonical
-form of its first n-1 vertices, so each canonical n-vertex graph extends a
-canonical (n-1)-vertex one by a last column, and keeping the extensions
-that are their own canonical form lists every class exactly once, in
-increasing order, with no deduplication.  A last column below a bound read
-off the shorter form's columns cannot be canonical, so only the columns
-from that bound up are canonized: 2682 of the 9984 extensions at n=7 and
-28062 of 133632 at n=8.  The n=8 level ships as package data (12346
-classes); smaller levels are computed on demand.  Scaling past n=8 is the
-bottleneck: level 9 alone has 274668 classes and roughly 3.2 million
-extensions.
+since their continuations coincide.  The n=8 level ships as package data
+(12346 classes), and every smaller level is read off it: level n is the set
+of distinct n-vertex prefixes of the level-8 forms (see `_level`).  Levels
+past 8 are built by orderly generation: the first n-1 columns of a
+canonical form are the canonical form of its first n-1 vertices, so each
+canonical n-vertex graph extends a canonical (n-1)-vertex one by a last
+column, and keeping the extensions that are their own canonical form lists
+every class exactly once, in increasing order, with no deduplication.  A
+last column below a bound read off the shorter form's columns cannot be
+canonical, so only the columns from that bound up are canonized.  Scaling
+past n=8 is the bottleneck: level 9 alone has 274668 classes and roughly
+3.2 million extensions.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -146,12 +147,40 @@ def _extend_level(prev: Sequence[int], n: int) -> list[int]:
 
 @functools.cache
 def _level(n: int) -> tuple[int, ...]:
-    """The canonical n-vertex forms, increasing; level 8 is package data."""
+    """The canonical n-vertex forms, increasing.
+
+    Level 8 is package data, and every level below it is the set of
+    distinct n-vertex prefixes c >> (28 - n(n-1)/2) of the level-8 forms.
+    A prefix of a canonical form is canonical (see `_extend_level`).
+    Conversely, every canonical n-vertex form c is the prefix of a level-8
+    form: adding a universal vertex u to an n-vertex graph G gives
+    canon(G+u) = canon(G) << n | (2^n - 1), whose prefix is canon(G), and
+    8-n such steps reach level 8.  To see it, take any ordering of G+u and
+    swap u with the vertex w after it, at positions p and p+1.  Column p
+    goes from 1^p to adj(w, prefix) <= 1^p.  If the two are equal, column
+    p+1 is (1^p, 1) both before and after, and every later column x reads
+    (adj(x,w), 1) in place of (1, adj(x,w)), which is no larger.  So the
+    string never grows; moving u to the end leaves an ordering of G
+    followed by the column 1^n, least when G's ordering is canonical.
+
+    Level 8 is sorted, so the forms with one prefix are a run, and a
+    bisection past each run lists the prefixes in increasing order without
+    visiting every form.  Levels past 8 are built upward from level 8 by
+    `_extend_level`.
+    """
     if n <= 1:
         return (0,)
+    if n < 8:
+        level8, shift = _level(8), 28 - n * (n - 1) // 2
+        out: list[int] = []
+        i = 0
+        while i < len(level8):
+            out.append(level8[i] >> shift)
+            i = bisect.bisect_left(level8, (out[-1] + 1) << shift, i)
+        return tuple(out)
     if n == 8:
         text = resources.files("splitclust").joinpath("data/graphs8.txt").read_text()
-        return tuple(int(line, 16) for line in text.split())
+        return tuple(map(int, text.split(), itertools.repeat(16)))
     return tuple(_extend_level(_level(n - 1), n))
 
 

@@ -244,10 +244,17 @@ def _scc_first_cover(table: _NccTable, root_bound: int, cap: int) -> list[int] |
     summed into the node's own bound.  A child is pruned when its weight
     plus its bound exceeds `cap`.  The search keeps its own stack, so its
     depth is not bound by the recursion limit.
+
+    On a clique the first candidate is the whole clique, the unique largest
+    one; its weight n equals the root bound, so it is the first leaf, taken
+    here without listing the 2^(n-2) cliques through the first edge.
     """
     if root_bound == 0:
         return []
     rows = table.rows
+    full = (1 << len(rows)) - 1
+    if all(row | 1 << x == full for x, row in enumerate(rows)):
+        return [full] if root_bound <= cap else None
     min_size, memo = table.min_size, table.memo
 
     def children(uncov: list[int], start: int):

@@ -162,6 +162,52 @@ def test_shipped_level_8_is_the_orderly_extension_of_level_7():
         assert _canonical_bits(_rows_from_bits(8, c), 8) == c
 
 
+def test_levels_below_8_are_the_orderly_chain_from_level_1():
+    """Levels 2..7, read off the shipped level-8 forms, are the levels that
+    orderly generation builds up from level 1."""
+    from splitclust.hunter import _extend_level, _level
+
+    level = _level(1)
+    for n in range(2, 8):
+        level = tuple(_extend_level(level, n))
+        assert _level(n) == level, n
+
+
+def test_a_universal_vertex_appends_an_all_ones_column():
+    """canon(G + u) == canon(G) << n | (2^n - 1) for a universal vertex u, on
+    every class with n <= 6, with u added last and under a seeded
+    relabeling: the lemma that makes every level a set of level-8 prefixes."""
+    rng = random.Random(3)
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            names = [str(v) for v in g.vertices]
+            plus = Graph.build(
+                names + [str(n)],
+                [(str(a), str(b)) for a, b in g.edges()] + [(v, str(n)) for v in names],
+            )
+            want = (n + 1, canonical_form(g)[1] << n | ((1 << n) - 1))
+            assert canonical_form(plus) == want
+            assert canonical_form(relabeled(plus, rng)) == want
+
+
+def test_no_level_up_to_8_is_regenerated(monkeypatch, ccl8):
+    """Enumerating level 7 and hunting a relabeled 7-vertex graph or an
+    8-vertex one read the shipped forms and never run orderly generation."""
+    seven = relabeled(enumerate_graphs(7)[500], random.Random(5))
+
+    def refuse(*args):
+        raise AssertionError("a level up to 8 was regenerated")
+
+    monkeypatch.setattr(hunter, "_extend_level", refuse)
+    hunter._level.cache_clear()
+    try:
+        assert len(enumerate_graphs(7)) == ALL_CLASSES[6]
+        assert hunt_graph(seven).index == 500
+        assert hunt_graph(ccl8).n == 8
+    finally:
+        hunter._level.cache_clear()
+
+
 def test_enumeration_yields_pairwise_non_isomorphic():
     reps = list(enumerate_graphs(4))
     forms = []
@@ -240,12 +286,17 @@ def test_budget_only_caps_the_search_up_to_n6(reports_upto_6):
 
 
 def test_missing_level_8_data_is_an_os_error(monkeypatch, tmp_path, ccl8):
-    """Level 8 is read from package data, never regenerated in its place."""
+    """Every level from 2 to 8 is read off the level-8 package data, never
+    regenerated in its place."""
+    seven = relabeled(enumerate_graphs(7)[500], random.Random(5))
     monkeypatch.setattr(hunter.resources, "files", lambda package: tmp_path)
     hunter._level.cache_clear()
     try:
+        for g in (ccl8, seven):
+            with pytest.raises(OSError):
+                hunt_graph(g)
         with pytest.raises(OSError):
-            hunt_graph(ccl8)
+            enumerate_graphs(3)
     finally:
         hunter._level.cache_clear()
 

@@ -258,6 +258,60 @@ def test_scc_and_cvs_certificates_match_pinned_digest():
     assert digest == "1094c08c7ff7566313079662c439fcee226c113ab6867bb97e1eb0c4d797384a"
 
 
+def _clique_graphs() -> list[Graph]:
+    """K_2 ... K_10, each alone, beside an isolated vertex, and beside a
+    triangle or a path of three vertices whose names sort among the
+    clique's."""
+    graphs = []
+    for n in range(2, 11):
+        names = [f"v{i}" for i in range(n)]
+        edges = list(itertools.combinations(names, 2))
+        graphs.append(Graph.build(names, edges))
+        graphs.append(Graph.build(names + ["v"], edges))
+        tri = ["v0a", "v1a", "v2a"]
+        graphs.append(Graph.build(names + tri, edges + list(itertools.combinations(tri, 2))))
+        graphs.append(Graph.build(names + tri, edges + list(zip(tri, tri[1:]))))
+    return graphs
+
+
+def test_scc_and_cvs_certificates_on_cliques_match_pinned_digest():
+    """A clique component takes the whole clique without a search, which is
+    the search's own first leaf: the scc and cvs certificates on cliques,
+    at the optimum, two above it and at a loose budget, are those the
+    search gave before the shortcut, and one below the optimum is NO."""
+    texts = []
+    for g in _clique_graphs():
+        loose = 2 * g.edge_count
+        opt = solve_scc_exact(g, loose).weight
+        assert solve_scc_exact(g, opt - 1) is None
+        for b in (opt, opt + 2, loose):
+            cover = solve_scc_exact(g, b)
+            texts.append(dumps_certificate(Certificate("scc", b, "cover", cover)))
+        k = solve_cvs_exact(Instance(Problem.CVS, g, loose)).length
+        assert k == 0 or solve_cvs_exact(Instance(Problem.CVS, g, k - 1)) is None
+        for b in (k, k + 2, loose):
+            seq = solve_cvs_exact(Instance(Problem.CVS, g, b))
+            texts.append(dumps_certificate(Certificate("cvs", b, "sequence", seq)))
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "85f78cc37b8fa5d0a7de925462aa80e95b7e590c477f1cdbba97aa0121948812"
+
+
+def test_scc_on_a_clique_lists_no_cliques(monkeypatch):
+    """K_20 is covered by itself alone, without listing the 2^18 cliques
+    through its first edge."""
+    def refuse(*args):
+        raise AssertionError("a clique component listed its cliques")
+
+    monkeypatch.setattr(solvers, "_cliques_with_edge", refuse)
+    names = [f"v{i}" for i in range(20)]
+    g = Graph.build(names, list(itertools.combinations(names, 2)))
+    cover = solve_scc_exact(g, 2 * g.edge_count, size_limit=20)
+    assert cover is not None and cover.sets == (frozenset(g.vertices),)
+    assert solve_scc_exact(g, 19, size_limit=20) is None
+    seq = solve_cvs_exact(Instance(Problem.CVS, g, 5), size_limit=20)
+    assert seq is not None and seq.length == 0
+
+
 # ---------------------------------------------------------------- CVS
 
 
