@@ -64,12 +64,15 @@ from .reductions import (
     Instance,
     InvalidCertificate,
     NotAClusterGraphAfter,
+    NotNormalized,
     Problem,
     ReductionTrace,
     convert_cvs_scc,
     convert_scc_cvs,
+    cover_to_modifications,
     cover_to_splits,
     extend_universal,
+    modifications_to_cover,
     reduce_cvs_to_cevs,
     reduce_ncc_to_scc,
     splits_to_cover,
@@ -78,12 +81,9 @@ from .reductions import (
     universal_names,
 )
 from .solvers import (
-    NotNormalized,
     SizeLimitExceeded,
     cevs_search,
-    cover_to_modifications,
     max_p3_packing,
-    modifications_to_cover,
     solve_cevs_exact,
     solve_cvs_exact,
     solve_ncc_exact,

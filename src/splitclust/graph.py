@@ -369,8 +369,9 @@ class GraphEditor:
     O(degree) integer operations and an edge flip two.  :meth:`graph` sorts
     the live names and remaps every row once, run by run, or bit by bit
     through a position table when a row has fewer bits than there are runs:
-    O(n + m) integer operations however many edits came before.  The edit
-    methods check everything before they change anything.
+    O(n + m) integer operations however many edits came before.  Keep both
+    remaps: with the table alone a dense row pays per bit, not per run.  The
+    edit methods check everything before they change anything.
     """
 
     def __init__(self, g: Graph) -> None:

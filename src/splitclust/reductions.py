@@ -26,9 +26,11 @@ The reductions implemented:
   contracting split copies.  The graph along the way is always the union
   of the cliques of the current sets, so each split is computed from the
   sets alone, with no graph built (the argument is in
-  :func:`cover_to_splits`); one replay checks the result.  It is the one
+  :func:`_pull_outs`); one replay checks the result.  It is the one
   place a split is read off a cover: the cvs solver and the cevs
-  realization both call it.
+  realization both use it.
+* cevs covers <-> normalized sequences: the edits to the union of the
+  sets' cliques, then the pull-outs; one replay on g checks the whole.
 * cvs -> cevs: replace every vertex by a clique of k+1 copies (complete
   joins along edges); the edit budget becomes k * (k+1).  Blowing up makes
   edits useless: any solution may as well split only.  An isolated vertex
@@ -42,10 +44,16 @@ import heapq
 from dataclasses import dataclass, field
 
 from .certificates import (
+    EdgeAdd,
+    EdgeDelete,
     ModificationSequence,
     NodeCliqueCover,
     SigmaCliqueCover,
     VertexSplit,
+    cover_cost,
+    family_masks,
+    shared_rows,
+    verify_modification_sequence,
     verify_node_cover,
     verify_sigma_cover,
 )
@@ -69,6 +77,10 @@ class BudgetUnderflow(Exception):
 
 class NotAClusterGraphAfter(Exception):
     """A split sequence was read back as a cover but does not end in clusters."""
+
+
+class NotNormalized(Exception):
+    """A sequence must run additions, then deletions, then splits."""
 
 
 class Problem(enum.Enum):
@@ -202,20 +214,20 @@ def translate_scc_cert_to_ncc(inst: Instance, cover: SigmaCliqueCover) -> NodeCl
 
 
 # ---------------------------------------------------------------------------
-# scc covers <-> split sequences (same graph)
+# covers <-> split and modification sequences (same graph)
 # ---------------------------------------------------------------------------
 
 
-def cover_to_splits(g: Graph, cover: SigmaCliqueCover) -> ModificationSequence:
-    """Realize a sigma clique cover as exactly weight - |covered| vertex splits.
+def _pull_outs(g: Graph, cover: SigmaCliqueCover) -> list[VertexSplit]:
+    """The weight - |covered| splits that realize a cover of g.
 
-    Takes any valid cover of any graph; |covered| counts the vertices in
-    some set.  A vertex in no set is isolated and is left alone.  While some
-    vertex u lies in two or more sets of two or more vertices, u is pulled
-    out of its first covering set C1, first by sorted members: u.0 takes u's
-    place in C1 and u.1 its place in u's other sets.  Then, in order of
-    name, each singleton {v} whose v also lies in a larger set isolates one
-    copy of v.
+    Takes any valid cover of any graph, and does not check it; |covered|
+    counts the vertices in some set.  A vertex in no set is isolated and is
+    left alone.  While some vertex u lies in two or more sets of two or
+    more vertices, u is pulled out of its first covering set C1, first by
+    sorted members: u.0 takes u's place in C1 and u.1 its place in u's other
+    sets.  Then, in order of name, each singleton {v} whose v also lies in a
+    larger set isolates one copy of v.
 
     Every split is read off the family alone.  The invariant: the current
     graph is the union of the cliques of the current sets of two or more
@@ -247,9 +259,6 @@ def cover_to_splits(g: Graph, cover: SigmaCliqueCover) -> ModificationSequence:
     other singleton is its vertex's only set.  So the total is weight -
     |covered|, which is weight - |V| when every vertex lies in a set.
     """
-    report = verify_sigma_cover(g, cover, cover.weight)
-    if not report.valid:
-        raise InvalidCertificate(report.reason)
     sets = [set(s) for s in cover.sets if len(s) >= 2]
     # name -> the sets of two or more vertices holding it
     holders: dict[VertexId, list[int]] = {v: [] for v in g.isolated_vertices()}
@@ -286,7 +295,18 @@ def cover_to_splits(g: Graph, cover: SigmaCliqueCover) -> ModificationSequence:
             heapq.heappush(multi, u_out)
     for v in lone:
         pull_out(v if v in holders else v.child(0))
-    seq = ModificationSequence(tuple(steps))
+    return steps
+
+
+def cover_to_splits(g: Graph, cover: SigmaCliqueCover) -> ModificationSequence:
+    """Realize a sigma clique cover as exactly weight - |covered| vertex splits.
+
+    The cover is verified first, and one replay checks the `_pull_outs`.
+    """
+    report = verify_sigma_cover(g, cover, cover.weight)
+    if not report.valid:
+        raise InvalidCertificate(report.reason)
+    seq = ModificationSequence(tuple(_pull_outs(g, cover)))
     covered = len(frozenset().union(*cover.sets))
     assert is_cluster_graph(seq.apply_to(g)), "pull-out loop ended off a cluster graph"
     assert seq.length == cover.weight - covered, "split count drifted from the excess"
@@ -322,6 +342,55 @@ def splits_to_cover(g: Graph, seq: ModificationSequence) -> SigmaCliqueCover:
     out = SigmaCliqueCover.of(family)
     check = verify_sigma_cover(g, out, g.n - iso + seq.length)
     assert check.valid, f"contracted cover failed to verify: {check.reason}"
+    return out
+
+
+def cover_to_modifications(g: Graph, cover: SigmaCliqueCover) -> ModificationSequence:
+    """A normalized sequence of exactly cover-cost modifications realizing a cover.
+
+    Additions (non-edges inside sets), then deletions (edges outside all
+    sets), then the `_pull_outs` of the cover on the edited graph, the union
+    of the sets' cliques.  They need no gate: a cover `cover_cost` accepts is
+    valid there with its weight as budget, since every set is a clique of
+    that union and every edge of it lies in a set.  The one replay checks
+    the whole sequence on g.
+    """
+    breakdown = cover_cost(g, cover)  # NotACover / UnknownVertex on bad input
+    shared = shared_rows(g, family_masks(g, cover.sets))
+    # the edited graph is the union of the sets' cliques; the additions and
+    # deletions are the two halves of its difference with g, each read off
+    # as a graph in edge order
+    edited = Graph(g.vertices, tuple(shared))
+    added = Graph(g.vertices, tuple(s & ~r for s, r in zip(shared, g.rows)))
+    deleted = Graph(g.vertices, tuple(r & ~s for s, r in zip(shared, g.rows)))
+    edits = [EdgeAdd(u, w) for u, w in added.edges()]
+    edits += [EdgeDelete(u, w) for u, w in deleted.edges()]
+    seq = ModificationSequence((*edits, *_pull_outs(edited, cover)))
+    assert seq.length == breakdown.total, "sequence length differs from cover cost"
+    check = verify_modification_sequence(g, seq, breakdown.total, "cevs")
+    assert check.valid, f"realized sequence failed to verify: {check.reason}"
+    return seq
+
+
+def modifications_to_cover(g: Graph, seq: ModificationSequence) -> SigmaCliqueCover:
+    """Read a cover off a normalized sequence; its cost is at most the length.
+
+    The split suffix is contracted back over the edited graph, and one
+    singleton is added per vertex left isolated by the edits, so the family
+    covers every vertex.
+    """
+    if not seq.is_normalized():
+        raise NotNormalized("sequence must run additions, deletions, then splits")
+    edits = [s for s in seq.steps if not isinstance(s, VertexSplit)]
+    splits = [s for s in seq.steps if isinstance(s, VertexSplit)]
+    edited = ModificationSequence(tuple(edits)).apply_to(g)
+    cover = splits_to_cover(edited, ModificationSequence(tuple(splits)))
+    covered = 0
+    for mask in family_masks(edited, cover.sets):
+        covered |= mask
+    missed = edited.vertices_of_mask(((1 << edited.n) - 1) & ~covered)
+    out = SigmaCliqueCover.of([*cover.sets, *([v] for v in missed)])
+    assert cover_cost(g, out).total <= seq.length, "cover cost exceeds length"
     return out
 
 

@@ -20,7 +20,7 @@ line sets from --size-limit-override.
   parent's, corrected on the rows the chosen clique touches, and the search
   keeps an explicit stack rather than recursing once per chosen set.
 * Splitting to clusters (cvs) is solved on the scc instance that
-  `convert_cvs_scc` gives, and the cover is realized by `cover_to_splits`.
+  `convert_cvs_scc` gives.
 * Editing with splitting (cevs) assigns each vertex, in turn, a nonempty
   set of cluster labels; a vertex in t labels pays t-1, and each earlier
   vertex pays 1 when the pair disagrees with adjacency (edge across labels,
@@ -44,25 +44,18 @@ import itertools
 from typing import Sequence
 
 from .certificates import (
-    EdgeAdd,
-    EdgeDelete,
     ModificationSequence,
     NodeCliqueCover,
     P3Packing,
     SigmaCliqueCover,
-    VertexSplit,
-    cover_cost,
-    family_masks,
-    shared_rows,
-    verify_modification_sequence,
 )
 from .graph import Graph, VertexId, induced_p3_indices
 from .reductions import (
     Instance,
     Problem,
     convert_cvs_scc,
+    cover_to_modifications,
     cover_to_splits,
-    splits_to_cover,
 )
 
 DEFAULT_SIZE_LIMITS = {
@@ -77,10 +70,6 @@ DEFAULT_SIZE_LIMITS = {
 
 class SizeLimitExceeded(Exception):
     """The input is past the soft size limit for this operation."""
-
-
-class NotNormalized(Exception):
-    """A sequence must run additions, then deletions, then splits."""
 
 
 def check_size(kind: str, n: int, override: int | None) -> None:
@@ -653,57 +642,3 @@ def solve_cevs_exact(
     seq = cover_to_modifications(g, cover)
     assert seq.length == cost <= inst.budget, "sequence length drifted from cost"
     return cover, seq
-
-
-# ---------------------------------------------------------------------------
-# covers <-> modification sequences (cevs)
-# ---------------------------------------------------------------------------
-
-
-def cover_to_modifications(g: Graph, cover: SigmaCliqueCover) -> ModificationSequence:
-    """A normalized sequence of exactly cover-cost modifications realizing a cover.
-
-    Additions (non-edges inside sets), then deletions (edges outside all
-    sets), then the splits `cover_to_splits` reads off the cover on the
-    edited graph, which pay the excess: a pull-out per extra set of a
-    vertex, and an isolating split per singleton on a vertex that is also
-    in a larger set.
-    """
-    breakdown = cover_cost(g, cover)  # NotACover / UnknownVertex on bad input
-    shared = shared_rows(g, family_masks(g, cover.sets))
-    # the edited graph is the union of the sets' cliques; the additions and
-    # deletions are the two halves of its difference with g, each read off
-    # as a graph in edge order
-    edited = Graph(g.vertices, tuple(shared))
-    added = Graph(g.vertices, tuple(s & ~r for s, r in zip(shared, g.rows)))
-    deleted = Graph(g.vertices, tuple(r & ~s for s, r in zip(shared, g.rows)))
-    edits = [EdgeAdd(u, w) for u, w in added.edges()]
-    edits += [EdgeDelete(u, w) for u, w in deleted.edges()]
-    splits = cover_to_splits(edited, cover)
-    seq = ModificationSequence((*edits, *splits.steps))
-    assert seq.length == breakdown.total, "sequence length differs from cover cost"
-    check = verify_modification_sequence(g, seq, breakdown.total, "cevs")
-    assert check.valid, f"realized sequence failed to verify: {check.reason}"
-    return seq
-
-
-def modifications_to_cover(g: Graph, seq: ModificationSequence) -> SigmaCliqueCover:
-    """Read a cover off a normalized sequence; its cost is at most the length.
-
-    The split suffix is contracted back over the edited graph, and one
-    singleton is added per vertex left isolated by the edits, so the family
-    covers every vertex.
-    """
-    if not seq.is_normalized():
-        raise NotNormalized("sequence must run additions, deletions, then splits")
-    edits = [s for s in seq.steps if not isinstance(s, VertexSplit)]
-    splits = [s for s in seq.steps if isinstance(s, VertexSplit)]
-    edited = ModificationSequence(tuple(edits)).apply_to(g)
-    cover = splits_to_cover(edited, ModificationSequence(tuple(splits)))
-    covered = 0
-    for mask in family_masks(edited, cover.sets):
-        covered |= mask
-    missed = edited.vertices_of_mask(((1 << edited.n) - 1) & ~covered)
-    out = SigmaCliqueCover.of([*cover.sets, *([v] for v in missed)])
-    assert cover_cost(g, out).total <= seq.length, "cover cost exceeds length"
-    return out

@@ -30,6 +30,7 @@ from splitclust.kernel import IsolateRemoval, RuleIIStep, RuleIStep, kernelize
 from splitclust.reductions import (
     Instance,
     Problem,
+    modifications_to_cover,
     reduce_cvs_to_cevs,
     reduce_ncc_to_scc,
     translate_ncc_cert_to_scc,
@@ -37,7 +38,6 @@ from splitclust.reductions import (
 )
 from splitclust.solvers import (
     max_p3_packing,
-    modifications_to_cover,
     solve_cevs_exact,
     solve_cvs_exact,
     solve_ncc_exact,

@@ -12,6 +12,7 @@ from splitclust.certificates import (
     EdgeAdd,
     EdgeDelete,
     ModificationSequence,
+    NotACover,
     SigmaCliqueCover,
     cover_cost,
     verify_modification_sequence,
@@ -21,17 +22,20 @@ from splitclust.certificates import (
 )
 from splitclust import solvers
 from splitclust.formats import Certificate, dumps_certificate
-from splitclust.graph import Graph, induced_p3_indices
+from splitclust.graph import DuplicateVertex, Graph, UnknownVertex, induced_p3_indices
 from splitclust.hunter import canonical_form, hunt
-from splitclust.reductions import Instance, Problem
+from splitclust.reductions import (
+    Instance,
+    NotNormalized,
+    Problem,
+    cover_to_modifications,
+    modifications_to_cover,
+)
 from splitclust.solvers import (
     DEFAULT_SIZE_LIMITS,
-    NotNormalized,
     SizeLimitExceeded,
     check_size,
-    cover_to_modifications,
     max_p3_packing,
-    modifications_to_cover,
     solve_cevs_exact,
     solve_cvs_exact,
     solve_ncc_exact,
@@ -432,6 +436,37 @@ def test_cevs_counterexample_optimum(ccl8):
 # ---------------------------------------------------------------- cover <-> sequence
 
 
+@pytest.fixture
+def replays(monkeypatch):
+    """(steps, vertices) of each ModificationSequence.apply_to call, in order."""
+    calls = []
+    apply_to = ModificationSequence.apply_to
+
+    def spy(seq, g):
+        calls.append((seq.length, g.n))
+        return apply_to(seq, g)
+
+    monkeypatch.setattr(ModificationSequence, "apply_to", spy)
+    return calls
+
+
+def test_cevs_certificate_is_replayed_once(ccl8, replays):
+    """The realization checks the whole sequence on g and replays nothing else."""
+    assert solve_cevs_exact(Instance(Problem.CEVS, ccl8, 6)) is not None
+    assert replays == [(6, 8)]
+
+
+def test_cover_to_modifications_rejects_bad_covers(p3):
+    with pytest.raises(UnknownVertex, match="^certificate references unknown vertex x$"):
+        cover_to_modifications(p3, SigmaCliqueCover.of([["a", "b"], ["b", "c", "x"]]))
+    with pytest.raises(NotACover, match="^vertex c lies in no set$"):
+        cover_to_modifications(p3, SigmaCliqueCover.of([["a", "b"]]))
+    g = Graph.build(["a", "a.0", "b", "c"], [("a", "b"), ("a", "c")])
+    cover = SigmaCliqueCover.of([["a", "b"], ["a", "c"], ["a.0"]])
+    with pytest.raises(DuplicateVertex, match=r"^split copy name a\.0 already in use$"):
+        cover_to_modifications(g, cover)
+
+
 def test_cover_to_modifications_on_two_set_cover(ccl8):
     two_set = SigmaCliqueCover.of([["a", "b", "c", "h"], ["c", "d", "e", "f", "g"]])
     seq = cover_to_modifications(ccl8, two_set)
@@ -448,8 +483,9 @@ def test_cover_to_modifications_on_two_set_cover(ccl8):
     assert verify_modification_sequence(ccl8, seq, 6, "cevs").valid
 
 
-def test_cover_to_modifications_length_equals_cost_for_all_tiny_covers():
-    """Exactly cost many operations, for every valid cover of every n<=3 graph."""
+def test_cover_to_modifications_length_equals_cost_for_all_tiny_covers(replays):
+    """Exactly cost many operations, for every valid cover of every n<=3
+    graph, replayed once."""
     for g in graphs_on(3):
         names, edges = oracle_form(g)
         subsets = [
@@ -462,7 +498,9 @@ def test_cover_to_modifications_length_equals_cost_for_all_tiny_covers():
             if oracles.cover_cost(names, edges, family) is None:
                 continue
             cover = SigmaCliqueCover.of(family)
+            replays.clear()
             seq = cover_to_modifications(g, cover)
+            assert replays == [(seq.length, g.n)]
             assert seq.length == cover_cost(g, cover).total
             rep = verify_modification_sequence(g, seq, seq.length, "cevs")
             assert rep.valid
