@@ -60,7 +60,9 @@ class InapplicableStep(Exception):
 def _canonical_sets(
     sets: Iterable[Iterable[VertexId | str]],
 ) -> tuple[frozenset[VertexId], ...]:
-    out = {frozenset(VertexId.parse(v) for v in s) for s in sets}
+    # a frozenset of names is shared, not rebuilt; any other set is parsed member by member
+    out = {s if type(s) is frozenset and all(isinstance(v, VertexId) for v in s)
+           else frozenset(map(VertexId.parse, s)) for s in sets}
     for s in out:
         if not s:
             raise ValueError("cover sets must be nonempty")

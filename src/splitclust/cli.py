@@ -34,7 +34,7 @@ from .certificates import (
     verify_sigma_cover,
 )
 from .formats import Certificate, FormatError
-from .graph import DuplicateVertex, UnknownVertex
+from .graph import DuplicateVertex, Graph, UnknownVertex
 from .hunter import hunt, hunt_graph, report_to_obj
 from .kernel import kernelize
 from .reductions import (
@@ -128,7 +128,7 @@ def cmd_solve(args) -> int:
         )
         answer_obj.update(
             optimum=breakdown.total,
-            cover=[[str(v) for v in sorted(s)] for s in cover.sets],
+            cover=formats.cover_to_obj(cover),
             breakdown={
                 "additions": breakdown.nonedges_inside,
                 "deletions": breakdown.edges_outside,
@@ -150,24 +150,29 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _write_outputs(args, suffix: str, g: Graph, trace_obj: dict, summary: str) -> None:
+    """Save `g` to <base>.graph and the trace to <base>.trace.json, then report;
+    <base> is --output, or the input graph's path with `suffix` for its extension."""
+    base = Path(args.output) if args.output else _default_out(args.graph, suffix)
+    graph_path = base.with_name(base.name + ".graph")
+    trace_path = base.with_name(base.name + ".trace.json")
+    formats.save_graph(g, graph_path)
+    trace_path.write_text(formats.dumps_canonical(trace_obj))
+    _emit(args, f"{summary}\ngraph: {graph_path}\ntrace: {trace_path}",
+          {**trace_obj, "graphFile": str(graph_path), "traceFile": str(trace_path)})
+
+
 def cmd_kernelize(args) -> int:
     g = formats.load_graph(args.graph)
     inst = Instance(Problem.CVS, g, args.budget)
     out_inst, trace = kernelize(inst)
-    base = Path(args.output) if args.output else _default_out(args.graph, ".kernel")
-    graph_path = base.with_name(base.name + ".graph")
-    trace_path = base.with_name(base.name + ".trace.json")
-    formats.save_graph(out_inst.graph, graph_path)
     trace_obj = formats.kernel_trace_to_obj(trace)
-    trace_path.write_text(formats.dumps_canonical(trace_obj))
     rule2 = any(step.get("rule") == "II" for step in trace_obj["steps"])
-    human = (
+    summary = (
         f"kernel: {out_inst.graph.n} vertices, budget {out_inst.budget}"
-        f" ({len(trace.steps)} steps{'; decided negative by Rule II' if rule2 else ''})\n"
-        f"graph: {graph_path}\ntrace: {trace_path}"
+        f" ({len(trace.steps)} steps{'; decided negative by Rule II' if rule2 else ''})"
     )
-    _emit(args, human, {**trace_obj, "graphFile": str(graph_path),
-                        "traceFile": str(trace_path)})
+    _write_outputs(args, ".kernel", out_inst.graph, trace_obj, summary)
     return 0
 
 
@@ -189,20 +194,9 @@ def cmd_reduce(args) -> int:
     g = formats.load_graph(args.graph)
     inst = Instance(Problem(args.src), g, args.budget)
     out_inst, trace = _REDUCTIONS[pair](inst)
-    base = Path(args.output) if args.output else _default_out(
-        args.graph, f".{args.src}-to-{args.dst}"
-    )
-    graph_path = base.with_name(base.name + ".graph")
-    trace_path = base.with_name(base.name + ".trace.json")
-    formats.save_graph(out_inst.graph, graph_path)
-    trace_obj = formats.reduction_trace_to_obj(trace)
-    trace_path.write_text(formats.dumps_canonical(trace_obj))
-    human = (
-        f"reduced to {args.dst}: {out_inst.graph.n} vertices,"
-        f" budget {out_inst.budget}\ngraph: {graph_path}\ntrace: {trace_path}"
-    )
-    _emit(args, human, {**trace_obj, "graphFile": str(graph_path),
-                        "traceFile": str(trace_path)})
+    summary = f"reduced to {args.dst}: {out_inst.graph.n} vertices, budget {out_inst.budget}"
+    _write_outputs(args, f".{args.src}-to-{args.dst}", out_inst.graph,
+                   formats.reduction_trace_to_obj(trace), summary)
     return 0
 
 

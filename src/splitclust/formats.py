@@ -55,14 +55,23 @@ class FormatError(Exception):
 
 
 def parse_graph_text(text: str) -> Graph:
+    # VertexId.parse is one-to-one on the tokens it accepts (a root holds no
+    # "." and a branch is "0" or "1"), so a dict of declared tokens decides
+    # "declared", "duplicate vertex" and "duplicate edge".  A token is parsed only
+    # to check a `v` line or an undeclared endpoint; Graph.build maps the rest.
     header: tuple[int, int] | None = None
-    vertices: list[VertexId] = []
-    seen_vertices: dict[VertexId, int] = {}  # name -> its line
-    edges: list[tuple[VertexId, VertexId]] = []
-    seen_edges: set[frozenset[VertexId]] = set()
+    declared: dict[str, int] = {}  # token -> its line, in declaration order
+    edges: list[tuple[str, str]] = []
+    seen_edges: set[tuple[str, str]] = set()
 
     def fail(lineno: int, msg: str) -> None:
         raise FormatError(f"line {lineno}: {msg}")
+
+    def check(lineno: int, token: str) -> None:
+        try:
+            VertexId.parse(token)
+        except GraphError as exc:
+            fail(lineno, str(exc))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -82,47 +91,43 @@ def parse_graph_text(text: str) -> Graph:
         if fields[0] == "v":
             if len(fields) != 2:
                 fail(lineno, "expected 'v <id>'")
-            try:
-                v = VertexId.parse(fields[1])
-            except GraphError as exc:
-                fail(lineno, str(exc))
-            if v in seen_vertices:
+            v = fields[1]
+            check(lineno, v)
+            if v in declared:
                 fail(lineno, f"duplicate vertex {v}")
-            seen_vertices[v] = lineno
-            vertices.append(v)
+            declared[v] = lineno
         elif fields[0] == "e":
             if len(fields) != 3:
                 fail(lineno, "expected 'e <id> <id>'")
-            try:
-                u, w = VertexId.parse(fields[1]), VertexId.parse(fields[2])
-            except GraphError as exc:
-                fail(lineno, str(exc))
+            _, u, w = fields
+            for t in (u, w):
+                if t not in declared:
+                    check(lineno, t)
             if u == w:
                 fail(lineno, f"self-loop at {u}")
-            if u not in seen_vertices or w not in seen_vertices:
-                missing = u if u not in seen_vertices else w
+            if u not in declared or w not in declared:
+                missing = u if u not in declared else w
                 fail(lineno, f"edge endpoint {missing} is not a declared vertex")
-            pair = frozenset((u, w))
+            pair = (u, w) if u < w else (w, u)
             if pair in seen_edges:
                 fail(lineno, f"duplicate edge {u} {w}")
             seen_edges.add(pair)
-            edges.append((u, w))
+            edges.append(pair)
         else:
             fail(lineno, f"unknown directive {fields[0]!r}")
     if header is None:
         raise FormatError("missing 'graph <n> <m>' header")
-    if header != (len(vertices), len(edges)):
+    if header != (len(declared), len(edges)):
         raise FormatError(
             f"header announces {header[0]} vertices / {header[1]} edges,"
-            f" found {len(vertices)} / {len(edges)}"
+            f" found {len(declared)} / {len(edges)}"
         )
     # a split would name its copies like these, so lineage must stay unambiguous
-    for v in vertices:
-        for depth in range(len(v.branches)):
-            ancestor = VertexId(v.root, v.branches[:depth])
-            if ancestor in seen_vertices:
-                fail(seen_vertices[v], f"vertex {v} is a split copy of vertex {ancestor}")
-    return Graph.build(vertices, edges)
+    for v, lineno in declared.items():
+        for at in (i for i, ch in enumerate(v) if ch == "."):
+            if v[:at] in declared:
+                fail(lineno, f"vertex {v} is a split copy of vertex {v[:at]}")
+    return Graph.build(declared, edges)
 
 
 def format_graph_text(g: Graph) -> str:
@@ -239,9 +244,14 @@ def _steps_from_obj(items) -> ModificationSequence:
     return ModificationSequence(tuple(steps))
 
 
+def cover_to_obj(cover: SigmaCliqueCover | NodeCliqueCover) -> list[list[str]]:
+    """A cover's sets, in the cover's order, each as its sorted member names."""
+    return [_ids(s) for s in cover.sets]
+
+
 def certificate_to_obj(cert: Certificate) -> dict:
     if cert.kind == "cover":
-        payload = {"sets": [_ids(s) for s in cert.value.sets]}
+        payload = {"sets": cover_to_obj(cert.value)}
     elif cert.kind == "sequence":
         payload = {"steps": _steps_to_obj(cert.value)}
     elif cert.kind == "packing":

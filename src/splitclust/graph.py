@@ -123,13 +123,6 @@ class VertexId(tuple):
             raise GraphError(f"branch components must be 0 or 1: {branches!r}")
         return tuple.__new__(VertexId, (kind, value, root, branches))
 
-    def is_copy_of(self, ancestor: VertexId) -> bool:
-        """True when this name is `ancestor` or descends from it by splits."""
-        return (
-            self.root == ancestor.root
-            and self.branches[: len(ancestor.branches)] == ancestor.branches
-        )
-
     def __str__(self) -> str:
         _, _, root, branches = self
         if not branches:
@@ -191,6 +184,10 @@ class Graph:
         vertices: Iterable[VertexId | str],
         edges: Iterable[tuple[VertexId | str, VertexId | str]] = (),
     ) -> Graph:
+        """The graph on the declared `vertices` (each a str or a VertexId).
+
+        Each declared token is parsed once, and both it and its name map to the
+        vertex, so an edge endpoint is parsed only when it misses that map."""
         tokens = list(vertices)
         vs = [VertexId.parse(t) for t in tokens]
         seen: set[VertexId] = set()
@@ -199,9 +196,7 @@ class Graph:
                 raise DuplicateVertex(f"duplicate vertex {v}")
             seen.add(v)
         order = sorted(vs)
-        # each name and each given token maps to its sorted position, so an
-        # endpoint given as declared is never parsed; a str never equals a
-        # VertexId, so the two kinds of key cannot collide
+        # a str never equals a VertexId, so the two kinds of key cannot collide
         index = {v: i for i, v in enumerate(order)}
         index.update(zip(tokens, map(index.__getitem__, vs)))
         rows = [0] * len(order)

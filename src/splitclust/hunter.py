@@ -44,7 +44,7 @@ from importlib import resources
 from typing import Iterator, Sequence
 
 from .certificates import SigmaCliqueCover, masks_cost, sets_respect_classes
-from .formats import graph_to_obj
+from .formats import cover_to_obj, graph_to_obj
 from .graph import Graph, VertexId, component_masks, critical_clique_graph
 from .solvers import cevs_search, check_size
 
@@ -296,9 +296,7 @@ def _pooled(items: Iterator[tuple[int, int, int]]) -> Iterator[HuntReport]:
 
 def report_to_obj(report: HuntReport) -> dict:
     def cover_obj(cover: SigmaCliqueCover | None):
-        if cover is None:
-            return None
-        return [[str(v) for v in sorted(s)] for s in cover.sets]
+        return None if cover is None else cover_to_obj(cover)
 
     return {
         "schema": "splitclust.hunt/1",

@@ -483,3 +483,82 @@ def build_by_name(graph_module, vertices, edges=()):
         rows[index[u]] |= 1 << index[w]
         rows[index[w]] |= 1 << index[u]
     return m.Graph(tuple(vs), tuple(rows))
+
+
+def parse_by_name(formats_module, graph_module, text):
+    """parse_graph_text one name at a time, the reference for the package's
+    parser.
+
+    Every declared vertex and every edge endpoint goes through
+    ``VertexId.parse``; duplicates are found on the parsed names, edges on
+    frozensets of them, and the lineage check walks the declared names in
+    declaration order.  The graph comes from :func:`build_by_name`.
+    """
+    VertexId, GraphError = graph_module.VertexId, graph_module.GraphError
+    header = None
+    vertices = []
+    seen_vertices = {}  # name -> its line
+    edges = []
+    seen_edges = set()
+
+    def fail(lineno, msg):
+        raise formats_module.FormatError(f"line {lineno}: {msg}")
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if header is None:
+            if fields[0] != "graph" or len(fields) != 3:
+                fail(lineno, "expected header 'graph <n> <m>'")
+            try:
+                header = (int(fields[1]), int(fields[2]))
+            except ValueError:
+                fail(lineno, "vertex and edge counts must be integers")
+            if header[0] < 0 or header[1] < 0:
+                fail(lineno, "vertex and edge counts must be non-negative")
+            continue
+        if fields[0] == "v":
+            if len(fields) != 2:
+                fail(lineno, "expected 'v <id>'")
+            try:
+                v = VertexId.parse(fields[1])
+            except GraphError as exc:
+                fail(lineno, str(exc))
+            if v in seen_vertices:
+                fail(lineno, f"duplicate vertex {v}")
+            seen_vertices[v] = lineno
+            vertices.append(v)
+        elif fields[0] == "e":
+            if len(fields) != 3:
+                fail(lineno, "expected 'e <id> <id>'")
+            try:
+                u, w = VertexId.parse(fields[1]), VertexId.parse(fields[2])
+            except GraphError as exc:
+                fail(lineno, str(exc))
+            if u == w:
+                fail(lineno, f"self-loop at {u}")
+            if u not in seen_vertices or w not in seen_vertices:
+                missing = u if u not in seen_vertices else w
+                fail(lineno, f"edge endpoint {missing} is not a declared vertex")
+            pair = frozenset((u, w))
+            if pair in seen_edges:
+                fail(lineno, f"duplicate edge {u} {w}")
+            seen_edges.add(pair)
+            edges.append((u, w))
+        else:
+            fail(lineno, f"unknown directive {fields[0]!r}")
+    if header is None:
+        raise formats_module.FormatError("missing 'graph <n> <m>' header")
+    if header != (len(vertices), len(edges)):
+        raise formats_module.FormatError(
+            f"header announces {header[0]} vertices / {header[1]} edges,"
+            f" found {len(vertices)} / {len(edges)}"
+        )
+    for v in vertices:
+        for depth in range(len(v.branches)):
+            ancestor = VertexId(v.root, v.branches[:depth])
+            if ancestor in seen_vertices:
+                fail(seen_vertices[v], f"vertex {v} is a split copy of vertex {ancestor}")
+    return build_by_name(graph_module, vertices, edges)

@@ -26,7 +26,7 @@ from splitclust.certificates import (
     verify_p3_packing,
     verify_sigma_cover,
 )
-from splitclust.graph import Graph, Split, UnknownVertex, induced_p3_indices
+from splitclust.graph import Graph, Split, UnknownVertex, VertexId, induced_p3_indices
 from splitclust.solvers import max_p3_packing
 
 
@@ -38,6 +38,15 @@ def test_cover_canonicalization():
     assert [sorted(map(str, s)) for s in cover.sets] == [["a", "b"], ["c"]]
     assert cover.weight == 3
     assert len(cover) == 2
+
+
+def test_cover_keeps_a_frozenset_of_names():
+    names = frozenset(map(VertexId.parse, "ab"))
+    mixed = frozenset(["c", VertexId.parse("d")])
+    cover = SigmaCliqueCover.of([names, mixed])
+    assert cover.sets[0] is names
+    assert cover.sets[1] == frozenset(map(VertexId.parse, "cd"))
+    assert NodeCliqueCover.of(cover.sets).sets[0] is names
 
 
 def test_empty_set_rejected():

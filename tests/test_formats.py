@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import itertools
 import json
+import random
 
 import pytest
 
+import oracles
+import splitclust.formats as formats_module
+import splitclust.graph as graph_module
 from conftest import DATA, graphs_on
 from splitclust.certificates import (
     EdgeAdd,
@@ -32,7 +37,7 @@ from splitclust.formats import (
     save_certificate,
     save_graph,
 )
-from splitclust.graph import Graph, Split
+from splitclust.graph import Graph, Split, VertexId
 from splitclust.kernel import kernelize
 from splitclust.reductions import Instance, Problem, reduce_ncc_to_scc
 
@@ -86,6 +91,125 @@ def test_parse_errors(text, fragment):
     with pytest.raises(FormatError) as info:
         parse_graph_text(text)
     assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # lineage faults are reported in declaration order
+        ("graph 3 0\nv c.1\nv c.0\nv c\n", "line 2: vertex c.1 is a split copy of vertex c"),
+        # the self-loop check comes before the declared-vertex check
+        ("graph 2 1\nv a\nv b\ne z z\n", "line 4: self-loop at z"),
+        # a malformed token comes before an undeclared one, on either side
+        ("graph 2 1\nv a\nv b\ne a.2 q\n",
+         "line 4: branch components after dots must be 0 or 1: 'a.2'"),
+        ("graph 2 1\nv a\nv b\ne q a.2\n",
+         "line 4: branch components after dots must be 0 or 1: 'a.2'"),
+        ("graph 2 1\nv a\nv b\ne a.2 q.x\n",
+         "line 4: branch components after dots must be 0 or 1: 'a.2'"),
+        ("graph 2 1\nv a\ne a b\nv b\n", "line 3: edge endpoint b is not a declared vertex"),
+        # a duplicate edge is named in its own line's order
+        ("graph 2 2\nv a\nv b\ne a b\ne b a\n", "line 5: duplicate edge b a"),
+        # 01 and 1 are two vertices, so their edge is no self-loop and repeats
+        ("graph 2 2\nv 01\nv 1\ne 01 1\ne 1 01\n", "line 5: duplicate edge 1 01"),
+        # the header count is checked before lineage
+        ("graph 3 0\nv c\nv c.0\n", "header announces 3 vertices / 0 edges, found 2 / 0"),
+    ],
+)
+def test_parse_error_messages_in_full(text, message):
+    """Files with more than one fault: the message names the one that wins."""
+    with pytest.raises(FormatError) as info:
+        parse_graph_text(text)
+    assert str(info.value) == message
+
+
+PARSE_NAMES = ["a", "b", "01", "1", "10", "x.1", "y.0.1", "k"]
+PARSE_BAD = ["a.2", "c.", ".0", "a..0", "q.x"]
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return str(exc)
+
+
+def _planted_text(rng) -> str:
+    """A graph file on a sample of PARSE_NAMES with 0-2 planted faults; the
+    header counts the `v` and `e` lines, so only a fault stops the parse."""
+    names = rng.sample(PARSE_NAMES, rng.randint(1, len(PARSE_NAMES)))
+    pairs = [p if rng.random() < 0.5 else p[::-1]
+             for p in itertools.combinations(names, 2) if rng.random() < 0.5]
+    rng.shuffle(pairs)
+    lines = [f"v {v}" for v in names] + [f"e {a} {b}" for a, b in pairs]
+    extra = 0
+    for _ in range(rng.randint(0, 2)):
+        fault = rng.randrange(9)
+        at = rng.randint(1, len(lines))
+        name = rng.choice(names)
+        pool = names + ["z", "c.0"] + PARSE_BAD
+        if fault == 0:
+            lines.insert(at, f"v {rng.choice(names + PARSE_BAD)}")
+        elif fault == 1:
+            lines.insert(at, "e {0} {0}".format(rng.choice(pool)))
+        elif fault == 2:
+            lines.insert(at, f"e {rng.choice(pool)} {rng.choice(pool)}")
+        elif fault == 3 and pairs:
+            a, b = rng.choice(pairs)
+            lines.append(f"e {b} {a}" if rng.random() < 0.5 else f"e {a} {b}")
+        elif fault == 4 and pairs:  # an edge line before one of its `v` lines
+            a, b = rng.choice(pairs)
+            lines.remove(f"v {a}")
+            lines.append(f"v {a}")
+        elif fault == 5:  # a split copy, or the name a copy was split from
+            root = name.split(".")[0]
+            lines.insert(at, f"v {root}" if root != name else f"v {name}.{rng.randrange(2)}")
+        elif fault == 6:
+            lines.insert(at, rng.choice(["w a", "e a", "v a b", "e a b c"]))
+        elif fault == 7:
+            extra += 1
+        else:
+            lines.insert(at, "# a comment\n")
+    n = sum(line.startswith("v ") for line in lines)
+    m = sum(line.startswith("e ") for line in lines)
+    return "\n".join([f"graph {n + extra} {m}", *lines]) + "\n"
+
+
+def test_parse_equals_the_name_by_name_reference():
+    """parse_graph_text checks tokens and lets Graph.build map them; the
+    reference parses every name it meets.  Both give the same graph or the
+    same message on seeded files with 0-2 planted faults."""
+    def reference(text):
+        return oracles.parse_by_name(formats_module, graph_module, text)
+
+    rng = random.Random(21)
+    failures = 0
+    for _ in range(1500):
+        text = _planted_text(rng)
+        want = _parse_outcome(reference, text)
+        assert _parse_outcome(parse_graph_text, text) == want, text
+        failures += isinstance(want, str)
+    assert 600 < failures < 1200
+
+
+def test_parse_constructs_at_most_two_names_per_vertex(monkeypatch):
+    """Each `v` line is parsed once to check it and Graph.build parses it
+    once more; edge endpoints are looked up by token, never parsed."""
+    names = [f"v{i}" for i in range(30)] + ["c.0.1", "c.1"]
+    text = format_graph_text(Graph.build(names, itertools.combinations(names, 2)))
+    made = 0
+    new = VertexId.__new__
+
+    def counting_new(cls, *args):
+        nonlocal made
+        made += 1
+        return new(cls, *args)
+
+    monkeypatch.setattr(VertexId, "__new__", counting_new)
+    g = parse_graph_text(text)
+    monkeypatch.undo()
+    assert g.edge_count == 32 * 31 // 2
+    assert made <= 2 * g.n
 
 
 # ---------------------------------------------------------------- JSON bodies
