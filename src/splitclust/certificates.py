@@ -60,9 +60,11 @@ class InapplicableStep(Exception):
 def _canonical_sets(
     sets: Iterable[Iterable[VertexId | str]],
 ) -> tuple[frozenset[VertexId], ...]:
-    # a frozenset of names is shared, not rebuilt; any other set is parsed member by member
+    # a frozenset of names is shared, not rebuilt; any other set is parsed member
+    # by member, into a set first: copied from a set, a frozenset gets the table
+    # a set of its size needs, not the larger one it grows one member at a time
     out = {s if type(s) is frozenset and all(isinstance(v, VertexId) for v in s)
-           else frozenset(map(VertexId.parse, s)) for s in sets}
+           else frozenset(set(map(VertexId.parse, s))) for s in sets}
     for s in out:
         if not s:
             raise ValueError("cover sets must be nonempty")

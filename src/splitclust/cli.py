@@ -65,7 +65,7 @@ def _nonneg(value: str) -> int:
 
 def _emit(args, human: str, obj: dict) -> None:
     if args.json:
-        print(json.dumps(obj, sort_keys=True, indent=2))
+        sys.stdout.write(formats.dumps_canonical(obj))
     else:
         print(human)
 
@@ -157,7 +157,7 @@ def _write_outputs(args, suffix: str, g: Graph, trace_obj: dict, summary: str) -
     graph_path = base.with_name(base.name + ".graph")
     trace_path = base.with_name(base.name + ".trace.json")
     formats.save_graph(g, graph_path)
-    trace_path.write_text(formats.dumps_canonical(trace_obj))
+    trace_path.write_text(formats.dumps_canonical(trace_obj), encoding="utf-8")
     _emit(args, f"{summary}\ngraph: {graph_path}\ntrace: {trace_path}",
           {**trace_obj, "graphFile": str(graph_path), "traceFile": str(trace_path)})
 
@@ -327,7 +327,8 @@ def cmd_hunt(args) -> int:
     sink = sys.stdout
     handle = None
     if args.output:
-        handle = sink = Path(args.output).open("a" if args.resume else "w")
+        mode = "a" if args.resume else "w"
+        handle = sink = Path(args.output).open(mode, encoding="utf-8")
         if args.resume:
             handle.truncate(keep)
     try:

@@ -17,7 +17,15 @@ Certificates and traces (which embed their instances) travel as JSON
 envelopes with a schema tag; certificates are the one JSON input.
 Serialization is canonical and byte-stable: members are emitted in the
 library's vertex order and objects with sorted keys, so writing the same
-value twice produces identical bytes.
+value twice produces identical bytes.  :func:`dumps_canonical` is the one
+writer: a short recursive one whose text is byte for byte what
+``json.dumps`` writes with ``sort_keys=True`` and ``indent=2``, plus a
+newline.  The standard encoder takes its pure-Python path whenever it
+indents, so writing the text directly is faster; strings are escaped by the
+C routine ``json.dumps`` itself uses.
+Files are written and read as UTF-8, whatever the locale.  A certificate
+turns each distinct vertex name into text, or a token into a
+:class:`VertexId`, once, however many steps or sets name it.
 """
 
 from __future__ import annotations
@@ -149,7 +157,7 @@ def load_graph(path: str | Path) -> Graph:
 
 
 def save_graph(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(format_graph_text(g))
+    Path(path).write_text(format_graph_text(g), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +165,55 @@ def save_graph(g: Graph, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """`obj`, a JSON tree with string keys, as ``json.dumps`` writes it with
+    ``sort_keys=True`` and ``indent=2``, byte for byte, plus a newline."""
+    return _dump(obj, "\n") + "\n"
 
 
-def _ids(vs: Iterable[VertexId]) -> list[str]:
-    return [str(v) for v in sorted(vs)]
+def _dump(obj, newline: str) -> str:
+    """`obj` as JSON text; `newline` is a line break and the current indent.
+
+    A member that is exactly a str is quoted in place, without a call.
+    """
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        items = [_quote(v) if type(v) is str else _dump(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            _quote(k) + ": " + (_quote(v) if type(v) is str else _dump(v, inner))
+            for k, v in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(obj)  # numbers, booleans and null
+
+
+class _Memo(dict):
+    """A dict that fills a missing key k with ``fn(k)``: fn runs once per key."""
+
+    def __init__(self, fn) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _ids(vs: Iterable[VertexId], text: _Memo) -> list[str]:
+    """The sorted names of `vs` as text; `text` is a ``_Memo(str)``."""
+    return list(map(text.__getitem__, sorted(vs)))
 
 
 def graph_to_obj(g: Graph) -> dict:
@@ -188,20 +239,21 @@ class Certificate:
 
 
 def _steps_to_obj(seq: ModificationSequence) -> list[dict]:
+    text = _Memo(str)
     out = []
     for step in seq.steps:
         if isinstance(step, EdgeAdd):
-            out.append({"op": "add", "u": str(step.u), "v": str(step.v)})
+            out.append({"op": "add", "u": text[step.u], "v": text[step.v]})
         elif isinstance(step, EdgeDelete):
-            out.append({"op": "delete", "u": str(step.u), "v": str(step.v)})
+            out.append({"op": "delete", "u": text[step.u], "v": text[step.v]})
         else:
             s = step.split
             out.append(
                 {
                     "op": "split",
-                    "target": str(s.target),
-                    "left": _ids(s.neighbors_a),
-                    "right": _ids(s.neighbors_b),
+                    "target": text[s.target],
+                    "left": _ids(s.neighbors_a, text),
+                    "right": _ids(s.neighbors_b, text),
                 }
             )
     return out
@@ -217,10 +269,19 @@ def _expect(value, kind: type, what: str):
 
 
 def _names(value, what: str) -> list[str]:
-    return [_expect(v, str, f"{what} member") for v in _expect(value, list, what)]
+    names = _expect(value, list, what)
+    for v in names:
+        if not isinstance(v, str):
+            _expect(v, str, f"{what} member")  # raises
+    return names
 
 
-def _steps_from_obj(items) -> ModificationSequence:
+def _id_set(names: list[str], ids: _Memo) -> frozenset[VertexId]:
+    # copied from a set, a frozenset gets the table a set of its size needs
+    return frozenset(set(map(ids.__getitem__, names)))
+
+
+def _steps_from_obj(items, ids: _Memo) -> ModificationSequence:
     steps = []
     for i, item in enumerate(_expect(items, list, "steps")):
         item = _expect(item, dict, f"step {i}")
@@ -228,17 +289,13 @@ def _steps_from_obj(items) -> ModificationSequence:
         if op in ("add", "delete"):
             u, v = (_expect(item[k], str, f"step {i} {k}") for k in ("u", "v"))
             edge = EdgeAdd if op == "add" else EdgeDelete
-            steps.append(edge(VertexId.parse(u), VertexId.parse(v)))
+            steps.append(edge(ids[u], ids[v]))
         elif op == "split":
-            steps.append(
-                VertexSplit(
-                    Split.of(
-                        _expect(item["target"], str, f"step {i} target"),
-                        _names(item["left"], f"step {i} left"),
-                        _names(item["right"], f"step {i} right"),
-                    )
-                )
-            )
+            target = _expect(item["target"], str, f"step {i} target")
+            left = _names(item["left"], f"step {i} left")
+            right = _names(item["right"], f"step {i} right")
+            split = Split(ids[target], _id_set(left, ids), _id_set(right, ids))
+            steps.append(VertexSplit(split))
         else:
             raise FormatError(f"unknown modification op {op!r}")
     return ModificationSequence(tuple(steps))
@@ -246,7 +303,8 @@ def _steps_from_obj(items) -> ModificationSequence:
 
 def cover_to_obj(cover: SigmaCliqueCover | NodeCliqueCover) -> list[list[str]]:
     """A cover's sets, in the cover's order, each as its sorted member names."""
-    return [_ids(s) for s in cover.sets]
+    text = _Memo(str)
+    return [_ids(s, text) for s in cover.sets]
 
 
 def certificate_to_obj(cert: Certificate) -> dict:
@@ -283,15 +341,19 @@ def certificate_from_obj(obj) -> Certificate:
             raise FormatError("budget must be a non-negative integer")
         kind = obj["kind"]
         payload = _expect(obj["payload"], dict, "payload")
+        ids = _Memo(VertexId.parse)  # one VertexId per distinct token
         if kind == "cover":
             cover_cls = NodeCliqueCover if problem == "ncc" else SigmaCliqueCover
             sets = _expect(payload["sets"], list, "sets")
-            value = cover_cls.of(_names(s, "a set") for s in sets)
+            value = cover_cls.of(_id_set(_names(s, "a set"), ids) for s in sets)
         elif kind == "sequence":
-            value = _steps_from_obj(payload["steps"])
+            value = _steps_from_obj(payload["steps"], ids)
         elif kind == "packing":
             triples = _expect(payload["triples"], list, "triples")
-            value = P3Packing.of(tuple(_names(t, "a triple")) for t in triples)
+            value = P3Packing.of(
+                (ids[x], ids[y], ids[z])
+                for x, y, z in (_names(t, "a triple") for t in triples)
+            )
         else:
             raise FormatError(f"unknown certificate kind {kind!r}")
     except FormatError:
@@ -320,7 +382,7 @@ def load_certificate(path: str | Path) -> Certificate:
 
 
 def save_certificate(cert: Certificate, path: str | Path) -> None:
-    Path(path).write_text(dumps_certificate(cert))
+    Path(path).write_text(dumps_certificate(cert), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +409,17 @@ def reduction_trace_to_obj(trace) -> dict:
 
 
 def kernel_trace_to_obj(trace) -> dict:
+    text = _Memo(str)
     steps = []
     for step in trace.steps:
         if isinstance(step, IsolateRemoval):
-            steps.append({"rule": "isolate-removal", "vertices": _ids(step.vertices)})
+            steps.append({"rule": "isolate-removal", "vertices": _ids(step.vertices, text)})
         elif isinstance(step, RuleIStep):
             steps.append(
                 {
                     "rule": "I",
-                    "removed": str(step.removed),
-                    "cascaded": _ids(step.cascaded),
+                    "removed": text[step.removed],
+                    "cascaded": _ids(step.cascaded, text),
                 }
             )
         elif isinstance(step, RuleIIStep):

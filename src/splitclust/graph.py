@@ -390,14 +390,17 @@ class GraphEditor:
 
     def _append(self, name: VertexId, mask: int) -> None:
         """Add `name`, new, adjacent to the live vertices of row mask `mask`."""
-        k = len(self._names)
+        k, rows = len(self._names), self._rows
         mask &= self._live
         self._names.append(name)
-        self._rows.append(mask)
+        rows.append(mask)
         self._index[name] = k
-        self._live |= 1 << k
-        for j in _bits(mask):
-            self._rows[j] |= 1 << k
+        bit = 1 << k
+        self._live |= bit
+        while mask:  # _bits, inline
+            low = mask & -mask
+            rows[low.bit_length() - 1] |= bit
+            mask ^= low
 
     def add_edge(self, u: VertexId | str, w: VertexId | str) -> None:
         i, j = self._at(u), self._at(w)
@@ -417,19 +420,18 @@ class GraphEditor:
 
     def split(self, split: Split) -> None:
         """Perform one vertex split; raises if the split is not well formed."""
-        t = split.target
-        ti = self._at(t)
+        t, index = split.target, self._index
+        ti = index.get(t)
+        if ti is None:
+            raise UnknownVertex(f"unknown vertex {t}")
         row = self._rows[ti] & self._live
         masks = []
         for side in (split.neighbors_a, split.neighbors_b):
-            mask, foreign = 0, []
-            for v in side:
-                j = self._index.get(v)
-                if j is None or not row >> j & 1:
-                    foreign.append(v)
-                else:
-                    mask |= 1 << j
-            if foreign:
+            mask = 0
+            for v in side:  # an unknown name counts as t, never a neighbor of t
+                mask |= 1 << index.get(v, ti)
+            if mask & ~row:
+                foreign = [v for v in side if not row >> index.get(v, ti) & 1]
                 raise ForeignNeighbor(
                     f"split of {t}: {min(foreign)} is not a neighbor of {t}"
                 )
@@ -442,9 +444,10 @@ class GraphEditor:
             )
         copies = (t.child(0), t.child(1))
         for copy in copies:
-            if copy in self._index:
+            if copy in index:
                 raise DuplicateVertex(f"split copy name {copy} already in use")
-        self._remove(1 << ti)
+        del index[t]
+        self._live ^= 1 << ti
         for copy, mask in zip(copies, masks):
             self._append(copy, mask)
 

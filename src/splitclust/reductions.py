@@ -39,6 +39,7 @@ The reductions implemented:
 
 from __future__ import annotations
 
+import bisect
 import enum
 import heapq
 from dataclasses import dataclass, field
@@ -259,7 +260,7 @@ def _pull_outs(g: Graph, cover: SigmaCliqueCover) -> list[VertexSplit]:
     other singleton is its vertex's only set.  So the total is weight -
     |covered|, which is weight - |V| when every vertex lies in a set.
     """
-    sets = [set(s) for s in cover.sets if len(s) >= 2]
+    sets = [sorted(s) for s in cover.sets if len(s) >= 2]  # each kept sorted
     # name -> the sets of two or more vertices holding it
     holders: dict[VertexId, list[int]] = {v: [] for v in g.isolated_vertices()}
     for k, s in enumerate(sets):
@@ -274,16 +275,21 @@ def _pull_outs(g: Graph, cover: SigmaCliqueCover) -> list[VertexSplit]:
             if copy in holders:
                 raise DuplicateVertex(f"split copy name {copy} already in use")
         # renaming can reorder sets when a name descends from u.0, so C1 is
-        # found by the current members, not by the order at the start
+        # found by the current members, not by the order at the start; a copy
+        # is inserted where it sorts, not where u stood
         ks = holders.pop(u)
-        c1 = min(ks, key=lambda k: sorted(sets[k]))
+        c1 = min(ks, key=sets.__getitem__)
         rest = [k for k in ks if k != c1]
-        inside = frozenset(sets[c1]) - {u}
-        outside = frozenset().union(*(sets[k] for k in rest)) - {u}
-        steps.append(VertexSplit(Split(u, inside, outside)))
+        inside = set(sets[c1])
+        inside.remove(u)
+        outside = set().union(*(sets[k] for k in rest))
+        outside.discard(u)
+        # copied from a set, a frozenset gets the table a set of its size needs
+        steps.append(VertexSplit(Split(u, frozenset(inside), frozenset(outside))))
         for k in ks:
-            sets[k].discard(u)
-            sets[k].add(u_in if k == c1 else u_out)
+            members = sets[k]
+            del members[bisect.bisect_left(members, u)]
+            bisect.insort(members, u_in if k == c1 else u_out)
         holders[u_in], holders[u_out] = [c1], rest
         return u_out
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -99,6 +100,24 @@ def test_kernelize_triangle(work, capsys):
 def test_kernelize_rule2_notice(work, capsys):
     assert run("kernelize", work / "p3.graph", "--budget", "0") == 0
     assert "Rule II" in capsys.readouterr().out
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # under the C locale, without UTF-8 mode, the locale's encoding is ASCII;
+    # a written file must still be UTF-8, the encoding every reader reads
+    text = "graph 3 2\nv \u00e9\nv a\nv b\ne \u00e9 a\ne a b\n"
+    (tmp_path / "g.graph").write_text(text, encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "splitclust.cli", "kernelize",
+         "g.graph", "--budget", "1", "-o", "out"],
+        cwd=tmp_path, capture_output=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr.decode()
+    written = load_graph(tmp_path / "out.graph")
+    assert written == load_graph(tmp_path / "g.graph")  # nothing to kernelize
+    assert "\u00e9" in map(str, written.vertices)
 
 
 # ---------------------------------------------------------------- reduce
@@ -222,6 +241,46 @@ def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path):
         outputs.append((out.stdout, files))
     assert len(outputs[0][1]) == 3 + 12 + 3 * 2 + 4 * 2 + 1
     assert outputs[0] == outputs[1]
+
+
+# sha256 of the `--json` stdout of every run below and of every file in the
+# working directory afterwards, the written certificates, graphs and traces
+CLI_OUTPUT_SHA256 = "c90a0664176d4018a9ba0fe5ad960f4e05a1580247727454153ac7b6685863e4"
+
+
+def test_cli_output_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    for name in ("ccl8.graph", "k3.graph", "p3.graph"):
+        shutil.copy(DATA / name, tmp_path / name)
+    monkeypatch.chdir(tmp_path)  # relative paths, so the bytes hold anywhere
+    runs = []
+    for g in ("ccl8", "k3", "p3"):
+        for problem, budget in (("scc", 20), ("ncc", 4), ("cvs", 6), ("cevs", 6),
+                                ("cvs", 0), ("cevs", 1)):
+            cert = f"{g}.{problem}{budget}.cert.json"
+            runs.append(["solve", f"{g}.graph", "--problem", problem,
+                         "--budget", budget, "-o", cert])
+            if budget:
+                runs.append(["verify", f"{g}.graph", cert])
+        runs.append(["lowerbound", f"{g}.graph", "--exact-packing",
+                     "-o", f"{g}.packing.json"])
+        runs.append(["verify", f"{g}.graph", f"{g}.packing.json"])
+        runs.append(["kernelize", f"{g}.graph", "--budget", 2])
+    for src, dst, budget in (("ncc", "scc", 3), ("cvs", "scc", 2),
+                             ("scc", "cvs", 20), ("cvs", "cevs", 2)):
+        runs.append(["reduce", "ccl8.graph", "--from", src, "--to", dst,
+                     "--budget", budget])
+    digest = hashlib.sha256()
+    for argv in runs:
+        code = main([*map(str, argv), "--json"])
+        digest.update(f"{argv} {code}\n".encode())
+        digest.update(capsys.readouterr().out.encode())
+    files = sorted(tmp_path.iterdir())
+    # k3 at cvs 0 and cevs 1 and p3 at cevs 1 are YES as well
+    assert len(files) == 3 + 3 * 4 + 3 + 3 + 3 * 2 + 4 * 2
+    for path in files:
+        digest.update(f"{path.name} {path.stat().st_size}\n".encode())
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == CLI_OUTPUT_SHA256
 
 
 # ---------------------------------------------------------------- lowerbound

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -222,6 +223,38 @@ def test_dumps_canonical_is_sorted_with_newline():
     assert json.loads(out) == {"a": [2, 1], "b": 1}
 
 
+# escapes, control characters, non-ASCII text and a character past the BMP
+_JSON_TEXT = ["", "a", "Z9", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
+              "\u00e9", "\u2028", "\u2603", "\U0001f600"]
+_JSON_SCALARS = [None, True, False, 0, -1, 7, 2**64 + 1, -(10**40), 0.5, -0.0, 1e300]
+
+
+def _json_text(rng) -> str:
+    return "".join(rng.choice(_JSON_TEXT) for _ in range(rng.randrange(4)))
+
+
+def _json_tree(rng, depth: int = 0):
+    """A container at the top, only leaves at depth 4."""
+    kinds = ["list", "dict"] if depth == 0 else ["scalar", "text"]
+    kind = rng.choice(kinds + (["list", "dict"] if 0 < depth < 4 else []))
+    if kind == "scalar":
+        return rng.choice(_JSON_SCALARS)
+    if kind == "text":
+        return _json_text(rng)
+    if kind == "list":
+        items = [_json_tree(rng, depth + 1) for _ in range(rng.randrange(4))]
+        return tuple(items) if rng.random() < 0.2 else items  # a tuple is a list
+    return {_json_text(rng): _json_tree(rng, depth + 1) for _ in range(rng.randrange(4))}
+
+
+def test_dumps_canonical_equals_the_standard_encoder():
+    rng = random.Random(22)
+    trees = [{"a": [], "b": {}, "c": [[], [{}], {"d": ()}]}, [], {}, "\u00e9", 10**30]
+    trees += [_json_tree(rng) for _ in range(400)]
+    for obj in trees:
+        assert dumps_canonical(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def test_instance_to_obj_literal(p3):
     assert instance_to_obj(Instance(Problem.CVS, p3, 2)) == {
         "problem": "cvs",
@@ -352,6 +385,76 @@ def _envelope(kind: str, payload) -> dict:
 def test_certificate_json_shapes_are_checked(obj):
     with pytest.raises(FormatError):
         certificate_from_obj(obj)
+
+
+def test_a_certificate_reads_each_name_once():
+    steps = [{"op": "split", "target": f"t{i}", "left": ["hub", f"x{i}"], "right": ["hub"]}
+             for i in range(5)]
+    steps.append({"op": "add", "u": "y", "v": "hub"})
+    seq = certificate_from_obj(_envelope("sequence", {"steps": steps})).value
+    hubs = [v for step in seq.steps[:5]
+            for side in (step.split.neighbors_a, step.split.neighbors_b)
+            for v in side if v == VertexId("hub")]
+    hubs.append(seq.steps[5].u)
+    assert len(hubs) == 11 and all(v is hubs[0] for v in hubs)
+    cover = certificate_from_obj(_envelope("cover", {"sets": [["a", "hub"], ["b", "hub"]]}))
+    a, b = ({v for v in s if v == VertexId("hub")} for s in cover.value.sets)
+    assert a.pop() is b.pop()
+
+
+def _split(target, left, right) -> dict:
+    return {"op": "split", "target": target, "left": left, "right": right}
+
+
+@pytest.mark.parametrize(
+    "kind, payload, message",
+    [
+        ("sequence", {"steps": [_split("a", ["b.2"], [])]},
+         "bad certificate object: branch components after dots must be 0 or 1: 'b.2'"),
+        ("sequence", {"steps": [_split("a b", ["c"], [])]},
+         "bad certificate object: bad vertex root token: 'a b'"),
+        # every type is checked before any name is read
+        ("sequence", {"steps": [_split("a.2", ["b"], ["c", 1])]},
+         "step 0 right member must be a vertex name, not int"),
+        ("sequence", {"steps": [_split("a", ["b"], []), _split("b.7", ["a"], [])]},
+         "bad certificate object: branch components after dots must be 0 or 1: 'b.7'"),
+        ("sequence", {"steps": [{"op": "add", "u": "a.9", "v": "b"}]},
+         "bad certificate object: branch components after dots must be 0 or 1: 'a.9'"),
+        ("sequence", {"steps": [_split("a", ["b"], []), {"op": "add", "u": "a", "v": 1}]},
+         "step 1 v must be a vertex name, not int"),
+        # a set's names are read before the next set's types are checked
+        ("cover", {"sets": [["a", "b.3"], ["c", 1]]},
+         "bad certificate object: branch components after dots must be 0 or 1: 'b.3'"),
+        ("cover", {"sets": [["a", 1], ["b.3"]]}, "a set member must be a vertex name, not int"),
+        ("cover", {"sets": [["a"], []]}, "bad certificate object: cover sets must be nonempty"),
+        ("packing", {"triples": [["a", "b", "c", "d.5"]]},
+         "bad certificate object: too many values to unpack (expected 3)"),
+        ("packing", {"triples": [["a", "b"]]},
+         "bad certificate object: not enough values to unpack (expected 3, got 2)"),
+        ("packing", {"triples": [["a", "b.4", "c"]]},
+         "bad certificate object: branch components after dots must be 0 or 1: 'b.4'"),
+    ],
+)
+def test_certificate_error_messages_in_full(kind, payload, message):
+    with pytest.raises(FormatError) as exc:
+        certificate_from_obj(_envelope(kind, payload))
+    assert str(exc.value) == message
+
+
+def test_read_sets_are_frozensets_copied_from_sets():
+    # a frozenset grown one member at a time gets a larger table than one
+    # copied from a set when it has 5 to 7 members
+    names = [f"v{i}" for i in range(8)]
+    sets = [names[:k] for k in range(2, 9)]
+    cover = certificate_from_obj(_envelope("cover", {"sets": sets})).value
+    steps = [_split("t", names[:k], names[1:k]) for k in range(2, 9)]
+    seq = certificate_from_obj(_envelope("sequence", {"steps": steps})).value
+    sides = [*cover.sets, *SigmaCliqueCover.of(sets).sets]
+    sides += [side for step in seq.steps
+              for side in (step.split.neighbors_a, step.split.neighbors_b)]
+    assert {len(side) for side in sides} >= {5, 6, 7}
+    for side in sides:
+        assert sys.getsizeof(side) == sys.getsizeof(frozenset(set(side)))
 
 
 # ---------------------------------------------------------------- traces

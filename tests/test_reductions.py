@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -221,6 +222,20 @@ def test_cover_to_splits_picks_the_first_set_by_current_members():
         VertexSplit(Split.of("c.0.0", ["c.0.1", "c.1"], ["c.1"])),
         VertexSplit(Split.of("c.1", ["c.0.0.0", "c.0.1"], ["c.0.0.1"])),
     )
+
+
+def test_split_sides_are_frozensets_copied_from_sets():
+    # a frozenset grown one member at a time, or made by `frozenset - {u}`,
+    # gets a larger table than one copied from a set at 5 to 7 members
+    rng = random.Random(6)
+    sides = []
+    for _ in range(4):
+        g, cover = planted(rng, 40, (3, 8), 0.3)
+        for step in cover_to_splits(g, cover).steps:
+            sides += [step.split.neighbors_a, step.split.neighbors_b]
+    assert {len(side) for side in sides} >= {5, 6, 7}
+    for side in sides:
+        assert sys.getsizeof(side) == sys.getsizeof(frozenset(set(side)))
 
 
 def test_realized_certificates_match_pinned_digest():
