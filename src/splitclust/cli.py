@@ -18,6 +18,7 @@ limit exceeded.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -35,7 +36,7 @@ from .certificates import (
 )
 from .formats import Certificate, FormatError
 from .graph import DuplicateVertex, Graph, UnknownVertex
-from .hunter import hunt, hunt_graph, report_to_obj
+from .hunter import hunt, hunt_graph, report_to_obj, sweep
 from .kernel import kernelize
 from .reductions import (
     BudgetUnderflow,
@@ -67,7 +68,10 @@ def _emit(args, human: str, obj: dict) -> None:
     if args.json:
         sys.stdout.write(formats.dumps_canonical(obj))
     else:
-        print(human)
+        # vertex names may hold any character; one the output's encoding
+        # lacks is printed as an escape, as on standard error, not raised
+        encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+        print(human.encode(encoding, "backslashreplace").decode(encoding))
 
 
 def _default_out(graph_path: str, suffix: str) -> Path:
@@ -268,17 +272,16 @@ def cmd_lowerbound(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_resume(path: Path) -> tuple[tuple[int, int] | None, list[tuple], int]:
-    """The (n, index) of the last complete report in `path`, if any, the
-    (n, cutting, respecting) flags of every complete report, for the summary,
-    and the length in bytes of the complete reports.
+def _read_resume(path: Path) -> tuple[list[tuple[int, int, bool, bool]], int]:
+    """The (n, index, cutting, respecting) of every complete report in
+    `path`, in file order, and the length in bytes of the complete reports.
 
     Each report is written as one newline-terminated line, so text after the
     last newline is a report cut short by a crash: the caller cuts it off
     the file, and the run resumes after the last complete report.
     """
     if not path.exists():
-        return None, [], 0
+        return [], 0
     data = path.read_bytes()
     complete = data[: data.rfind(b"\n") + 1]
     try:
@@ -287,7 +290,6 @@ def _read_resume(path: Path) -> tuple[tuple[int, int] | None, list[tuple], int]:
         raise FormatError(
             f"{path}: not a hunt report file (not UTF-8: {exc.reason})"
         ) from exc
-    last = None
     done = []
     for lineno, line in enumerate(text.splitlines(), 1):
         if line.strip():
@@ -301,9 +303,22 @@ def _read_resume(path: Path) -> tuple[tuple[int, int] | None, list[tuple], int]:
                     raise TypeError("mistyped report field")
             except (ValueError, KeyError, TypeError) as exc:
                 raise FormatError(f"{path} line {lineno}: not a hunt report") from exc
-            last = (n, index)
-            done.append((n, *flags))
-    return last, done, len(complete)
+            done.append((n, index, *flags))
+    return done, len(complete)
+
+
+def _check_resume(path: Path, done: list[tuple], max_n: int, connected: bool) -> None:
+    """Raise FormatError unless `done`, the reports in `path`, are the first
+    reports of the sweep the flags ask for: a file written with other flags,
+    or holding reports past the sweep, is not resumed."""
+    ahead = itertools.islice(sweep(max_n, connected_only=connected), len(done))
+    for k, (have, want) in enumerate(itertools.zip_longest(done, ahead), 1):
+        if want is None or have[:2] != want[:2]:
+            expected = "no report" if want is None else f"n {want[0]} index {want[1]}"
+            raise FormatError(
+                f"{path}: report {k} is n {have[0]} index {have[1]}, where this"
+                f" sweep has {expected}; it was written with other flags"
+            )
 
 
 def cmd_hunt(args) -> int:
@@ -313,17 +328,20 @@ def cmd_hunt(args) -> int:
         )
         print(json.dumps(report_to_obj(report), sort_keys=True))
         return 0
-    skip, reports, keep = None, [], 0
+    done, keep = [], 0
     if args.resume:
-        skip, reports, keep = _read_resume(Path(args.output))
+        done, keep = _read_resume(Path(args.output))
     # the call checks the size limit, so it comes before the file is touched
     runs = hunt(
         args.max_n,
         connected_only=args.connected,
         parallel=args.parallel,
-        skip_until=skip,
+        skip_until=done[-1][:2] if done else None,
         size_limit=args.size_limit_override,
     )
+    if done:
+        _check_resume(Path(args.output), done, args.max_n, args.connected)
+    reports = [(n, *flags) for n, _, *flags in done]
     sink = sys.stdout
     handle = None
     if args.output:

@@ -277,16 +277,26 @@ def hunt(
     """Reports for every graph with 1..max_n vertices, smallest first, as a
     lazy iterator; the size limit is checked by the call itself.
 
-    `skip_until = (n, index)` resumes after that report (same flags assumed).
+    `skip_until = (n, index)` resumes after that report; the command line
+    checks first that the reports it resumes are the start of `sweep`.
     """
     check_size("hunt", max_n, size_limit)
     items = (
-        (n, index, bits)
-        for n in range(1, max_n + 1)
-        for index, bits in _classes(n, connected_only)
-        if skip_until is None or (n, index) > skip_until
+        item
+        for item in sweep(max_n, connected_only=connected_only)
+        if skip_until is None or item[:2] > skip_until
     )
     return _pooled(items) if parallel else map(_hunt_worker, items)
+
+
+def sweep(
+    max_n: int, *, connected_only: bool = False
+) -> Iterator[tuple[int, int, int]]:
+    """(n, index, canonical bits) of each class `hunt` reports on, in its
+    order, as a lazy iterator: each level is read when first reached."""
+    for n in range(1, max_n + 1):
+        for index, bits in _classes(n, connected_only):
+            yield n, index, bits
 
 
 def _pooled(items: Iterator[tuple[int, int, int]]) -> Iterator[HuntReport]:

@@ -25,12 +25,17 @@ line sets from --size-limit-override.
   set of cluster labels; a vertex in t labels pays t-1, and each earlier
   vertex pays 1 when the pair disagrees with adjacency (edge across labels,
   or non-edge sharing one), counted with bitmasks over the placed vertices.
-  The bound at vertex i is a greedy packing of the induced paths whose
-  center and far endpoint are both >= i, each of which must still be paid
-  for at a vertex >= i.  The search deepens its cap from the root bound, and
-  the first cap that admits a leaf is the optimum, whose leaves are then
-  exactly the optimal covers.  `solve_cevs_exact` and the hunter run this
-  one search; it needs no cap on the number of labels (see `cevs_search`).
+  A child placing vertex i is pruned by the larger of two bounds on what
+  is still to pay: a greedy packing of the induced paths whose center and
+  far endpoint are both > i, each of which must still be paid for at a
+  vertex > i, and the sum over the vertices v > i of the least v pays for
+  its excess and its pairs with the placed vertices, given their labels.
+  A node computes each such least once, and each child updates the sum by
+  bit tests, since one placement raises each term by 0 or 1.  The search
+  deepens its cap from the root bound, and the first cap that admits a
+  leaf is the optimum, whose leaves are then exactly the optimal covers.
+  `solve_cevs_exact` and the hunter run this one search; it needs no cap
+  on the number of labels (see `cevs_search`).
   It visits the vertices fewest-open-neighbours first, skips label
   combinations that mirror one already tried, and combines at a vertex only
   the labels whose non-neighbours of it fit in the room left (equal labels
@@ -43,7 +48,7 @@ line sets from --size-limit-override.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .certificates import (
     ModificationSequence,
@@ -349,28 +354,36 @@ def solve_cvs_exact(
 # ---------------------------------------------------------------------------
 
 
-def _compatible(t1: tuple[int, int, int], t2: tuple[int, int, int]) -> bool:
-    return t1[1] != t2[1] and len(set(t1) & set(t2)) <= 1
+def _conflict_keys(t: tuple[int, int, int]) -> list[int]:
+    """A key for the center c of the triple (x, c, z), as the pair (c, c),
+    and one for each of its three pairs; a pair a <= b is keyed b(b+1)/2 + a.
+
+    Two triples of three distinct vertices share two vertices exactly when
+    they share a pair, so two triples may both be packed exactly when they
+    share no key.
+    """
+    keys = []
+    for a, b in ((t[1], t[1]), (t[0], t[1]), (t[1], t[2]), (t[0], t[2])):
+        if a > b:
+            a, b = b, a
+        keys.append(b * (b + 1) // 2 + a)
+    return keys
+
+
+def _first_fit(keys: Iterable[list[int]]) -> list[int]:
+    """First fit: the positions of the triples, given by their conflict keys,
+    each compatible with every one chosen before it."""
+    used: set[int] = set()
+    chosen = []
+    for k, mine in enumerate(keys):
+        if used.isdisjoint(mine):
+            used.update(mine)
+            chosen.append(k)
+    return chosen
 
 
 def _greedy_packing(triples: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    """First fit: each triple compatible with every one chosen before it.
-
-    Two triples of three distinct vertices share two vertices exactly when
-    they share a pair, so compatibility with all chosen triples is a lookup
-    of the center and of the three pairs.
-    """
-    chosen: list[tuple[int, int, int]] = []
-    centers: set[int] = set()
-    pairs: set[tuple[int, int]] = set()
-    for t in triples:
-        x, c, z = t
-        mine = [(min(a, b), max(a, b)) for a, b in ((x, c), (c, z), (x, z))]
-        if c not in centers and pairs.isdisjoint(mine):
-            chosen.append(t)
-            centers.add(c)
-            pairs.update(mine)
-    return chosen
+    return [triples[k] for k in _first_fit(map(_conflict_keys, triples))]
 
 
 def _suffix_packing_bounds(rows: Sequence[int]) -> list[int]:
@@ -386,23 +399,30 @@ def _suffix_packing_bounds(rows: Sequence[int]) -> list[int]:
     distinct centers and share no pair, so they are charged distinct units.
     A path with c < i or z < i stays out: its excess at c or its pair xz is
     charged at a placed vertex and may already be paid.
+
+    Each triple is keyed once, by min(c, z) and its conflict keys, and the
+    first fit for each i runs over the keys in triple order.
     """
-    triples = sorted(induced_p3_indices(rows))
+    keyed = [
+        (min(t[1], t[2]), _conflict_keys(t)) for t in sorted(induced_p3_indices(rows))
+    ]
     return [
-        len(_greedy_packing([t for t in triples if t[1] >= i and t[2] >= i]))
+        len(_first_fit(keys for low, keys in keyed if low >= i))
         for i in range(len(rows) + 1)
     ]
 
 
 def _exact_packing(triples: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     m = len(triples)
+    keys = [_conflict_keys(t) for t in triples]
     conflict = [0] * m
     for a in range(m):
+        mine = set(keys[a])
         for b in range(a + 1, m):
-            if not _compatible(triples[a], triples[b]):
+            if not mine.isdisjoint(keys[b]):
                 conflict[a] |= 1 << b
                 conflict[b] |= 1 << a
-    seed = _greedy_packing(triples)
+    seed = [triples[k] for k in _first_fit(keys)]
     best_count = len(seed)
     best_sets = seed
 
@@ -480,6 +500,96 @@ def _search_order(rows: Sequence[int]) -> list[int]:
     return order
 
 
+_Owed = tuple[int, list[int], list[int], list[list[int]]]
+_NOTHING_OWED: _Owed = (0, [], [], [])
+
+
+def _owed(rows: Sequence[int], i: int, members: Sequence[int]) -> _Owed:
+    """What the vertices after i owe at the node where vertices 0..i-1 sit
+    in the labels `members`, in the form `_owed_after` reads.
+
+    lb(v) is defined in `cevs_search`.  A set S of labels is minimal for v
+    when it costs lb(v), and v is exact when lb(v) = |A|.  Only labels
+    meeting A are combined: a label missing A is nonempty with its placed
+    members in N, so adding it to S costs one more label and saves nothing,
+    and it never ties.  Returns the sum of lb(v) over v > i; for each v
+    adjacent to i, the union of its minimal S as a mask of label positions;
+    the same unions for the v adjacent to i that are not exact; and the
+    minimal S, as such masks, of each v not adjacent to i and not exact.
+    """
+    prev = (1 << i) - 1
+    total = 0
+    hits: list[int] = []
+    open_hits: list[int] = []
+    avoid: list[list[int]] = []
+    labels = [(1 << lbl, m) for lbl, m in enumerate(members)]
+    for v in range(i + 1, len(rows)):
+        adj = rows[v] & prev
+        if not adj:
+            # lb(v) = 0, exact, and no minimal S
+            if rows[v] >> i & 1:
+                hits.append(0)
+            continue
+        non = prev & ~adj
+        best = adj.bit_count()
+        mins: list[int] = []
+        meets = [lm for lm in labels if lm[1] & adj]
+        # the sets S of one size, as (taken, US, position of the last label);
+        # one of size e + 1 costs at least e, so the sizes stop past best + 1
+        level = [(0, 0, -1)]
+        e = 0
+        while level and e <= best:
+            grown = []
+            for taken, shared, k in level:
+                for k in range(k + 1, len(meets)):
+                    bit, m = meets[k]
+                    s = shared | m
+                    c = e + (adj & ~s).bit_count() + (non & s).bit_count()
+                    if c < best:
+                        best = c
+                        mins = [taken | bit]
+                    elif c == best:
+                        mins.append(taken | bit)
+                    grown.append((taken | bit, s, k))
+            level = grown
+            e += 1
+        total += best
+        exact = best == adj.bit_count()
+        if rows[v] >> i & 1:
+            union = 0
+            for taken in mins:
+                union |= taken
+            hits.append(union)
+            if not exact:
+                open_hits.append(union)
+        elif not exact:
+            avoid.append(mins)
+    return total, hits, open_hits, avoid
+
+
+def _owed_after(owed: _Owed, taken: int) -> tuple[int, int]:
+    """The sum of lb over the vertices after i at the child where i joins
+    the labels `taken` (a mask of label positions) and opens no new label,
+    and at the children where it opens one or more: each lb stays or rises
+    by one, as `cevs_search` argues, decided by bit tests on `owed`."""
+    total, hits, open_hits, avoid = owed
+    both = total
+    for mins in avoid:
+        for s in mins:
+            if not s & taken:
+                break
+        else:
+            both += 1
+    owe0 = owe1 = both
+    for union in hits:
+        if not union & taken:
+            owe0 += 1
+    for union in open_hits:
+        if not union & taken:
+            owe1 += 1
+    return owe0, owe1
+
+
 def cevs_search(g: Graph, budget: int):
     """Every minimum-cost cover of editing with splitting, if the optimum is
     at most `budget`.
@@ -494,38 +604,72 @@ def cevs_search(g: Graph, budget: int):
     assumption about how many distinct sets an optimum needs.
 
     Iterative deepening.  The search runs at caps pk[0], pk[0]+1, ... up to
-    `budget`, where pk is the suffix packing bound, and a child is pruned
-    when its cost plus the bound of the next vertex exceeds the cap.  Below
-    the optimum no leaf is within the cap.  At cap = optimum the bound is
-    admissible, so no node on the path to an optimal leaf is pruned, and
-    every leaf reached is optimal.  So the first cap that reaches a leaf is
-    the optimum, and its leaves are all the optimal assignments, in any
-    child order.  It returns (optimum, covers), where `covers` is the set of
+    `budget`, where pk is the suffix packing bound, and a child placing
+    vertex i is pruned when its cost plus max(pk[i+1], what the vertices
+    after i owe, below) exceeds the cap.  Below the optimum no leaf is
+    within the cap.  At cap = optimum both bounds are admissible, so no
+    node on the path to an optimal leaf is pruned, and every leaf reached
+    is optimal.  So the first cap that reaches a leaf is the optimum, and
+    its leaves are all the optimal assignments, in any child order.  It returns (optimum, covers), where `covers` is the set of
     all distinct minimum-cost covers, each a sorted tuple of row masks of
     `g`, one per label, or None when the optimum exceeds the budget (a
     budget of |E|, the cost of the all-singletons cover, always suffices).
 
-    Children.  With room = cap - cost - pk[i+1] left at vertex i, the
-    children that take no old label come first: r >= 1 new labels, at r-1
-    plus the placed neighbours.  Then each combination of e >= 1 old labels
-    is costed once, as e-1 plus its pair costs, which bounds e by room+1,
-    and each count r >= 0 of new labels that fits in the room is a child.
-    Only the labels vertex i can afford are combined: those holding at most
-    `room` of its non-neighbours.  A combination pays for every
-    non-neighbour in each of its labels, so one holding a label past the
-    room is past the room itself.  Equal labels pass or fail this filter
-    together, so the mirror rule below is untouched, and the nodes, the
-    children and their order are those of the unfiltered search.  Over the
-    1,044 canonical forms with 7 vertices it visits 451,771 nodes either
-    way, and draws 2,103,971 nonempty label combinations instead of
-    3,041,067.
+    What the unplaced vertices owe.  At a node where the vertices before i
+    are placed, take an unplaced vertex v, with A its placed neighbours and
+    N its placed non-neighbours, and let
+
+        lb(v) = min(|A|, min over nonempty sets S of labels meeting A
+                         of |S| - 1 + |A - US| + |N & US|).
+
+    Every completion charges v at least lb(v) for its excess and its pairs
+    with placed vertices, which v pays itself.  v joins some set S of the
+    node's labels and perhaps labels opened later; those hold no placed
+    vertex, so each adds excess and changes no such pair.  With S empty v
+    pays at least |A|.  A label missing A is nonempty with its placed
+    members in N, so adding it to S costs one more label and saves no pair.
+    Each such pair is charged at its unplaced end, so the charges of
+    distinct v are distinct units, and the sum of lb(v) over the unplaced v
+    is admissible, as is its maximum with pk.
+
+    Placing vertex i, in the old labels `taken` and r new labels, changes
+    each lb(v), v > i, by exactly 0 or 1.  Let a set S be minimal when it
+    costs lb(v), U_v be the union of the minimal S, and v be exact when
+    lb(v) = |A|.  If i is in A, a set S meeting `taken` keeps its cost and
+    any other costs one more; the empty choice costs one more too, and with
+    r >= 1 the new label alone costs the old |A|.  So lb(v) stays exactly
+    when `taken` meets U_v, or when r >= 1 and v is exact.  If i is in N,
+    a set meeting `taken` costs one more and any other keeps its cost,
+    while new labels hold only i and miss A.  So lb(v) stays exactly when v
+    is exact or some minimal S avoids `taken`.  A node computes each v's
+    lb, U_v and minimal S once (`_owed`), when its first child passes the
+    pk test, memoized by node across the caps of one call; each child's sum
+    is then one pass of bit tests (`_owed_after`).  Since no lb falls, the
+    node's own sum also narrows the room its children share.
+
+    Children.  With room = cap - cost - pk[i+1] left at vertex i, narrowed
+    to cap - cost - max(pk[i+1], the node's sum) once that sum is known,
+    the children that take no old label come first: r >= 1 new labels, at
+    r-1 plus the placed neighbours.  Then each combination
+    of e >= 1 old labels is costed once, as e-1 plus its pair costs, which
+    bounds e by room+1, and each count r >= 0 of new labels whose child
+    passes both bounds is a child.  Only the labels vertex i can afford are
+    combined: those holding at most `room` of its non-neighbours.  A
+    combination pays for every non-neighbour in each of its labels, so one
+    holding a label past the room is past the room itself.  Equal labels
+    pass or fail this filter together, so the mirror rule below is
+    untouched, and the nodes, the children and their order are those of
+    the unfiltered search.  Over the 1,044 canonical forms with 7 vertices
+    it visits 92,562 nodes (calls, leaves included, summed over the caps)
+    either way, 451,771 with pk alone, and draws 445,583 nonempty label
+    combinations instead of 842,538.
 
     Vertex order.  The vertices are searched in `_search_order`, a greedy
     order that places the vertex with the fewest unplaced neighbours next.
-    Over all 1,044 classes with 7 vertices, each under a fixed relabeling,
-    it visits 445,590 search nodes, summed over the caps, where index order
-    visits 1,176,740.  The set of all minimum-cost covers does not depend
-    on the order.
+    Over all 1,044 classes with 7 vertices, each under the benchmark's
+    fixed relabeling, it visits 92,501 nodes, where index order visits
+    107,276 (445,590 and 1,176,740 with pk alone).  The set of all
+    minimum-cost covers does not depend on the order.
 
     Mirror-image labels.  Labels created together at one vertex stay equal
     until one takes a vertex the other does not, and swapping two equal
@@ -544,6 +688,16 @@ def cevs_search(g: Graph, budget: int):
     pk = _suffix_packing_bounds(rows)
     members: list[int] = []
     found: list[tuple[int, ...]] = []
+    owed_memo: dict[tuple[int, tuple[int, ...]], _Owed] = {}
+
+    def owed_at(i: int) -> _Owed:
+        if i + 1 == n:
+            return _NOTHING_OWED
+        key = (i, tuple(members))
+        owed = owed_memo.get(key)
+        if owed is None:
+            owed = owed_memo[key] = _owed(rows, i, members)
+        return owed
 
     def dfs(i: int, cost: int) -> None:
         if i == n:
@@ -554,12 +708,20 @@ def cevs_search(g: Graph, budget: int):
         prev = ibit - 1
         adj = rows[i] & prev
         non = prev & ~rows[i]
-        room = cap - cost - pk[i + 1]
+        left = cap - cost  # what vertices i.. may still pay
+        pk1 = pk[i + 1]
+        room = left - pk1
+        owed = None  # taken from owed_at once a child passes the room test
         base = adj.bit_count() - 1  # e = 0: only new labels
-        for r in range(1, room - base + 1):
-            members.extend([ibit] * r)
-            dfs(i + 1, cost + base + r)
-            del members[L:]
+        if base < room:
+            owed = owed_at(i)
+            top = left - base - max(pk1, _owed_after(owed, 0)[1])
+            for r in range(1, top + 1):
+                members.extend([ibit] * r)
+                dfs(i + 1, cost + base + r)
+                del members[L:]
+            # every child owes at least what the node owes
+            room = left - max(pk1, owed[0])
         ok = []
         tied = 0
         for lbl, m in enumerate(members):
@@ -578,9 +740,18 @@ def cevs_search(g: Graph, budget: int):
                 base = e - 1 + (adj & ~shared).bit_count() + (non & shared).bit_count()
                 if base > room:
                     continue
+                if owed is None:
+                    owed = owed_at(i)
+                owe0, owe1 = _owed_after(owed, taken)
+                fits = base + max(pk1, owe0) <= left
+                top = left - base - max(pk1, owe1)
+                if not fits and top < 1:
+                    continue
                 for lbl in combo:
                     members[lbl] |= ibit
-                for r in range(room - base + 1):
+                if fits:
+                    dfs(i + 1, cost + base)
+                for r in range(1, top + 1):
                     members.extend([ibit] * r)
                     dfs(i + 1, cost + base + r)
                     del members[L:]
@@ -591,7 +762,10 @@ def cevs_search(g: Graph, budget: int):
         dfs(0, 0)
         if found:
             break
-    else:
+    # dfs reaches the memo through a reference cycle (it calls itself), so
+    # only a garbage collection would free it once the call returns
+    owed_memo.clear()
+    if not found:
         return None
 
     def unpermuted(mask: int) -> int:

@@ -1,8 +1,8 @@
 """Brute-force reference implementations used to pin down expected values.
 
-Everything in here is deliberately written against plain tuples and
-frozensets, without importing the package under test, so that test
-expectations come from an independent computation.  All functions are
+Everything in here is deliberately written against plain tuples,
+frozensets and integer masks, without importing the package under test, so
+that test expectations come from an independent computation.  All functions are
 exponential and only meant for tiny inputs.
 """
 
@@ -351,6 +351,124 @@ def first_optimal_leaf(order, edges):
         leaf = dfs(0, 0, cap)
         if leaf is not None:
             return cap, leaf
+
+
+
+# ---------------------------------------------------------------- label search bounds
+#
+# A graph is given as adjacency masks, rows[v] holding bit u for each
+# neighbour u of v, and a node of the label search as the vertices 0..i-1
+# placed in `labels`, a list of vertex masks.
+
+
+def suffix_packing_bounds(rows) -> list[int]:
+    """pk[i]: the first fit, in lexicographic order, of the induced paths
+    (x, c, z), x < z, with c >= i and z >= i; a path fits when no path chosen
+    before has its center or shares a pair with it."""
+    n = len(rows)
+    triples = sorted(
+        (x, c, z)
+        for c in range(n)
+        for x, z in itertools.combinations(range(n), 2)
+        if c not in (x, z)
+        and rows[c] >> x & 1
+        and rows[c] >> z & 1
+        and not rows[x] >> z & 1
+    )
+    out = []
+    for i in range(n + 1):
+        centers: set[int] = set()
+        pairs: set[frozenset[int]] = set()
+        for x, c, z in triples:
+            mine = {frozenset(p) for p in ((x, c), (c, z), (x, z))}
+            if c >= i and z >= i and c not in centers and not pairs & mine:
+                centers.add(c)
+                pairs |= mine
+        out.append(len(centers))
+    return out
+
+
+def _unions(labels) -> list[int]:
+    """The union of each subset of the labels, indexed by the subset's mask."""
+    out = [0]
+    for lbl in labels:
+        out += [u | lbl for u in out]
+    return out
+
+
+def _pays(rows, v: int, count: int, shared: int) -> int:
+    """What vertex v pays on joining `count` labels whose members before v
+    are `shared`: the labels past the first, and each vertex u < v whose
+    adjacency to v disagrees with sharing a label."""
+    return count - 1 + ((rows[v] ^ shared) & ((1 << v) - 1)).bit_count()
+
+
+def placed_cost(rows, labels, i: int) -> int:
+    """What the placed vertices 0..i-1 have paid."""
+    total = 0
+    for v in range(i):
+        mine = [lbl for lbl in labels if lbl >> v & 1]
+        total += _pays(rows, v, len(mine), _unions(mine)[-1])
+    return total
+
+
+def least_owed(rows, labels, i: int) -> list[int]:
+    """For each unplaced vertex v >= i, the least it pays toward its labels
+    past the first and its pairs with the placed vertices, over every set S
+    of the labels, nonempty or not, joined with new labels.  A new label
+    holds no placed vertex, so it changes no such pair: one is needed only
+    when S is empty, and each one more adds one label."""
+    unions = _unions(labels)
+    placed = (1 << i) - 1
+    out = []
+    for v in range(i, len(rows)):
+        adj = rows[v] & placed
+        out.append(
+            min(
+                max(s.bit_count() - 1, 0) + ((adj ^ shared) & placed).bit_count()
+                for s, shared in enumerate(unions)
+            )
+        )
+    return out
+
+
+def cheapest_completion(rows, labels, i: int, limit: int) -> int | None:
+    """The least cost of a full assignment extending the node, what the
+    placed vertices paid included, or None when every one costs more than
+    `limit`.
+
+    Vertices i, i+1, ... each join any set of the labels there are, the old
+    ones and those opened before it, and open r new labels, with at least one
+    label in all; a vertex pays as in `_pays`, with the new labels counted.
+    """
+    labels = list(labels)
+    best = None
+
+    def extend(v: int, cost: int) -> None:
+        nonlocal best, limit
+        if cost > limit:  # a leaf found since the caller's loop lowered it
+            return
+        if v == len(rows):
+            best, limit = cost, cost - 1
+            return
+        count = len(labels)
+        for s, shared in enumerate(_unions(labels)):
+            size = s.bit_count()
+            pays = _pays(rows, v, size, shared)
+            if cost + pays + (0 if size else 1) > limit:
+                continue
+            for k in range(count):
+                if s >> k & 1:
+                    labels[k] |= 1 << v
+            for r in range(0 if size else 1, limit - cost - pays + 1):
+                labels.extend([1 << v] * r)
+                extend(v + 1, cost + pays + r)
+                del labels[count:]
+            for k in range(count):
+                labels[k] &= ~(1 << v)
+
+    extend(i, placed_cost(rows, labels, i))
+    return best
 
 
 def critical_classes(names, edges) -> list[frozenset[str]]:

@@ -120,6 +120,26 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     assert "\u00e9" in map(str, written.vertices)
 
 
+
+def test_human_output_escapes_what_an_ascii_locale_cannot_print(work):
+    # the reason names a vertex the locale's encoding lacks; printing it
+    # must not end the run in a UnicodeEncodeError traceback
+    cert = json.loads((work / "two-set-cover.json").read_text())
+    cert["payload"]["sets"] = [["a", "b", "c", "\u00e9"]]
+    (work / "c.json").write_text(json.dumps(cert), encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "splitclust.cli", "verify",
+         "p3.graph", "c.json"],
+        cwd=work, capture_output=True, env=env, timeout=60,
+    )
+    assert out.returncode == 1
+    assert b"Traceback" not in out.stderr
+    assert "unknown vertex" in out.stdout.decode("ascii")
+    assert "\\xe9" in out.stdout.decode("ascii")
+
+
 # ---------------------------------------------------------------- reduce
 
 
@@ -349,6 +369,41 @@ def test_hunt_resume_summary_counts_the_reports_already_written(work, capsys):
     assert out.read_text() == full
     assert capsys.readouterr().out == summary
 
+
+
+@pytest.mark.parametrize(
+    "first, then",
+    [
+        # the connected sweep's reports, resumed as the full sweep
+        (["--max-n", "4", "--connected"], ["--max-n", "5"]),
+        # the full sweep's reports, resumed as the connected sweep
+        (["--max-n", "4"], ["--max-n", "5", "--connected"]),
+        # reports past the end of the sweep asked for
+        (["--max-n", "4"], ["--max-n", "3"]),
+    ],
+)
+def test_hunt_resume_of_another_sweep_is_exit_2(work, capsys, first, then):
+    out = work / "reports.jsonl"
+    assert run("hunt", *first, "-o", out) == 0
+    before = out.read_bytes()
+    capsys.readouterr()
+    assert run("hunt", *then, "-o", out, "--resume") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {out}: report ")
+    assert captured.err.count("\n") == 1
+    assert out.read_bytes() == before
+
+
+@pytest.mark.parametrize("flags", [[], ["--connected"]])
+def test_hunt_resume_with_a_larger_max_n_extends_the_sweep(work, capsys, flags):
+    out, whole = work / "reports.jsonl", work / "whole.jsonl"
+    assert run("hunt", "--max-n", "5", *flags, "-o", whole) == 0
+    summary = capsys.readouterr().out
+    assert run("hunt", "--max-n", "4", *flags, "-o", out) == 0
+    assert run("hunt", "--max-n", "5", *flags, "-o", out, "--resume") == 0
+    assert out.read_bytes() == whole.read_bytes()
+    assert capsys.readouterr().out.endswith(summary)
 
 def test_hunt_past_the_size_limit_leaves_the_output_file_alone(work, capsys):
     out = work / "reports.jsonl"

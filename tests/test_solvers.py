@@ -23,7 +23,7 @@ from splitclust.certificates import (
 from splitclust import solvers
 from splitclust.formats import Certificate, dumps_certificate
 from splitclust.graph import DuplicateVertex, Graph, UnknownVertex, induced_p3_indices
-from splitclust.hunter import canonical_form, hunt
+from splitclust.hunter import canonical_form, enumerate_graphs, hunt
 from splitclust.reductions import (
     Instance,
     NotNormalized,
@@ -386,6 +386,36 @@ def test_greedy_packing_equals_the_pairwise_first_fit():
         assert solvers._greedy_packing(triples) == pairwise(triples)
 
 
+def test_suffix_packing_bounds_match_the_set_based_first_fit():
+    rng = random.Random(13)
+    for _ in range(400):
+        n = rng.randint(0, 10)
+        p = rng.choice([0.2, 0.4, 0.6, 0.8])
+        rows = [0] * n
+        for a, b in itertools.combinations(range(n), 2):
+            if rng.random() < p:
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+        assert solvers._suffix_packing_bounds(rows) == oracles.suffix_packing_bounds(rows)
+
+
+def test_packings_match_pinned_digest():
+    """The greedy and exact packings of seeded graphs with n <= 10 are the
+    packings they were before both shared one first fit."""
+    rng = random.Random(17)
+    texts = []
+    for _ in range(120):
+        n = rng.randint(1, 10)
+        p = rng.choice([0.2, 0.4, 0.6, 0.8])
+        names = [str(i) for i in range(n)]
+        g = Graph.build(names, [e for e in itertools.combinations(names, 2) if rng.random() < p])
+        for exact in (False, True):
+            packing = max_p3_packing(g, exact=exact)
+            texts.append(dumps_certificate(Certificate("cevs", packing.size, "packing", packing)))
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "cf4230dd8361d4d33bbcc23134b972f41f7b6ba8ebf869c5eeb2737067a60b40"
+
+
 def test_packing_on_counterexample(ccl8):
     assert max_p3_packing(ccl8).size == 6
     assert max_p3_packing(ccl8, exact=True).size == 6
@@ -441,6 +471,60 @@ def test_cevs_counterexample_optimum(ccl8):
     cover, seq = res
     assert cover_cost(ccl8, cover).total == 6 == seq.length
     assert verify_modification_sequence(ccl8, seq, 6, "cevs").valid
+
+
+def test_cevs_bound_updates_exactly_and_is_admissible_up_to_n6(monkeypatch):
+    """At every child whose bound the search takes, on every class with
+    n <= 6, canonical and under a seeded relabeling: the sum of lb updated
+    from the parent's minimal label sets is the sum `oracles.least_owed`
+    computes afresh, and cost + max(pk, that sum) is at most the cheapest
+    completion.  Children opening one new label stand for those opening
+    more, which share their sum.  The parent's own sum is checked too."""
+    nodes = {}  # id of each `_owed` result of one search -> it and its node
+    children = {}  # (that id, labels taken) -> the sums with r = 0 and r >= 1
+    real_owed, real_after = solvers._owed, solvers._owed_after
+
+    def owed(rows, i, members):
+        out = real_owed(rows, i, members)
+        nodes[id(out)] = (out, list(rows), i, list(members))
+        return out
+
+    def after(owed, taken):
+        out = real_after(owed, taken)
+        if id(owed) in nodes:  # not at the last vertex, which owes nothing
+            children[id(owed), taken] = out
+        return out
+
+    monkeypatch.setattr(solvers, "_owed", owed)
+    monkeypatch.setattr(solvers, "_owed_after", after)
+    rng = random.Random(7)
+    for n in range(1, 7):
+        for canon in enumerate_graphs(n):
+            for g in (canon, relabeled(canon, rng)):
+                nodes.clear()
+                children.clear()
+                optimum, _ = solvers.cevs_search(g, g.edge_count)
+                if not nodes:
+                    continue
+                _, rows, _, _ = next(iter(nodes.values()))
+                pk = oracles.suffix_packing_bounds(rows)
+                # the oracle finds what the search finds
+                assert oracles.cheapest_completion(rows, [], 0, optimum) == optimum
+                assert oracles.cheapest_completion(rows, [], 0, optimum - 1) is None
+                for out, _, i, members in nodes.values():
+                    assert out[0] == sum(oracles.least_owed(rows, members, i)[1:])
+                for (key, taken), sums in children.items():
+                    _, _, i, members = nodes[key]
+                    for r in (0, 1) if taken else (1,):
+                        child = [
+                            m | 1 << i if taken >> k & 1 else m
+                            for k, m in enumerate(members)
+                        ] + [1 << i] * r
+                        owes = sums[r > 0]
+                        assert owes == sum(oracles.least_owed(rows, child, i + 1))
+                        cost = oracles.placed_cost(rows, child, i + 1)
+                        bound = cost + max(pk[i + 1], owes)
+                        assert oracles.cheapest_completion(rows, child, i + 1, bound - 1) is None
 
 
 # ---------------------------------------------------------------- cover <-> sequence
