@@ -25,6 +25,7 @@ malformed inputs (unknown vertices, families that do not cover).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -292,22 +293,46 @@ def _fmt_set(s: frozenset[VertexId]) -> str:
 
 
 def _valencies(g: Graph, sets) -> dict[str, int]:
-    val = {str(v): 0 for v in g.vertices}
-    for s in sets:
-        for v in s:
-            val[str(v)] += 1
-    return val
+    """The number of sets holding each vertex, by name, in vertex order.
+
+    Members are counted as given, and each distinct one is looked up once;
+    every member must name a vertex of `g`."""
+    counts = [0] * g.n
+    for v, k in Counter(itertools.chain.from_iterable(sets)).items():
+        counts[g.index(v)] += k
+    return {str(v): k for v, k in zip(g.vertices, counts)}
 
 
-def _first_non_clique(g: Graph, sets, masks) -> frozenset[VertexId] | None:
+def _first_non_clique(
+    g: Graph, sets, masks, shared: Sequence[int]
+) -> frozenset[VertexId] | None:
+    """The first set, in order, that is not a clique of `g`, or None.
+
+    `shared` is ``shared_rows(g, masks)``, the rows of the union of the
+    sets' cliques, and that union lies inside `g` exactly when every set is
+    a clique.  shared[i] holds the other members of the sets holding i.  If
+    every set is a clique, they are all neighbours of i, so shared[i] lies
+    within rows[i].  Conversely, if shared[i] lies within rows[i] for every
+    i, then any two members i and j of one set have j in shared[i], so in
+    rows[i], and the set is a clique.  So one test per vertex accepts every
+    set, and the sets are scanned one by one only to name the first that
+    fails.
+    """
+    if not any(s & ~row for s, row in zip(shared, g.rows)):
+        return None
     for s, mask in zip(sets, masks):
         if not g.is_clique_mask(mask):
             return s
-    return None
+    raise AssertionError("the sets' cliques leave g, but every set is a clique")
 
 
 def verify_sigma_cover(g: Graph, cover: SigmaCliqueCover, budget: int) -> VerifyReport:
-    """Check that every set is a clique, every edge is covered, weight <= budget."""
+    """Check that every set is a clique, every edge is covered, weight <= budget.
+
+    Both checks read the rows of the union of the sets' cliques, computed
+    once: the sets are all cliques when that union lies inside `g` (see
+    :func:`_first_non_clique`), and every edge is covered when it holds `g`.
+    """
     masks = family_masks(g, cover.sets)
     metrics = {
         "weight": cover.weight,
@@ -315,12 +340,13 @@ def verify_sigma_cover(g: Graph, cover: SigmaCliqueCover, budget: int) -> Verify
         "sets": len(cover.sets),
         "valencies": _valencies(g, cover.sets),
     }
-    bad = _first_non_clique(g, cover.sets, masks)
+    shared = shared_rows(g, masks)
+    bad = _first_non_clique(g, cover.sets, masks, shared)
     if bad is not None:
         return VerifyReport(False, f"set {_fmt_set(bad)} is not a clique", metrics)
     # The first row with an unshared neighbor above its own index holds the
     # first uncovered edge in g.edges() order.
-    for i, (row, seen) in enumerate(zip(g.rows, shared_rows(g, masks))):
+    for i, (row, seen) in enumerate(zip(g.rows, shared)):
         missed = row & ~seen & -(2 << i)
         if missed:
             j = (missed & -missed).bit_length() - 1
@@ -341,7 +367,7 @@ def verify_node_cover(g: Graph, cover: NodeCliqueCover, budget: int) -> VerifyRe
         "budget": budget,
         "valencies": _valencies(g, cover.sets),
     }
-    bad = _first_non_clique(g, cover.sets, masks)
+    bad = _first_non_clique(g, cover.sets, masks, shared_rows(g, masks))
     if bad is not None:
         return VerifyReport(False, f"set {_fmt_set(bad)} is not a clique", metrics)
     v = _first_uncovered(g, masks)

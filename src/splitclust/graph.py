@@ -262,9 +262,13 @@ class Graph:
     # -- masks ----------------------------------------------------------------
 
     def mask_of(self, vs: Iterable[VertexId | str]) -> int:
+        """The row mask of `vs`: one lookup per member, which is parsed only
+        when it is not a VertexId of the graph."""
+        index = self._index
         mask = 0
         for v in vs:
-            mask |= 1 << self.index(v)
+            i = index.get(v)
+            mask |= 1 << (self.index(v) if i is None else i)
         return mask
 
     def vertices_of_mask(self, mask: int) -> tuple[VertexId, ...]:

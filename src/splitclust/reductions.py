@@ -137,11 +137,24 @@ def universal_names(g: Graph, count: int) -> tuple[VertexId, ...]:
 
 
 def extend_universal(g: Graph, count: int) -> Graph:
-    """Add `count` fresh vertices adjacent to every vertex of g and nothing else."""
-    fresh = universal_names(g, count)
-    edges = list(g.edges())
-    edges += [(u, v) for u in fresh for v in g.vertices]
-    return Graph.build([*g.vertices, *fresh], edges)
+    """Add `count` fresh vertices adjacent to every vertex of g and nothing else.
+
+    The rows are built directly, one shift per old row.  The fresh names
+    are one block in vertex order.  Their roots are not all digits, so
+    every all-digit root of g sorts before them; they start with a base
+    that no root of g starts with, and a string sorting between two strings
+    that share a prefix shares it too.  So the k old vertices before the
+    block keep their index, the others move up by `count`, each old row
+    gains the block, and each fresh row is every old vertex.
+    """
+    fresh = sorted(universal_names(g, count))
+    k = bisect.bisect_left(g.vertices, fresh[0]) if fresh else g.n
+    low = (1 << k) - 1
+    block = ((1 << count) - 1) << k
+    rows = [(row & low) | (row >> k << (k + count)) | block for row in g.rows]
+    old = ((1 << (g.n + count)) - 1) & ~block
+    rows[k:k] = [old] * count
+    return Graph((*g.vertices[:k], *fresh, *g.vertices[k:]), tuple(rows))
 
 
 def reduce_ncc_to_scc(inst: Instance) -> tuple[Instance, ReductionTrace]:

@@ -225,6 +225,7 @@ def _cliques_with_edge(rows: tuple[int, ...], i: int, j: int) -> list[int]:
             grow(q | bit, cand & rows[x] & ~((bit << 1) - 1))
 
     grow((1 << i) | (1 << j), rows[i] & rows[j])
+    del grow  # it calls itself: a reference cycle until a garbage collection
     return out
 
 
@@ -451,6 +452,7 @@ def _exact_packing(triples: list[tuple[int, int, int]]) -> list[tuple[int, int, 
         dfs(cand & ~bit, count, chosen)
 
     dfs((1 << m) - 1, 0, [])
+    del dfs  # it calls itself: a reference cycle until a garbage collection
     return best_sets
 
 
@@ -762,9 +764,7 @@ def cevs_search(g: Graph, budget: int):
         dfs(0, 0)
         if found:
             break
-    # dfs reaches the memo through a reference cycle (it calls itself), so
-    # only a garbage collection would free it once the call returns
-    owed_memo.clear()
+    del dfs  # it calls itself: a reference cycle until a garbage collection
     if not found:
         return None
 

@@ -170,6 +170,68 @@ def least_covered(universals, sets) -> str:
     return min(universals, key=lambda u: (sum(len(s) for s in sets if u in s), u))
 
 
+class UnknownName(Exception):
+    """A cover names a vertex the graph lacks; the message is the package's."""
+
+
+def _cover_checks(order, edges, sets):
+    """What both cover verifiers read first, by name: the valencies in
+    vertex order, and the first set that is not a clique, in cover order.
+
+    `order` lists the vertex names in vertex order.  Raises UnknownName for
+    the first set naming a vertex outside `order`, with the smallest such
+    name of that set."""
+    for s in sets:
+        unknown = [v for v in s if v not in order]
+        if unknown:
+            first = min(unknown, key=parse_vertex_name)
+            raise UnknownName(f"certificate references unknown vertex {first}")
+    valencies = {v: sum(v in s for s in sets) for v in order}
+    for s in sets:
+        if not is_clique(edges, s):
+            members = ",".join(sorted(s, key=parse_vertex_name))
+            return valencies, f"set {{{members}}} is not a clique"
+    return valencies, None
+
+
+def sigma_cover_report(order, edges, sets, budget):
+    """(valid, reason, metrics) of verify_sigma_cover, from the definition:
+    every set a clique, then every edge in a set, the first missed one in
+    the order of (position, position), then the weight within budget."""
+    sets = [frozenset(s) for s in sets]
+    valencies, reason = _cover_checks(order, edges, sets)
+    weight = sum(len(s) for s in sets)
+    metrics = {"weight": weight, "budget": budget, "sets": len(sets), "valencies": valencies}
+    if reason is None:
+        pos = {v: i for i, v in enumerate(order)}
+        missed = sorted(
+            (e for e in edges if not any(e[0] in s and e[1] in s for s in sets)),
+            key=lambda e: sorted((pos[e[0]], pos[e[1]])),
+        )
+        if missed:
+            u, v = sorted(missed[0], key=pos.__getitem__)
+            reason = f"edge {u} {v} is covered by no set"
+        elif weight > budget:
+            reason = f"weight {weight} exceeds budget {budget}"
+    return reason is None, reason, metrics
+
+
+def node_cover_report(order, edges, sets, budget):
+    """(valid, reason, metrics) of verify_node_cover, from the definition:
+    every set a clique, then every vertex in a set, the first missed one in
+    vertex order, then the number of sets within budget."""
+    sets = [frozenset(s) for s in sets]
+    valencies, reason = _cover_checks(order, edges, sets)
+    metrics = {"size": len(sets), "budget": budget, "valencies": valencies}
+    if reason is None:
+        missed = [v for v in order if not valencies[v]]
+        if missed:
+            reason = f"vertex {missed[0]} is covered by no set"
+        elif len(sets) > budget:
+            reason = f"{len(sets)} sets exceed budget {budget}"
+    return reason is None, reason, metrics
+
+
 # ---------------------------------------------------------------- splits
 
 
@@ -601,6 +663,21 @@ def build_by_name(graph_module, vertices, edges=()):
         rows[index[u]] |= 1 << index[w]
         rows[index[w]] |= 1 << index[u]
     return m.Graph(tuple(vs), tuple(rows))
+
+
+def extend_universal_by_build(graph_module, g, count):
+    """The graph `g` plus `count` universal vertices through
+    :func:`build_by_name`, the reference for the package's direct rows.
+
+    The fresh names are u1..u<count>, with the base "u" lengthened while a
+    root of `g` starts with it; each is adjacent to every vertex of `g`."""
+    base = "u"
+    while any(str(v).split(".")[0].startswith(base) for v in g.vertices):
+        base += "u"
+    fresh = [f"{base}{i}" for i in range(1, count + 1)]
+    edges = list(g.edges())
+    edges += [(u, v) for u in fresh for v in g.vertices]
+    return build_by_name(graph_module, [*g.vertices, *fresh], edges)
 
 
 def parse_by_name(formats_module, graph_module, text):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import oracles
-from conftest import graphs_on, oracle_form
+from conftest import PLANTED_NAMES, graphs_on, oracle_form, planted
 from splitclust.certificates import (
     CostBreakdown,
     EdgeAdd,
@@ -112,6 +112,100 @@ def test_verify_node_cover(k3, p3):
     rep = verify_node_cover(p3, NodeCliqueCover.of([["a", "b"]]), 5)
     assert not rep.valid and "vertex c" in rep.reason
     assert not verify_node_cover(p3, NodeCliqueCover.of([["a", "b"], ["c"]]), 1).valid
+
+
+def _greedy_cover(g: Graph) -> list[list[VertexId]]:
+    """Each edge no earlier set holds, grown greedily into a maximal clique,
+    then a singleton per isolated vertex: a valid sigma and node cover."""
+    covered = [0] * g.n
+    sets = []
+    for i, row in enumerate(g.rows):
+        rest = row & ~covered[i] & -(2 << i)
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            q, cand = 1 << i | 1 << j, g.rows[i] & g.rows[j]
+            while cand:
+                x = cand & -cand
+                q |= x
+                cand &= g.rows[x.bit_length() - 1]
+            for x in g.vertices_of_mask(q):
+                covered[g.index(x)] |= q
+            sets.append(list(g.vertices_of_mask(q)))
+            rest &= ~covered[i]
+    return sets + [[v] for v in g.isolated_vertices()]
+
+
+def _mutants(g: Graph, sets, rng):
+    """The cover as a list of sets, then one change of it per kind: drop a
+    member, add a non-neighbour, drop a set, rename a member to an unknown
+    vertex, or give a set as str names (the last as raw set families)."""
+    yield "same", [frozenset(s) for s in sets]
+    k = rng.randrange(len(sets))
+    big = [s for s in sets if len(s) >= 2]
+    if big:
+        s = rng.choice(big)
+        yield "drop member", [t if t is not s else frozenset(s) - {rng.choice(s)} for t in sets]
+    for s in rng.sample(sets, len(sets)):
+        outside = [v for v in g.vertices if v not in s and not all(g.has_edge(v, u) for u in s)]
+        if outside:
+            plus = frozenset(s) | {rng.choice(outside)}
+            yield "add non-neighbour", [t if t is not s else plus for t in sets]
+            break
+    yield "drop set", [frozenset(t) for j, t in enumerate(sets) if j != k]
+    renamed = [*sets[k]]
+    renamed[rng.randrange(len(renamed))] = VertexId.parse(rng.choice(["zz", "99", "c.1"]))
+    yield "unknown", [t if j != k else frozenset(renamed) for j, t in enumerate(sets)]
+    yield "str names", [frozenset(map(str, t)) if j == k else frozenset(t) for j, t in enumerate(sets)]
+
+
+@pytest.mark.parametrize(
+    "kind, verify, oracle",
+    [
+        (SigmaCliqueCover, verify_sigma_cover, oracles.sigma_cover_report),
+        (NodeCliqueCover, verify_node_cover, oracles.node_cover_report),
+    ],
+    ids=["sigma", "node"],
+)
+def test_cover_verifiers_match_the_oracle_on_mutated_covers(kind, verify, oracle):
+    """Valid covers of seeded graphs, each changed once, are judged as the
+    name-level reference judges them: validity, reason, and metrics, down to
+    the key order of the valencies."""
+    rng = random.Random(24)
+    graphs = [planted(rng, n, (2, 4), 0.3)[0] for n in (5, 7, 9)]
+    for n in (4, 6, 8, 9):
+        names = rng.sample(PLANTED_NAMES, n)
+        pairs = [e for e in itertools.combinations(names, 2) if rng.random() < 0.5]
+        graphs.append(Graph.build(names, pairs))
+    reasons = set()
+    for g in graphs:
+        order = [str(v) for v in g.vertices]
+        _, edges = oracle_form(g)
+        for _ in range(4):
+            sets = _greedy_cover(g)
+            rng.shuffle(sets)
+            for change, family in _mutants(g, sets, rng):
+                if change == "str names":  # the raw constructor keeps str members
+                    cover = kind(tuple(family))
+                else:
+                    cover = kind.of(family)
+                size = sum(map(len, cover.sets)) if kind is SigmaCliqueCover else len(cover)
+                budget = max(0, size - rng.randrange(2))
+                named = [[str(v) for v in s] for s in cover.sets]
+                try:
+                    expected = oracle(order, edges, named, budget)
+                except oracles.UnknownName as exc:
+                    with pytest.raises(UnknownVertex, match=f"^{exc}$"):
+                        verify(g, cover, budget)
+                    reasons.add("unknown")
+                    continue
+                rep = verify(g, cover, budget)
+                assert (rep.valid, rep.reason, rep.metrics) == expected, (change, named)
+                assert list(rep.metrics["valencies"]) == order
+                reasons.add(next(
+                    (word for word in ("clique", "no set", "budget") if word in (rep.reason or "")),
+                    "valid",
+                ))
+    assert reasons == {"valid", "unknown", "clique", "no set", "budget"}
 
 
 # ---------------------------------------------------------------- sequences

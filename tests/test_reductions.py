@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import sys
 
 import pytest
 
 import oracles
+import splitclust.graph as graph_module
 from conftest import graphs_on, oracle_form, planted
 from splitclust.certificates import (
     ModificationSequence,
@@ -66,6 +68,28 @@ def test_extend_universal_structure(p3):
     assert not ext.has_edge(u1, u2)
     for v in "abc":
         assert ext.has_edge(u1, v) and ext.has_edge(u2, v)
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        [],
+        ["a"],
+        ["0", "3", "12", "007", "7"],
+        ["u", "u1", "b", "uu2", "a.0.1", "a.1", "10"],
+        ["uu", "x.0", "x.1.0", "v", "w", "2"],
+        ["a", "a.0.1", "a.1", "z", "zz", "u9.1", "11", "01"],
+    ],
+)
+def test_extend_universal_matches_the_build_by_name(names):
+    rng = random.Random(len(names))
+    for p in (0.0, 0.4, 1.0):
+        pairs = [e for e in itertools.combinations(names, 2) if rng.random() < p]
+        g = Graph.build(names, pairs)
+        for count in (0, 1, 2 * g.edge_count + 1):
+            ext = extend_universal(g, count)
+            ref = oracles.extend_universal_by_build(graph_module, g, count)
+            assert (ext.vertices, ext.rows) == (ref.vertices, ref.rows)
 
 
 # ---------------------------------------------------------------- NCC -> SCC

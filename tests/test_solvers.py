@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import random
@@ -463,6 +464,32 @@ def test_cevs_search_takes_a_label_at_the_room_boundary(p3):
     optima = {(a | b, b | c), (a | b, c), (a, b | c), (a | b | c,)}
     for budget in (1, 2):
         assert solvers.cevs_search(p3, budget) == (1, optima)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda g: solvers.cevs_search(g, g.edge_count),
+        lambda g: solve_scc_exact(g, 3 * g.edge_count),
+        lambda g: max_p3_packing(g, exact=True),
+    ],
+    ids=["cevs_search", "solve_scc_exact", "max_p3_packing"],
+)
+def test_searches_leave_no_reference_cycles(search):
+    """A recursive closure is a reference cycle through its own cell; each
+    search breaks its own on return, so what it built is freed at once,
+    with no garbage collection."""
+    rng = random.Random(3)
+    names = [str(i) for i in range(8)]
+    g = Graph.build(names, [p for p in itertools.combinations(names, 2) if rng.random() < 0.5])
+    search(g)  # warm the caches a first call fills
+    gc.collect()
+    gc.disable()
+    try:
+        search(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_cevs_counterexample_optimum(ccl8):
