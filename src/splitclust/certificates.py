@@ -239,19 +239,12 @@ def family_masks(g: Graph, sets: Iterable[Iterable[VertexId | str]]) -> list[int
     """The row mask of each set, in order.
 
     Raises UnknownVertex for the first set naming a vertex `g` lacks; the
-    message names that set's smallest unknown vertex, so it does not depend
-    on the iteration order of a frozenset.
+    message names that set's least unknown vertex (see :meth:`Graph.mask_of`).
     """
-    masks = []
-    for s in sets:
-        try:
-            masks.append(g.mask_of(s))
-        except UnknownVertex:
-            unknown = min(VertexId.parse(v) for v in s if not g.has_vertex(v))
-            raise UnknownVertex(
-                f"certificate references unknown vertex {unknown}"
-            ) from None
-    return masks
+    try:
+        return [g.mask_of(s) for s in sets]
+    except UnknownVertex as exc:
+        raise UnknownVertex(f"certificate references {exc}") from None
 
 
 def shared_rows(g: Graph, masks: Iterable[int]) -> list[int]:

@@ -263,12 +263,26 @@ class Graph:
 
     def mask_of(self, vs: Iterable[VertexId | str]) -> int:
         """The row mask of `vs`: one lookup per member, which is parsed only
-        when it is not a VertexId of the graph."""
+        when it is not a VertexId of the graph.
+
+        This is the one routine that turns names into rows.  A bad name
+        raises GraphError as it is read; after the whole family is read, an
+        UnknownVertex names the least unknown member, whatever the order of
+        `vs`, so it does not depend on a frozenset's hash seed.
+        """
         index = self._index
-        mask = 0
+        mask, least = 0, None
         for v in vs:
             i = index.get(v)
-            mask |= 1 << (self.index(v) if i is None else i)
+            if i is None:
+                v = VertexId.parse(v)
+                i = index.get(v)
+                if i is None:
+                    least = v if least is None or v < least else least
+                    continue
+            mask |= 1 << i
+        if least is not None:
+            raise UnknownVertex(f"unknown vertex {least}")
         return mask
 
     def vertices_of_mask(self, mask: int) -> tuple[VertexId, ...]:
@@ -295,23 +309,16 @@ class Graph:
     # -- derived graphs -------------------------------------------------------
 
     def induced(self, keep: Iterable[VertexId | str]) -> Graph:
-        kept = [VertexId.parse(v) for v in keep]
-        unknown = [v for v in kept if v not in self._index]
-        if unknown:
-            raise UnknownVertex(f"unknown vertex {min(unknown)}")
+        kept = list(keep)
         mask = self.mask_of(kept)
         if mask.bit_count() < len(kept):
-            kept.sort()
+            kept = sorted(map(VertexId.parse, kept))
             twice = next(a for a, b in zip(kept, kept[1:]) if a == b)
             raise DuplicateVertex(f"duplicate vertex {twice}")
         return self._without(((1 << self.n) - 1) & ~mask)
 
     def without_vertices(self, drop: Iterable[VertexId | str]) -> Graph:
-        gone = [VertexId.parse(v) for v in drop]
-        unknown = [v for v in gone if v not in self._index]
-        if unknown:
-            raise UnknownVertex(f"unknown vertex {min(unknown)}")
-        return self._without(self.mask_of(gone))
+        return self._without(self.mask_of(drop))
 
     def _without(self, drop: int) -> Graph:
         edit = GraphEditor(self)
@@ -565,17 +572,11 @@ class CriticalCliqueGraph:
     reducible: tuple[bool, ...]
 
     def class_index(self, v: VertexId | str) -> int:
-        try:
-            return self._lookup[VertexId.parse(v)]
-        except KeyError:
-            raise UnknownVertex(f"unknown vertex {v}") from None
+        bit = 1 << self.graph.index(v)
+        return next(c for c, mask in enumerate(self.masks) if mask & bit)
 
     def class_of(self, v: VertexId | str) -> tuple[VertexId, ...]:
         return self.classes[self.class_index(v)]
-
-    @functools.cached_property
-    def _lookup(self) -> dict[VertexId, int]:
-        return {v: i for i, members in enumerate(self.classes) for v in members}
 
     def quotient_graph(self) -> Graph:
         """The quotient on lexicographically-smallest class representatives."""

@@ -115,10 +115,6 @@ def _require(inst: Instance, problem: Problem) -> None:
         raise ValueError(f"expected a {problem.value} instance, got {inst.problem.value}")
 
 
-def _canon_key(s: frozenset[VertexId]) -> tuple:
-    return tuple(sorted(s))
-
-
 # ---------------------------------------------------------------------------
 # ncc -> scc
 # ---------------------------------------------------------------------------
@@ -347,7 +343,7 @@ def splits_to_cover(g: Graph, seq: ModificationSequence) -> SigmaCliqueCover:
         raise NotAClusterGraphAfter("the split sequence does not end in clusters")
     sets = [frozenset(final.vertices_of_mask(m)) for m in final.component_masks()]
     iso = len(g.isolated_vertices())
-    trivial = sorted((s for s in sets if len(s) == 1), key=_canon_key)
+    trivial = sorted((s for s in sets if len(s) == 1), key=min)
     assert len(trivial) >= iso, "fewer trivial clusters than original isolates"
     drop = set(trivial[:iso])
     # contract in one forward pass: map each live name to the vertex of g it

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import copy
 import hashlib
+import itertools
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -634,3 +638,142 @@ def test_size_limit_override_only_where_a_limit_applies(work, capsys, argv):
     cmd, *rest = argv
     assert run(cmd, work / "p3.graph", *rest, "--size-limit-override", "0") == 2
     assert "--size-limit-override" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- contract
+
+
+_ODD_VALUES = [None, True, -1, 1.5, "x", [], {}, 10**30, "é", "a.0"]
+_NAMES = ["a_1", "01", "1", "001", "10", "2", "u", "u1", "u01", "uu", "a", "c",
+          "x.0", "b.1", "c.1.0", "é", "ü.1"]
+_SOLVE_BUDGETS = {"scc": 20, "ncc": 4, "cvs": 6, "cevs": 6}
+
+
+def _nodes(obj, path=()):
+    """Every (path, value) below the root of a JSON tree, in document order."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value, path + (key,))
+
+
+def _mutated(obj, rng: random.Random):
+    """A deep copy of a certificate object after 1-3 seeded mutations: a value
+    replaced by an odd one, a key deleted, or a list appended to."""
+    obj = copy.deepcopy(obj)
+    for _ in range(rng.randint(1, 3)):
+        odd = copy.deepcopy(rng.choice(_ODD_VALUES))
+        nodes = list(_nodes(obj))
+        kind = rng.choice(["replace", "delete", "append"])
+        if kind == "delete":
+            dicts = [v for _, v in nodes if isinstance(v, dict) and v]
+            if dicts:
+                parent = rng.choice(dicts)
+                del parent[rng.choice(sorted(parent))]
+                continue
+        if kind == "append":
+            lists = [v for _, v in nodes if isinstance(v, list)]
+            if lists:
+                target = rng.choice(lists)
+                twin = target and rng.random() < 0.5
+                target.append(copy.deepcopy(rng.choice(target)) if twin else odd)
+                continue
+        if nodes:
+            path, _ = rng.choice(nodes)
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = odd
+    return obj
+
+
+def _random_graph_text(rng: random.Random) -> str:
+    names = rng.sample(_NAMES, rng.randint(0, 7))
+    edges = [(u, w) for u, w in itertools.combinations(names, 2) if rng.random() < 0.5]
+    lines = [f"graph {len(names)} {len(edges)}"]
+    lines += [f"v {v}" for v in names]
+    lines += [f"e {u} {w}" for u, w in edges]
+    return "\n".join(lines) + "\n"
+
+
+def _says_no(out: str, err: str) -> bool:
+    """Whether a run printed a NO answer or an INVALID verdict."""
+    if out.startswith("{"):
+        obj = json.loads(out)
+        return obj.get("answer") == "no" or obj.get("valid") is False
+    return out.startswith(("NO", "INVALID")) or err.startswith("NO")
+
+
+def test_cli_exit_code_contract_on_generated_inputs(tmp_path, monkeypatch, capsys):
+    """Seeded mutated certificates go to verify, and seeded small graphs with
+    odd names go to every other subcommand.  No exception escapes main, every
+    exit code is 0-3, 1 only for a NO answer or an INVALID verdict, and verify
+    accepts every certificate solve or lowerbound wrote."""
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(8)
+    violations = []
+
+    def call(*argv) -> int | None:
+        argv = [str(a) for a in argv]
+        try:
+            code = main(argv)
+        except BaseException as exc:  # SystemExit too: main returns its code
+            capsys.readouterr()
+            violations.append((argv, f"raised {type(exc).__name__}: {exc}"))
+            return None
+        out, err = capsys.readouterr()
+        if code not in (0, 1, 2, 3):
+            violations.append((argv, f"exit {code!r}"))
+        elif code == 1 and not _says_no(out, err):
+            violations.append((argv, f"exit 1 without NO or INVALID: {out!r} {err!r}"))
+        return code
+
+    def must_verify(graph, cert) -> None:
+        if call("verify", graph, cert) != 0:
+            violations.append((["verify", str(graph), str(cert)], "rejected"))
+
+    # six base certificates on the counterexample graph, each one valid
+    shutil.copy(DATA / "ccl8.graph", "ccl8.graph")
+    shutil.copy(DATA / "two-set-cover.json", "cover.json")
+    assert call("lowerbound", "ccl8.graph", "--exact-packing", "-o", "packing.json") == 0
+    bases = ["cover.json", "packing.json"]
+    for problem, budget in _SOLVE_BUDGETS.items():
+        assert call("solve", "ccl8.graph", "--problem", problem, "--budget", budget) == 0
+        bases.append(f"ccl8.{problem}.cert.json")
+    for base in bases:
+        must_verify("ccl8.graph", base)
+    objs = [json.loads(Path(base).read_text(encoding="utf-8")) for base in bases]
+    for i in range(600):
+        path = Path(f"m{i}.json")
+        path.write_text(json.dumps(_mutated(objs[i % len(objs)], rng), ensure_ascii=False),
+                        encoding="utf-8")
+        call("verify", "ccl8.graph", path, *(["--json"] if rng.random() < 0.5 else []))
+
+    # every other subcommand in every form, each with and without --json;
+    # hunt prints JSON lines and has no --json, so with it the run is usage (2)
+    forms = [("solve", "--problem", p) for p in _SOLVE_BUDGETS]
+    forms.append(("kernelize",))
+    forms += [("reduce", "--from", a, "--to", b)
+              for a in _SOLVE_BUDGETS for b in _SOLVE_BUDGETS]
+    forms += [("lowerbound", *exact, *out) for exact in ((), ("--exact-packing",))
+              for out in ((), ("-o",))]
+    forms.append(("hunt", "--graph"))
+    for i in range(300):
+        graph = Path(f"g{i}.graph")
+        graph.write_text(_random_graph_text(rng), encoding="utf-8")
+        cmd, *rest = forms[i % len(forms)]
+        flags = ["--json"] if i // len(forms) % 2 else []
+        if cmd == "hunt":
+            call(cmd, *rest, graph, *flags)
+            continue
+        if cmd in ("solve", "kernelize", "reduce"):
+            flags += ["--budget", rng.randint(0, 8)]
+        if "-o" in rest:
+            rest = [*rest, f"g{i}.packing.json"]
+        code = call(cmd, graph, *rest, *flags)
+        if code == 0 and cmd == "solve":
+            must_verify(graph, f"g{i}.{rest[1]}.cert.json")
+        if code == 0 and "-o" in rest:
+            must_verify(graph, rest[-1])
+    assert violations == []

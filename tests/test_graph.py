@@ -273,6 +273,47 @@ def test_induced_and_without_vertices():
         g.without_vertices(["z"])
 
 
+def test_mask_of_names_the_least_unknown_member():
+    """mask_of reads the whole family before it raises, so the unknown name
+    it reports does not depend on the family's order."""
+    g = Graph.build("abc", [("a", "b")])
+    calls = [
+        lambda: g.mask_of(["z", "y"]),
+        lambda: g.mask_of(["y", "z"]),
+        lambda: g.mask_of(["z", "a", VertexId("y")]),
+        lambda: g.without_vertices(iter(["y", "z"])),
+    ]
+    for call in calls:
+        with pytest.raises(UnknownVertex) as info:
+            call()
+        assert str(info.value) == "unknown vertex y"
+    # a malformed name is refused as it is read, before any unknown one
+    with pytest.raises(GraphError) as info:
+        g.mask_of(["z", "a.2"])
+    assert type(info.value) is GraphError
+    # a frozenset iterates in string-hash order, which PYTHONHASHSEED moves;
+    # on each CPython from 3.10 to 3.13 these seeds read it in both orders
+    code = (
+        "from splitclust.graph import Graph, UnknownVertex; "
+        "g = Graph.build('abc', [('a', 'b')]); s = frozenset({'y', 'z'}); "
+        "print(''.join(s))\n"
+        "try: g.mask_of(s)\n"
+        "except UnknownVertex as exc: print(exc)"
+    )
+    orders = set()
+    for seed in ["1", "2", "3"]:
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=env, text=True,
+            timeout=60, check=True,
+        )
+        order, message = out.stdout.splitlines()
+        orders.add(order)
+        assert message == "unknown vertex y"
+    assert orders == {"yz", "zy"}
+
+
 def flipped(g: Graph, method: str, u: str, w: str) -> Graph:
     """g after one edge flip on a GraphEditor."""
     edit = GraphEditor(g)
@@ -516,5 +557,5 @@ def test_class_lookup(ccl8):
     cc = critical_clique_graph(ccl8)
     assert sorted(str(v) for v in cc.class_of("h")) == ["b", "h"]
     assert cc.class_index("g") == cc.class_index("c")
-    with pytest.raises(UnknownVertex):
+    with pytest.raises(UnknownVertex, match="^unknown vertex z$"):
         cc.class_of("z")
