@@ -64,7 +64,6 @@ from .reductions import (
     Instance,
     InvalidCertificate,
     NotAClusterGraphAfter,
-    NotNormalized,
     Problem,
     ReductionTrace,
     convert_cvs_scc,
@@ -72,7 +71,6 @@ from .reductions import (
     cover_to_modifications,
     cover_to_splits,
     extend_universal,
-    modifications_to_cover,
     reduce_cvs_to_cevs,
     reduce_ncc_to_scc,
     splits_to_cover,

@@ -73,44 +73,40 @@ def _canonical_sets(
 
 
 @dataclass(frozen=True)
-class SigmaCliqueCover:
-    """A family of cliques meant to cover every edge; measured by weight."""
+class _CliqueFamily:
+    """A canonical family of nonempty vertex sets, shared by both covers.
+
+    The subclasses add only their measure.  They take no decorator of their
+    own, so the inherited ``__eq__`` compares classes: a sigma cover never
+    equals a node cover of the same sets.
+    """
 
     sets: tuple[frozenset[VertexId], ...]
 
     @classmethod
-    def of(cls, sets: Iterable[Iterable[VertexId | str]]) -> SigmaCliqueCover:
+    def of(cls, sets: Iterable[Iterable[VertexId | str]]):
         return cls(_canonical_sets(sets))
+
+    def __iter__(self):
+        return iter(self.sets)
+
+    def __len__(self) -> int:
+        return len(self.sets)
+
+
+class SigmaCliqueCover(_CliqueFamily):
+    """A family of cliques meant to cover every edge; measured by weight."""
 
     @property
     def weight(self) -> int:
         return sum(len(s) for s in self.sets)
 
-    def __iter__(self):
-        return iter(self.sets)
 
-    def __len__(self) -> int:
-        return len(self.sets)
-
-
-@dataclass(frozen=True)
-class NodeCliqueCover:
+class NodeCliqueCover(_CliqueFamily):
     """A family of cliques meant to cover every vertex; measured by count."""
-
-    sets: tuple[frozenset[VertexId], ...]
-
-    @classmethod
-    def of(cls, sets: Iterable[Iterable[VertexId | str]]) -> NodeCliqueCover:
-        return cls(_canonical_sets(sets))
 
     @property
     def size(self) -> int:
-        return len(self.sets)
-
-    def __iter__(self):
-        return iter(self.sets)
-
-    def __len__(self) -> int:
         return len(self.sets)
 
 
@@ -189,12 +185,6 @@ class ModificationSequence:
     def length(self) -> int:
         return len(self.steps)
 
-    def is_normalized(self) -> bool:
-        """True when all additions precede all deletions precede all splits."""
-        rank = {EdgeAdd: 0, EdgeDelete: 1, VertexSplit: 2}
-        ranks = [rank[type(s)] for s in self.steps]
-        return ranks == sorted(ranks)
-
     def splits_only(self) -> bool:
         return all(isinstance(s, VertexSplit) for s in self.steps)
 
@@ -232,7 +222,6 @@ class VerifyReport:
     valid: bool
     reason: str | None = None
     metrics: dict = field(default_factory=dict)
-    final_graph: Graph | None = None
 
 
 def family_masks(g: Graph, sets: Iterable[Iterable[VertexId | str]]) -> list[int]:
@@ -378,8 +367,7 @@ def verify_modification_sequence(
 ) -> VerifyReport:
     """Check applicability step by step, the cluster-graph outcome, and the budget.
 
-    ``problem`` is "cvs" (only vertex splits allowed) or "cevs".  The final
-    graph is included in the report whenever the sequence applies cleanly.
+    ``problem`` is "cvs" (only vertex splits allowed) or "cevs".
     """
     if problem not in ("cvs", "cevs"):
         raise ValueError(f"modification sequences decide cvs or cevs, not {problem!r}")
@@ -397,14 +385,10 @@ def verify_modification_sequence(
     metrics["final_vertices"] = final.n
     metrics["final_components"] = len(final.component_masks())
     if not is_cluster_graph(final):
-        return VerifyReport(
-            False, "the modified graph is not a cluster graph", metrics, final
-        )
+        return VerifyReport(False, "the modified graph is not a cluster graph", metrics)
     if seq.length > budget:
-        return VerifyReport(
-            False, f"length {seq.length} exceeds budget {budget}", metrics, final
-        )
-    return VerifyReport(True, None, metrics, final)
+        return VerifyReport(False, f"length {seq.length} exceeds budget {budget}", metrics)
+    return VerifyReport(True, None, metrics)
 
 
 def verify_p3_packing(g: Graph, packing: P3Packing) -> VerifyReport:
@@ -514,14 +498,17 @@ def verify_cevs_cover(g: Graph, cover: SigmaCliqueCover, budget: int) -> VerifyR
     The metrics carry the cost breakdown and whether the cover keeps every
     critical clique whole.
     """
-    breakdown = cover_cost(g, cover)
+    masks = _cover_masks(g, cover)
+    breakdown = masks_cost(g, masks)
     metrics = {
         "cost": breakdown.total,
         "additions": breakdown.nonedges_inside,
         "deletions": breakdown.edges_outside,
         "splits": breakdown.excess,
         "budget": budget,
-        "respectsCriticalCliques": cover_respects_critical_cliques(g, cover),
+        "respectsCriticalCliques": sets_respect_classes(
+            masks, critical_clique_graph(g).masks
+        ),
     }
     if breakdown.total > budget:
         return VerifyReport(

@@ -229,9 +229,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2
 
-    def has_vertex(self, v: VertexId | str) -> bool:
-        return VertexId.parse(v) in self._index
-
     def index(self, v: VertexId | str) -> int:
         try:
             return self._index[VertexId.parse(v)]
@@ -574,9 +571,6 @@ class CriticalCliqueGraph:
     def class_index(self, v: VertexId | str) -> int:
         bit = 1 << self.graph.index(v)
         return next(c for c, mask in enumerate(self.masks) if mask & bit)
-
-    def class_of(self, v: VertexId | str) -> tuple[VertexId, ...]:
-        return self.classes[self.class_index(v)]
 
     def quotient_graph(self) -> Graph:
         """The quotient on lexicographically-smallest class representatives."""

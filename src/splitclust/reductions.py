@@ -29,7 +29,7 @@ The reductions implemented:
   :func:`_pull_outs`); one replay checks the result.  It is the one
   place a split is read off a cover: the cvs solver and the cevs
   realization both use it.
-* cevs covers <-> normalized sequences: the edits to the union of the
+* cevs covers -> normalized sequences: the edits to the union of the
   sets' cliques, then the pull-outs; one replay on g checks the whole.
 * cvs -> cevs: replace every vertex by a clique of k+1 copies (complete
   joins along edges); the edit budget becomes k * (k+1).  Blowing up makes
@@ -78,10 +78,6 @@ class BudgetUnderflow(Exception):
 
 class NotAClusterGraphAfter(Exception):
     """A split sequence was read back as a cover but does not end in clusters."""
-
-
-class NotNormalized(Exception):
-    """A sequence must run additions, then deletions, then splits."""
 
 
 class Problem(enum.Enum):
@@ -385,28 +381,6 @@ def cover_to_modifications(g: Graph, cover: SigmaCliqueCover) -> ModificationSeq
     check = verify_modification_sequence(g, seq, breakdown.total, "cevs")
     assert check.valid, f"realized sequence failed to verify: {check.reason}"
     return seq
-
-
-def modifications_to_cover(g: Graph, seq: ModificationSequence) -> SigmaCliqueCover:
-    """Read a cover off a normalized sequence; its cost is at most the length.
-
-    The split suffix is contracted back over the edited graph, and one
-    singleton is added per vertex left isolated by the edits, so the family
-    covers every vertex.
-    """
-    if not seq.is_normalized():
-        raise NotNormalized("sequence must run additions, deletions, then splits")
-    edits = [s for s in seq.steps if not isinstance(s, VertexSplit)]
-    splits = [s for s in seq.steps if isinstance(s, VertexSplit)]
-    edited = ModificationSequence(tuple(edits)).apply_to(g)
-    cover = splits_to_cover(edited, ModificationSequence(tuple(splits)))
-    covered = 0
-    for mask in family_masks(edited, cover.sets):
-        covered |= mask
-    missed = edited.vertices_of_mask(((1 << edited.n) - 1) & ~covered)
-    out = SigmaCliqueCover.of([*cover.sets, *([v] for v in missed)])
-    assert cover_cost(g, out).total <= seq.length, "cover cost exceeds length"
-    return out
 
 
 def convert_cvs_scc(inst: Instance) -> tuple[Instance, ReductionTrace]:

@@ -214,18 +214,17 @@ def solve_ncc_exact(
 def _cliques_with_edge(rows: tuple[int, ...], i: int, j: int) -> list[int]:
     """Every clique (as a mask) containing the edge ij, each exactly once."""
     out: list[int] = []
-
-    def grow(q: int, cand: int) -> None:
+    # each entry is a clique and the candidates above its highest added bit
+    stack = [((1 << i) | (1 << j), rows[i] & rows[j])]
+    while stack:
+        q, cand = stack.pop()
         out.append(q)
         rest = cand
         while rest:
             bit = rest & -rest
             rest &= rest - 1
             x = bit.bit_length() - 1
-            grow(q | bit, cand & rows[x] & ~((bit << 1) - 1))
-
-    grow((1 << i) | (1 << j), rows[i] & rows[j])
-    del grow  # it calls itself: a reference cycle until a garbage collection
+            stack.append((q | bit, cand & rows[x] & ~((bit << 1) - 1)))
     return out
 
 
@@ -612,10 +611,12 @@ def cevs_search(g: Graph, budget: int):
     within the cap.  At cap = optimum both bounds are admissible, so no
     node on the path to an optimal leaf is pruned, and every leaf reached
     is optimal.  So the first cap that reaches a leaf is the optimum, and
-    its leaves are all the optimal assignments, in any child order.  It returns (optimum, covers), where `covers` is the set of
-    all distinct minimum-cost covers, each a sorted tuple of row masks of
-    `g`, one per label, or None when the optimum exceeds the budget (a
-    budget of |E|, the cost of the all-singletons cover, always suffices).
+    its leaves are all the optimal assignments, in any child order.
+
+    It returns (optimum, covers), where `covers` is the set of all distinct
+    minimum-cost covers, each a sorted tuple of row masks of `g`, one per
+    label, or None when the optimum exceeds the budget (a budget of |E|, the
+    cost of the all-singletons cover, always suffices).
 
     What the unplaced vertices owe.  At a node where the vertices before i
     are placed, take an unplaced vertex v, with A its placed neighbours and

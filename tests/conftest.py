@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from splitclust import Graph
-from splitclust.certificates import SigmaCliqueCover
+from splitclust.certificates import EdgeAdd, SigmaCliqueCover, VertexSplit
 from splitclust.formats import load_graph
 
 DATA = Path(__file__).parent / "data"
@@ -19,6 +19,19 @@ def oracle_form(g: Graph):
         tuple(sorted((str(u), str(v)))) for u, v in g.edges()
     )
     return names, edges
+
+
+def oracle_steps(seq):
+    """Convert a ModificationSequence into the named steps oracles.py replays."""
+    out = []
+    for step in seq.steps:
+        if isinstance(step, VertexSplit):
+            split = step.split
+            sides = (frozenset(map(str, split.neighbors_a)), frozenset(map(str, split.neighbors_b)))
+            out.append(("split", str(split.target), *sides))
+        else:
+            out.append(("add" if isinstance(step, EdgeAdd) else "delete", str(step.u), str(step.v)))
+    return out
 
 
 def graphs_on(n: int):
@@ -58,7 +71,9 @@ def planted(rng, n, sizes, overlap, noise=0):
         last = clusters.pop()
         clusters[-1] |= last
     for v in rng.sample(names, int(overlap * n)):
-        rng.choice([c for c in clusters if v not in c]).add(v)
+        others = [c for c in clusters if v not in c]
+        if others:  # else one cluster holds every vertex
+            rng.choice(others).add(v)
     edges = {p for c in clusters for p in itertools.combinations(sorted(c), 2)}
     for _ in range(noise):
         edges ^= {tuple(sorted(rng.sample(names, 2)))}

@@ -174,18 +174,23 @@ class UnknownName(Exception):
     """A cover names a vertex the graph lacks; the message is the package's."""
 
 
-def _cover_checks(order, edges, sets):
-    """What both cover verifiers read first, by name: the valencies in
-    vertex order, and the first set that is not a clique, in cover order.
-
-    `order` lists the vertex names in vertex order.  Raises UnknownName for
-    the first set naming a vertex outside `order`, with the smallest such
-    name of that set."""
+def _check_names(order, sets):
+    """Raise UnknownName for the first set naming a vertex outside `order`,
+    with the smallest such name of that set."""
     for s in sets:
         unknown = [v for v in s if v not in order]
         if unknown:
             first = min(unknown, key=parse_vertex_name)
             raise UnknownName(f"certificate references unknown vertex {first}")
+
+
+def _cover_checks(order, edges, sets):
+    """What both cover verifiers read first, by name: the valencies in
+    vertex order, and the first set that is not a clique, in cover order.
+
+    `order` lists the vertex names in vertex order; names are checked by
+    :func:`_check_names`."""
+    _check_names(order, sets)
     valencies = {v: sum(v in s for s in sets) for v in order}
     for s in sets:
         if not is_clique(edges, s):
@@ -230,6 +235,120 @@ def node_cover_report(order, edges, sets, budget):
         elif len(sets) > budget:
             reason = f"{len(sets)} sets exceed budget {budget}"
     return reason is None, reason, metrics
+
+
+# ---------------------------------------------------------------- modification sequences
+#
+# A step is a tuple of names as the package prints them: ("add", u, v),
+# ("delete", u, v) or ("split", t, side_a, side_b), the sides sets of names.
+
+
+class StepRejected(Exception):
+    """A step does not apply; the message is the package's, index included."""
+
+
+def replay(names, edges, steps):
+    """Apply the steps in order: (origin, edges) of the graph they end in,
+    where `origin` maps each vertex to the vertex of the start it descends
+    from.  A split of t puts copies t.0 and t.1 in its place, adjacent to
+    side_a and side_b.
+
+    Raises StepRejected for the first step that does not apply: a name the
+    current graph lacks, an edge added twice or deleted when absent, a
+    self-loop, or a split whose sides name a non-neighbour of t (the least
+    such name of the first such side), leave a neighbour out (the least),
+    or whose copy name is taken (t.0 first)."""
+    origin = {v: v for v in names}
+    edges = set(edges)
+    for index, step in enumerate(steps):
+        kind, t, *rest = step
+        named = [t] if kind == "split" else [t, *rest]
+        unknown = [v for v in named if v not in origin]
+        if unknown:
+            raise StepRejected(f"step {index}: unknown vertex {unknown[0]}")
+        if kind != "split":
+            (w,) = rest
+            present = norm_edge(t, w) in edges
+            if kind == "add" and present:
+                raise StepRejected(f"step {index}: edge {t} {w} already present")
+            if kind == "add" and t == w:
+                raise StepRejected(f"step {index}: self-loop at {t}")
+            if kind == "delete" and not present:
+                raise StepRejected(f"step {index}: edge {t} {w} not present")
+            edges ^= {norm_edge(t, w)}
+            continue
+        nbrs = neighbors(origin, edges, t)
+        for side in rest:
+            foreign = [v for v in side if v not in nbrs]
+            if foreign:
+                first = min(foreign, key=parse_vertex_name)
+                raise StepRejected(
+                    f"step {index}: split of {t}: {first} is not a neighbor of {t}"
+                )
+        missed = nbrs - set().union(*rest)
+        if missed:
+            first = min(missed, key=parse_vertex_name)
+            raise StepRejected(
+                f"step {index}: split of {t}: neighbor {first} assigned to neither copy"
+            )
+        copies = (f"{t}.0", f"{t}.1")
+        for copy in copies:
+            if copy in origin:
+                raise StepRejected(f"step {index}: split copy name {copy} already in use")
+        edges = {e for e in edges if t not in e}
+        for copy, side in zip(copies, rest):
+            edges |= {norm_edge(copy, v) for v in side}
+            origin[copy] = origin[t]
+        del origin[t]
+    return origin, frozenset(edges)
+
+
+def sequence_report(order, edges, steps, budget, problem):
+    """(valid, reason, metrics) of verify_modification_sequence, from the
+    definition: a cvs sequence holds only splits (the first other step is
+    named), every step applies (:func:`replay`), the graph it ends in is a
+    cluster graph, and the length is within budget."""
+    metrics = {"length": len(steps), "budget": budget}
+    if problem == "cvs":
+        for index, step in enumerate(steps):
+            if step[0] != "split":
+                reason = f"step {index} is not a vertex split (cvs allows only splits)"
+                return False, reason, metrics
+    try:
+        origin, final = replay(order, edges, steps)
+    except StepRejected as exc:
+        return False, str(exc), metrics
+    metrics["final_vertices"] = len(origin)
+    metrics["final_components"] = len(components(origin, final))
+    reason = None
+    if not is_cluster(origin, final):
+        reason = "the modified graph is not a cluster graph"
+    elif len(steps) > budget:
+        reason = f"length {len(steps)} exceeds budget {budget}"
+    return reason is None, reason, metrics
+
+
+def is_normalized(steps) -> bool:
+    """True when all additions precede all deletions precede all splits."""
+    ranks = [("add", "delete", "split").index(step[0]) for step in steps]
+    return ranks == sorted(ranks)
+
+
+def modifications_to_cover(names, edges, steps) -> list[frozenset[str]]:
+    """Read a cover off a normalized sequence that ends in a cluster graph:
+    each cluster, its members replaced by the vertices they descend from.
+
+    Its cost is at most the length.  The splits come last, and they add no
+    edge between descendants of distinct vertices and keep one for each
+    edge, so the union of the sets' cliques is the graph after the edits,
+    at most one pair per edit away from the start.  No two copies of a
+    vertex are adjacent, so no set loses a member to contraction, and the
+    weight is at most the number of final vertices, the start's plus one
+    per split."""
+    assert is_normalized(steps), "sequence must run additions, deletions, then splits"
+    origin, final = replay(names, edges, steps)
+    assert is_cluster(origin, final), "the sequence does not end in a cluster graph"
+    return list({frozenset(origin[v] for v in c) for c in components(origin, final)})
 
 
 # ---------------------------------------------------------------- splits
@@ -325,6 +444,28 @@ def max_p3_packing_size(names, edges) -> int:
                 best = r
                 break
     return best
+
+
+def p3_packing_report(order, edges, triples):
+    """(valid, reason, metrics) of verify_p3_packing, from the definition:
+    names are checked by :func:`_check_names`; each triple, in order, is
+    three distinct vertices forming an induced path around its center; then
+    the first two triples, in order of pairs, that share two vertices, or
+    else a center."""
+    _check_names(order, triples)
+    metrics = {"size": len(triples)}
+    for x, y, z in triples:
+        if len({x, y, z}) != 3:
+            return False, f"triple ({x},{y},{z}) repeats a vertex", metrics
+        if not (adjacent(edges, x, y) and adjacent(edges, y, z)) or adjacent(edges, x, z):
+            return False, f"({x},{y},{z}) is not an induced path with center {y}", metrics
+    for t1, t2 in itertools.combinations(triples, 2):
+        if len(set(t1) & set(t2)) >= 2:
+            pair = f"({','.join(t1)}) and ({','.join(t2)})"
+            return False, f"triples {pair} share two vertices", metrics
+        if t1[1] == t2[1]:
+            return False, f"two triples share the center {t1[1]}", metrics
+    return True, None, metrics
 
 
 # ---------------------------------------------------------------- CEVS covers

@@ -13,8 +13,10 @@ import json
 import shutil
 import time
 
-from conftest import DATA, graphs_on
+import oracles
+from conftest import DATA, graphs_on, oracle_form, oracle_steps
 from splitclust.certificates import (
+    SigmaCliqueCover,
     cover_cost,
     cover_respects_critical_cliques,
     verify_modification_sequence,
@@ -30,7 +32,6 @@ from splitclust.kernel import IsolateRemoval, RuleIIStep, RuleIStep, kernelize
 from splitclust.reductions import (
     Instance,
     Problem,
-    modifications_to_cover,
     reduce_cvs_to_cevs,
     reduce_ncc_to_scc,
     translate_ncc_cert_to_scc,
@@ -240,8 +241,9 @@ def test_criterion_5_covers_match_modification_sequences():
         assert seq.length == cost
         report = verify_modification_sequence(g, seq, budget, "cevs")
         assert report.valid, report.reason
-        recovered = modifications_to_cover(g, seq)
-        assert cover_cost(g, recovered).total <= seq.length
+        names, edges = oracle_form(g)
+        recovered = oracles.modifications_to_cover(names, edges, oracle_steps(seq))
+        assert cover_cost(g, SigmaCliqueCover.of(recovered)).total <= seq.length
         solved += 1
     elapsed = time.monotonic() - started
     print(f"criterion 5 PASS: on all {solved} labeled graphs with <=5 "

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import oracles
-from conftest import PLANTED_NAMES, graphs_on, oracle_form, planted
+from conftest import PLANTED_NAMES, graphs_on, oracle_form, oracle_steps, planted
 from splitclust.certificates import (
     CostBreakdown,
     EdgeAdd,
@@ -27,6 +27,7 @@ from splitclust.certificates import (
     verify_sigma_cover,
 )
 from splitclust.graph import Graph, Split, UnknownVertex, VertexId, induced_p3_indices
+from splitclust.reductions import cover_to_modifications, cover_to_splits
 from splitclust.solvers import max_p3_packing
 
 
@@ -135,6 +136,17 @@ def _greedy_cover(g: Graph) -> list[list[VertexId]]:
     return sets + [[v] for v in g.isolated_vertices()]
 
 
+def _seeded_graphs(rng) -> list[Graph]:
+    """Planted-overlap graphs on 5, 7 and 9 vertices, then G(n, 1/2) on 4,
+    6, 8 and 9, all on PLANTED_NAMES where they reach."""
+    graphs = [planted(rng, n, (2, 4), 0.3)[0] for n in (5, 7, 9)]
+    for n in (4, 6, 8, 9):
+        names = rng.sample(PLANTED_NAMES, n)
+        pairs = [e for e in itertools.combinations(names, 2) if rng.random() < 0.5]
+        graphs.append(Graph.build(names, pairs))
+    return graphs
+
+
 def _mutants(g: Graph, sets, rng):
     """The cover as a list of sets, then one change of it per kind: drop a
     member, add a non-neighbour, drop a set, rename a member to an unknown
@@ -171,13 +183,8 @@ def test_cover_verifiers_match_the_oracle_on_mutated_covers(kind, verify, oracle
     name-level reference judges them: validity, reason, and metrics, down to
     the key order of the valencies."""
     rng = random.Random(24)
-    graphs = [planted(rng, n, (2, 4), 0.3)[0] for n in (5, 7, 9)]
-    for n in (4, 6, 8, 9):
-        names = rng.sample(PLANTED_NAMES, n)
-        pairs = [e for e in itertools.combinations(names, 2) if rng.random() < 0.5]
-        graphs.append(Graph.build(names, pairs))
     reasons = set()
-    for g in graphs:
+    for g in _seeded_graphs(rng):
         order = [str(v) for v in g.vertices]
         _, edges = oracle_form(g)
         for _ in range(4):
@@ -215,8 +222,8 @@ def test_sequence_normalization_flags():
     add = EdgeAdd("a", "c")
     delete = EdgeDelete("a", "b")
     split = VertexSplit(Split.of("b", ["a"], ["c"]))
-    assert ModificationSequence((add, delete, split)).is_normalized()
-    assert not ModificationSequence((delete, add)).is_normalized()
+    assert oracles.is_normalized(oracle_steps(ModificationSequence((add, delete, split))))
+    assert not oracles.is_normalized(oracle_steps(ModificationSequence((delete, add))))
     assert ModificationSequence((split,)).splits_only()
     assert not ModificationSequence((add,)).splits_only()
 
@@ -234,7 +241,8 @@ def test_apply_and_intermediates(p3):
         ModificationSequence(seq.steps[:i]).apply_to(p3) for i in range(seq.length + 1)
     ]
     assert [g.edge_count for g in graphs] == [2, 3, 2, 2]
-    assert graphs[-1].has_vertex("c.0") and not graphs[-1].has_vertex("c")
+    names = [str(v) for v in graphs[-1].vertices]
+    assert "c.0" in names and "c" not in names
     assert seq.apply_to(p3) == graphs[-1]
 
 
@@ -340,7 +348,7 @@ def test_inapplicable_steps_name_their_index_and_reason():
 def test_verify_modification_sequence(p3):
     split = ModificationSequence((VertexSplit(Split.of("b", ["a"], ["c"])),))
     rep = verify_modification_sequence(p3, split, 1, "cvs")
-    assert rep.valid and rep.final_graph is not None
+    assert rep.valid
     assert rep.metrics["final_components"] == 2
 
     edit = ModificationSequence((EdgeDelete("a", "b"),))
@@ -354,6 +362,83 @@ def test_verify_modification_sequence(p3):
 
     with pytest.raises(ValueError):
         verify_modification_sequence(p3, nothing, 0, "scc")
+
+
+def _sequence_mutants(g: Graph, steps, rng):
+    """The steps as a list, then one change of them per kind: drop a step,
+    swap two, move a neighbour between the sides of a split, name an unknown
+    vertex, or put an edge edit among them."""
+    yield "same", steps
+    at = rng.randrange(len(steps) + 1)
+    u, w = rng.sample(g.vertices, 2)
+    edit = (EdgeDelete if g.has_edge(u, w) else EdgeAdd)(u, w)
+    yield "edit", [*steps[:at], edit, *steps[at:]]
+    if not steps:
+        return
+    k = rng.randrange(len(steps))
+    yield "drop step", steps[:k] + steps[k + 1 :]
+    if len(steps) >= 2:
+        i, j = rng.sample(range(len(steps)), 2)
+        swapped = list(steps)
+        swapped[i], swapped[j] = steps[j], steps[i]
+        yield "swap steps", swapped
+    splits = [j for j, step in enumerate(steps) if isinstance(step, VertexSplit)]
+    for j in rng.sample(splits, len(splits)):
+        split = steps[j].split
+        sides = [set(split.neighbors_a), set(split.neighbors_b)]
+        give = rng.randrange(2) if all(sides) else int(not sides[0])
+        if sides[give]:
+            v = rng.choice(sorted(sides[give]))
+            sides[give].remove(v)
+            sides[1 - give].add(v)
+            moved = VertexSplit(Split.of(split.target, *sides))
+            yield "move neighbour", [*steps[:j], moved, *steps[j + 1 :]]
+            break
+    stranger = VertexId.parse(rng.choice(["zz", "99", "c.1"]))
+    step = steps[k]
+    if isinstance(step, VertexSplit):
+        split = step.split
+        renamed = VertexSplit(rng.choice([
+            Split(stranger, split.neighbors_a, split.neighbors_b),
+            Split(split.target, split.neighbors_a | {stranger}, split.neighbors_b),
+        ]))
+    else:
+        renamed = type(step)(stranger, rng.choice([step.u, step.v]))
+    yield "unknown", [*steps[:k], renamed, *steps[k + 1 :]]
+
+
+def test_verify_modification_sequence_matches_the_oracle_on_mutated_sequences():
+    """Realized sequences of seeded graphs, split-only for cvs and with
+    edits for cevs, each changed once, are judged as a replay by name judges
+    them: validity, reason, and metrics."""
+    rng = random.Random(26)
+    reasons = set()
+    for g in _seeded_graphs(rng):
+        order = [str(v) for v in g.vertices]
+        _, edges = oracle_form(g)
+        for _ in range(4):
+            family = [rng.sample(order, rng.randint(1, 3)) for _ in range(g.n // 2)]
+            family += [[v] for v in order if not any(v in s for s in family)]
+            realized = {
+                "cvs": cover_to_splits(g, SigmaCliqueCover.of(_greedy_cover(g))),
+                "cevs": cover_to_modifications(g, SigmaCliqueCover.of(family)),
+            }
+            for problem, seq in realized.items():
+                for change, steps in _sequence_mutants(g, list(seq.steps), rng):
+                    mutant = ModificationSequence(tuple(steps))
+                    budget = max(0, mutant.length - rng.randrange(2))
+                    expected = oracles.sequence_report(
+                        order, edges, oracle_steps(mutant), budget, problem
+                    )
+                    rep = verify_modification_sequence(g, mutant, budget, problem)
+                    assert (rep.valid, rep.reason, rep.metrics) == expected, (change, problem)
+                    reasons.add(next(
+                        (word for word in ("vertex split", "unknown vertex", "step",
+                                           "cluster", "budget")
+                         if word in (rep.reason or "")),
+                        "valid",
+                    ))
+    assert reasons == {"valid", "vertex split", "unknown vertex", "step", "cluster", "budget"}
 
 
 # ---------------------------------------------------------------- packings
@@ -390,18 +475,6 @@ def test_verify_p3_packing_rejections(p3, ccl8):
 def test_verify_p3_packing_names_the_first_conflicting_pair():
     """Packings mutated to share a center or two vertices get the reason a
     scan over every pair of triples, in order, gives for the first conflict."""
-
-    def pairwise_reason(triples):
-        for t1, t2 in itertools.combinations(triples, 2):
-            if len(set(t1) & set(t2)) >= 2:
-                return (
-                    f"triples ({t1[0]},{t1[1]},{t1[2]}) and ({t2[0]},{t2[1]},{t2[2]})"
-                    " share two vertices"
-                )
-            if t1[1] == t2[1]:
-                return f"two triples share the center {t1[1]}"
-        return None
-
     rng = random.Random(12)
     mutated = 0
     for _ in range(40):
@@ -409,6 +482,7 @@ def test_verify_p3_packing_names_the_first_conflicting_pair():
         names = [f"v{i}" for i in range(n)]
         edges = [e for e in itertools.combinations(names, 2) if rng.random() < 0.4]
         g = Graph.build(names, edges)
+        _, named_edges = oracle_form(g)
         packing = max_p3_packing(g)
         assert verify_p3_packing(g, packing).valid
         paths = sorted(
@@ -422,10 +496,78 @@ def test_verify_p3_packing_names_the_first_conflicting_pair():
                 if u[1] == t[1] or len(set(u) & set(t)) >= 2:
                     bad = P3Packing.of(list(packing.triples) + [u])
                     rep = verify_p3_packing(g, bad)
+                    named = [tuple(map(str, t)) for t in bad.triples]
+                    expected = oracles.p3_packing_report(names, named_edges, named)
                     assert not rep.valid
-                    assert rep.reason == pairwise_reason(bad.triples)
+                    assert (rep.valid, rep.reason, rep.metrics) == expected
                     mutated += 1
     assert mutated > 100
+
+
+def _packing_mutants(names, edges, triples, rng):
+    """The packing as a list of named triples, then one change of it per
+    kind: repeat a vertex of a triple, swap its center with an endpoint,
+    rename one of its vertices to an unknown one, add a path whose endpoints
+    are adjacent, reuse a center, or share a pair."""
+    yield "same", triples
+    paths = oracles.induced_p3s(names, edges)
+    closed = [
+        (x, y, z)
+        for y in names
+        for x, z in itertools.combinations(sorted(oracles.neighbors(names, edges, y)), 2)
+        if oracles.adjacent(edges, x, z)
+    ]
+    if closed:
+        yield "adjacent ends", [*triples, rng.choice(closed)]
+    if not triples:
+        return
+    k = rng.randrange(len(triples))
+    x, y, z = triples[k]
+    stranger = rng.choice(["zz", "99", "c.1"])
+    for change, t in [
+        ("repeat vertex", (x, y, rng.choice((x, y)))),
+        ("swap center", (y, x, z)),
+        ("unknown", rng.choice([(stranger, y, z), (x, stranger, z)])),
+    ]:
+        yield change, [*triples[:k], t, *triples[k + 1 :]]
+    for change, meets in [
+        ("reuse center", lambda p, t: p[1] == t[1]),
+        ("share pair", lambda p, t: len(set(p) & set(t)) == 2),
+    ]:
+        for t in rng.sample(triples, len(triples)):
+            others = [p for p in paths if set(p) != set(t) and meets(p, t)]
+            if others:
+                yield change, [*triples, rng.choice(others)]
+                break
+
+
+def test_verify_p3_packing_matches_the_oracle_on_mutated_packings():
+    """Greedy packings of seeded graphs, each changed once, are judged as the
+    name-level reference judges them: validity, reason, and metrics."""
+    rng = random.Random(25)
+    reasons = set()
+    for g in _seeded_graphs(rng):
+        names, edges = oracle_form(g)
+        greedy = [tuple(map(str, t)) for t in max_p3_packing(g).triples]
+        for _ in range(4):
+            for change, triples in _packing_mutants(names, edges, greedy, rng):
+                packing = P3Packing.of(triples)
+                named = [tuple(map(str, t)) for t in packing.triples]
+                try:
+                    expected = oracles.p3_packing_report(names, edges, named)
+                except oracles.UnknownName as exc:
+                    with pytest.raises(UnknownVertex, match=f"^{exc}$"):
+                        verify_p3_packing(g, packing)
+                    reasons.add("unknown")
+                    continue
+                rep = verify_p3_packing(g, packing)
+                assert (rep.valid, rep.reason, rep.metrics) == expected, (change, named)
+                reasons.add(next(
+                    (word for word in ("repeats", "induced", "two vertices", "center")
+                     if word in (rep.reason or "")),
+                    "valid",
+                ))
+    assert reasons == {"valid", "unknown", "repeats", "induced", "two vertices", "center"}
 
 
 # ---------------------------------------------------------------- cover costs

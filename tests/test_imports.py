@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "splitclust"
@@ -38,3 +39,29 @@ def test_modules_use_every_name_they_import():
                 if name not in read:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_every_private_top_level_name_is_read():
+    """A private top-level def or class that no module of the package reads
+    is dead; reads inside its own body do not count."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+
+    def reads(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    private = [
+        node for tree in trees for node in tree.body
+        if isinstance(node, defs) and node.name.startswith("_")
+    ]
+    read = Counter(name for tree in trees for name in reads(tree))
+    unread = [
+        node.name for node in private
+        if read[node.name] == sum(name == node.name for name in reads(node))
+    ]
+    assert private
+    assert unread == []

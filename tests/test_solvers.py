@@ -8,10 +8,9 @@ import random
 import pytest
 
 import oracles
-from conftest import graphs_on, oracle_form, planted, relabeled
+from conftest import graphs_on, oracle_form, oracle_steps, planted, relabeled
 from splitclust.certificates import (
     EdgeAdd,
-    EdgeDelete,
     ModificationSequence,
     NotACover,
     SigmaCliqueCover,
@@ -27,10 +26,8 @@ from splitclust.graph import DuplicateVertex, Graph, UnknownVertex, induced_p3_i
 from splitclust.hunter import canonical_form, enumerate_graphs, hunt
 from splitclust.reductions import (
     Instance,
-    NotNormalized,
     Problem,
     cover_to_modifications,
-    modifications_to_cover,
 )
 from splitclust.solvers import (
     DEFAULT_SIZE_LIMITS,
@@ -592,7 +589,7 @@ def test_cover_to_modifications_on_two_set_cover(ccl8):
     two_set = SigmaCliqueCover.of([["a", "b", "c", "h"], ["c", "d", "e", "f", "g"]])
     seq = cover_to_modifications(ccl8, two_set)
     assert seq.length == cover_cost(ccl8, two_set).total == 6
-    assert seq.is_normalized()
+    assert oracles.is_normalized(oracle_steps(seq))
     kinds = [type(s).__name__ for s in seq.steps]
     assert kinds == ["EdgeAdd"] * 3 + ["EdgeDelete"] * 2 + ["VertexSplit"]
     adds = {(str(s.u), str(s.v)) for s in seq.steps[:3]}
@@ -629,14 +626,8 @@ def test_cover_to_modifications_length_equals_cost_for_all_tiny_covers(replays):
 
 def test_modifications_to_cover_headroom(p3):
     seq = ModificationSequence((EdgeAdd("a", "c"),))
-    cover = modifications_to_cover(p3, seq)
-    assert cover_cost(p3, cover).total <= seq.length
-
-
-def test_modifications_to_cover_requires_normalized(p3):
-    out_of_order = ModificationSequence((EdgeDelete("a", "b"), EdgeAdd("a", "c")))
-    with pytest.raises(NotNormalized):
-        modifications_to_cover(p3, out_of_order)
+    cover = oracles.modifications_to_cover(*oracle_form(p3), oracle_steps(seq))
+    assert cover_cost(p3, SigmaCliqueCover.of(cover)).total <= seq.length
 
 
 def test_modifications_round_trip_through_solver():
@@ -644,5 +635,5 @@ def test_modifications_round_trip_through_solver():
         res = solve_cevs_exact(Instance(Problem.CEVS, g, 6))
         assert res is not None
         cover, seq = res
-        back = modifications_to_cover(g, seq)
-        assert cover_cost(g, back).total <= seq.length
+        back = oracles.modifications_to_cover(*oracle_form(g), oracle_steps(seq))
+        assert cover_cost(g, SigmaCliqueCover.of(back)).total <= seq.length
