@@ -39,7 +39,6 @@ from .graph import (
     apply_split,
     critical_clique_graph,
     is_cluster_graph,
-    remove_isolated,
 )
 from .hunter import (
     HuntReport,

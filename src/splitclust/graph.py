@@ -17,10 +17,12 @@ Graphs are immutable.  Adjacency is kept as one Python int bitmask per
 vertex over the lexicographic vertex order; Python ints are arbitrary
 precision, so the same representation covers every size this library
 handles.  :meth:`Graph.build` is the constructor for outside input: it
-parses each declared name once, sorts the names and checks every edge.  Edits (splits, induced
-subgraphs, edge flips) instead run on the mutable rows of one
-:class:`GraphEditor`, which builds the edited graph once; they re-parse
-nothing.
+parses each declared name once, sorts the names and checks every edge.
+Edits (splits, vertex deletions, edge flips) instead run on the mutable rows
+of one :class:`GraphEditor`, which builds the edited graph once; they
+re-parse nothing.  Code that works on part of a graph, such as one
+connected component, takes it as a row mask and walks its members with
+:func:`bits` instead of building a graph for it.
 """
 
 from __future__ import annotations
@@ -133,7 +135,7 @@ class VertexId(tuple):
         return f"VertexId({str(self)!r})"
 
 
-def _bits(mask: int) -> Iterator[int]:
+def bits(mask: int) -> Iterator[int]:
     """The indices of the set bits of `mask`, ascending."""
     while mask:
         low = mask & -mask
@@ -305,30 +307,11 @@ class Graph:
 
     # -- derived graphs -------------------------------------------------------
 
-    def induced(self, keep: Iterable[VertexId | str]) -> Graph:
-        kept = list(keep)
-        mask = self.mask_of(kept)
-        if mask.bit_count() < len(kept):
-            kept = sorted(map(VertexId.parse, kept))
-            twice = next(a for a, b in zip(kept, kept[1:]) if a == b)
-            raise DuplicateVertex(f"duplicate vertex {twice}")
-        return self._without(((1 << self.n) - 1) & ~mask)
-
     def without_vertices(self, drop: Iterable[VertexId | str]) -> Graph:
-        return self._without(self.mask_of(drop))
-
-    def _without(self, drop: int) -> Graph:
+        mask = self.mask_of(drop)
         edit = GraphEditor(self)
-        edit._remove(drop)
+        edit._remove(mask)
         return edit.graph()
-
-
-def remove_isolated(g: Graph) -> tuple[Graph, tuple[VertexId, ...]]:
-    """Drop all isolated vertices; returns the new graph and what was dropped."""
-    iso = g.isolated_vertices()
-    if not iso:
-        return g, iso
-    return g.without_vertices(iso), iso
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +375,7 @@ class GraphEditor:
 
     def _remove(self, drop: int) -> None:
         """Remove the vertices of row mask `drop`."""
-        for i in _bits(drop):
+        for i in bits(drop):
             del self._index[self._names[i]]
         self._live &= ~drop
 
@@ -405,7 +388,7 @@ class GraphEditor:
         self._index[name] = k
         bit = 1 << k
         self._live |= bit
-        while mask:  # _bits, inline
+        while mask:  # bits, inline
             low = mask & -mask
             rows[low.bit_length() - 1] |= bit
             mask ^= low
@@ -446,7 +429,7 @@ class GraphEditor:
             masks.append(mask)
         missed = row & ~(masks[0] | masks[1])
         if missed:
-            first = min(self._names[j] for j in _bits(missed))
+            first = min(self._names[j] for j in bits(missed))
             raise NeighborhoodNotCovered(
                 f"split of {t}: neighbor {first} assigned to neither copy"
             )
@@ -483,7 +466,7 @@ class GraphEditor:
         def remap(row: int) -> int:
             out = 0
             if row.bit_count() < len(runs):
-                for i in _bits(row & live):
+                for i in bits(row & live):
                     out |= 1 << pos[i]
             else:
                 for lo, hi, shift in runs:
@@ -515,7 +498,7 @@ def induced_p3_indices(rows: Sequence[int]) -> Iterator[tuple[int, int, int]]:
     need the lexicographic order sort them.
     """
     for j, row in enumerate(rows):
-        for x, z in itertools.combinations(_bits(row), 2):
+        for x, z in itertools.combinations(bits(row), 2):
             if not rows[x] >> z & 1:
                 yield (x, j, z)
 
@@ -597,11 +580,11 @@ def critical_clique_graph(g: Graph) -> CriticalCliqueGraph:
     rows = []
     for c, group in enumerate(groups):
         row = 0
-        for j in _bits(g.rows[group[0]]):
+        for j in bits(g.rows[group[0]]):
             row |= 1 << class_of[j]
         rows.append(row & ~(1 << c))
     reducible = tuple(
-        all(not row & ~rows[d] & ~(1 << d) for d in _bits(row)) for row in rows
+        all(not row & ~rows[d] & ~(1 << d) for d in bits(row)) for row in rows
     )
     classes = tuple(tuple(g.vertices[i] for i in group) for group in groups)
     masks = tuple(sum(1 << i for i in group) for group in groups)

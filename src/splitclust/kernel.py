@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, VertexId, critical_clique_graph, remove_isolated
+from .graph import Graph, VertexId, critical_clique_graph
 from .reductions import Instance, Problem
 
 
@@ -102,23 +102,26 @@ def kernelize(inst: Instance) -> tuple[Instance, KernelTrace]:
     final step; after it the output is the canonical negative instance, which
     downstream solvers decide instantly.
 
-    Rule I is exhausted from the classes of the isolate-free graph, computed
-    once.  Deleting a vertex v from a class K with |K| >= 2 changes no other
-    vertex's class, the quotient, or any reducible flag: v keeps a twin v' in
-    K, and for every other vertex a, v is in N[a] iff v' is, so closed
-    neighborhoods that differ with v still differ without it.  Exhaustion
-    therefore deletes all but the largest member of each reducible class, and
-    the steps come smallest vertex first, the order :func:`rule1_applicable`
-    picks them in.  A deletion isolates nothing, since v' keeps every
-    neighbor of v, except in a class that is a whole clique component (no
-    quotient neighbor): deleting its second-largest member isolates the
-    largest, which that step removes as cascaded.
+    Rule I is exhausted from the classes of the input graph, computed once;
+    an isolated vertex is a class of one, which Rule I never picks, and
+    deleting it changes no other class.  Deleting a vertex v from a class K
+    with |K| >= 2 changes no other vertex's class, the quotient, or any
+    reducible flag: v keeps a twin v' in K, and for every other vertex a, v
+    is in N[a] iff v' is, so closed neighborhoods that differ with v still
+    differ without it.  Exhaustion therefore deletes all but the largest
+    member of each reducible class, and the steps come smallest vertex
+    first, the order :func:`rule1_applicable` picks them in.  A deletion
+    isolates nothing, since v' keeps every neighbor of v, except in a class
+    that is a whole clique component (no quotient neighbor): deleting its
+    second-largest member isolates the largest, which that step removes as
+    cascaded.  All the deletions, isolates first, are one graph edit.
     """
     if inst.problem is not Problem.CVS:
         raise ValueError(f"kernelize expects a cvs instance, got {inst.problem.value}")
     k = inst.budget
     steps: list = []
-    g, iso = remove_isolated(inst.graph)
+    g = inst.graph
+    iso = g.isolated_vertices()
     if iso:
         steps.append(IsolateRemoval(iso))
     cc = critical_clique_graph(g)
@@ -132,8 +135,8 @@ def kernelize(inst: Instance) -> tuple[Instance, KernelTrace]:
     removed = g.vertices_of_mask(spare)
     for v in removed:
         steps.append(RuleIStep(v, (cascades[v],) if v in cascades else ()))
-    if removed:
-        g = g.without_vertices([*removed, *cascades.values()])
+    if iso or removed:
+        g = g.without_vertices([*iso, *removed, *cascades.values()])
     if g.n > 3 * k:
         out = _canonical_negative()
         steps.append(RuleIIStep())

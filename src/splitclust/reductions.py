@@ -94,7 +94,8 @@ class Instance:
     budget: int
 
     def __post_init__(self):
-        if not isinstance(self.budget, int) or self.budget < 0:
+        # bool is a subclass of int: True is not a budget of 1
+        if not isinstance(self.budget, int) or isinstance(self.budget, bool) or self.budget < 0:
             raise ValueError(f"budget must be a non-negative integer: {self.budget!r}")
 
 

@@ -13,12 +13,13 @@ line sets from --size-limit-override.
   future set through v restricted to that neighborhood is one such clique,
   so the sum never exceeds the weight still to be paid.  Those minima are a
   memoized branch-and-bound of their own (on the smallest uncovered vertex,
-  over maximal cliques containing it), shared with solve_ncc_exact.  Each
-  component is searched by iterative deepening: caps rise from the root
-  bound, and the search at a cap stops at its first leaf, which at the
-  first cap that admits one is the optimum.  A child's bound is its
-  parent's, corrected on the rows the chosen clique touches, and the search
-  keeps an explicit stack rather than recursing once per chosen set.
+  over maximal cliques containing it), shared with solve_ncc_exact; one
+  table serves the whole graph.  Each connected component is searched on
+  the input's own rows, as a row mask, by iterative deepening: caps rise
+  from the root bound, and the search at a cap stops at its first leaf,
+  which at the first cap that admits one is the optimum.  A child's bound
+  is its parent's, corrected on the rows the chosen clique touches, and the
+  search keeps an explicit stack rather than recursing once per chosen set.
 * Splitting to clusters (cvs) is solved on the scc instance that
   `convert_cvs_scc` gives.
 * Editing with splitting (cevs) assigns each vertex, in turn, a nonempty
@@ -56,7 +57,7 @@ from .certificates import (
     P3Packing,
     SigmaCliqueCover,
 )
-from .graph import Graph, VertexId, induced_p3_indices
+from .graph import Graph, VertexId, bits, induced_p3_indices
 from .reductions import (
     Instance,
     Problem,
@@ -228,44 +229,45 @@ def _cliques_with_edge(rows: tuple[int, ...], i: int, j: int) -> list[int]:
     return out
 
 
-def _scc_first_cover(table: _NccTable, root_bound: int, cap: int) -> list[int] | None:
+def _scc_first_cover(table: _NccTable, comp: int, root_bound: int, cap: int) -> list[int] | None:
     """The first clique family of the search order that covers every edge of
-    `table.rows` within weight `cap`, or None when no family does.
+    the component `comp`, a row mask of `table.rows`, within weight `cap`,
+    or None when no family does.
 
-    A node is the uncovered part of each row.  It branches on the smallest
-    uncovered edge over the cliques through it, by (-size, mask).  A node's
-    bound is the sum of `table.min_size` over its rows; `root_bound` must be
-    that sum at the root.  A child's bound differs only on the rows its
-    clique touches, and every row of a node is already in `table.memo`,
-    summed into the node's own bound.  A child is pruned when its weight
-    plus its bound exceeds `cap`.  The search keeps its own stack, so its
-    depth is not bound by the recursion limit.
+    A node is the uncovered part of each row of `comp`, keyed by vertex in
+    increasing order.  It branches on the smallest uncovered edge, found by
+    scanning for the first nonzero row, over the cliques through it, by
+    (-size, mask).  A node's bound is the sum of `table.min_size` over its
+    rows; `root_bound` must be that sum at the root.  A child's bound
+    differs only on the rows its clique touches, and every row of a node is
+    already in `table.memo`, summed into the node's own bound.  A child is
+    pruned when its weight plus its bound exceeds `cap`.  The search keeps
+    its own stack, so its depth is not bound by the recursion limit.
 
     On a clique the first candidate is the whole clique, the unique largest
-    one; its weight n equals the root bound, so it is the first leaf, taken
-    here without listing the 2^(n-2) cliques through the first edge.
+    one; its weight |comp| equals the root bound, so it is the first leaf,
+    taken here without listing the 2^(|comp|-2) cliques through its edges.
     """
     if root_bound == 0:
         return []
     rows = table.rows
-    full = (1 << len(rows)) - 1
-    if all(row | 1 << x == full for x, row in enumerate(rows)):
-        return [full] if root_bound <= cap else None
+    if all(rows[x] | 1 << x == comp for x in bits(comp)):
+        return [comp] if root_bound <= cap else None
     min_size, memo = table.min_size, table.memo
 
-    def children(uncov: list[int], start: int):
-        i = start
-        while not uncov[i]:
-            i += 1
-        row = uncov[i]
+    def candidates(uncov: dict[int, int]):
+        for i, row in uncov.items():
+            if row:
+                break
         j = (row & -row).bit_length() - 1
         cands = sorted(_cliques_with_edge(rows, i, j), key=lambda q: (-q.bit_count(), q))
-        return i, iter(cands)
+        return iter(cands)
 
-    stack = [(list(rows), 0, root_bound, *children(rows, 0))]
+    root = {x: rows[x] for x in bits(comp)}
+    stack = [(root, 0, root_bound, candidates(root))]
     chosen: list[int] = []
     while stack:
-        uncov, weight, bound, i, cands = stack[-1]
+        uncov, weight, bound, cands = stack[-1]
         for q in cands:
             w = weight + q.bit_count()
             b = bound
@@ -284,13 +286,13 @@ def _scc_first_cover(table: _NccTable, root_bound: int, cap: int) -> list[int] |
         chosen.append(q)
         if b == 0:
             return chosen
-        child = list(uncov)
+        child = dict(uncov)
         rest = q
         while rest:
             x = (rest & -rest).bit_length() - 1
             rest &= rest - 1
             child[x] &= ~q
-        stack.append((child, w, b, *children(child, i)))
+        stack.append((child, w, b, candidates(child)))
     return None
 
 
@@ -312,24 +314,32 @@ def solve_scc_exact(
     while the cap is at least the optimum.  At cap = optimum every leaf the
     search reaches within the cap is optimal, so the first one reached is
     that leaf, and the search stops there.
+
+    Each component is a row mask of `g`, searched with one `_NccTable` for
+    the whole graph, whose memo keys of different components are disjoint.
+    The certificate is the one the component would give as a graph of its
+    own, which keeps the vertex order: its indices are the component's
+    indices in `g`, relabeled in increasing order.  Such a relabeling keeps
+    the order of vertices and, as masks compare by their highest differing
+    bit, of masks; so it keeps the smallest uncovered edge, the (-size,
+    mask) order and `_NccTable._maximal_cliques_at`'s order.
     """
     check_size("scc", g.n, size_limit)
-    comps = [g.induced(g.vertices_of_mask(c)) for c in g.component_masks()]
-    tables = [_NccTable(comp.rows) for comp in comps]
-    lbs = [
-        sum(table.min_size(row) for row in table.rows if row) for table in tables
-    ]
+    rows = g.rows
+    table = _NccTable(rows)
+    comps = g.component_masks()
+    lbs = [sum(table.min_size(rows[x]) for x in bits(c) if rows[x]) for c in comps]
     slack = budget - sum(lbs)
     sets: list[frozenset[VertexId]] = []
-    for comp, table, lb in zip(comps, tables, lbs):
+    for comp, lb in zip(comps, lbs):
         for cap in range(lb, lb + slack + 1):
-            masks = _scc_first_cover(table, lb, cap)
+            masks = _scc_first_cover(table, comp, lb, cap)
             if masks is not None:
                 break
         else:
             return None
         slack -= cap - lb
-        sets += [frozenset(comp.vertices_of_mask(q)) for q in masks]
+        sets += [frozenset(g.vertices_of_mask(q)) for q in masks]
     if slack < 0:
         return None
     return SigmaCliqueCover.of(sets)
@@ -422,36 +432,30 @@ def _exact_packing(triples: list[tuple[int, int, int]]) -> list[tuple[int, int, 
             if not mine.isdisjoint(keys[b]):
                 conflict[a] |= 1 << b
                 conflict[b] |= 1 << a
-    seed = [triples[k] for k in _first_fit(keys)]
-    best_count = len(seed)
-    best_sets = seed
+    best_sets = [triples[k] for k in _first_fit(keys)]
+    best_count = len(best_sets)
 
-    def centers_left(cand: int) -> int:
-        seen = set()
-        while cand:
-            x = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            seen.add(triples[x][1])
-        return len(seen)
-
-    def dfs(cand: int, count: int, chosen: list[int]) -> None:
-        nonlocal best_count, best_sets
-        if count + min(cand.bit_count(), centers_left(cand)) <= best_count:
-            return
+    # candidates left and triples taken; a leaf that passes its bound is better
+    stack = [((1 << m) - 1, ())]
+    while stack:
+        cand, chosen = stack.pop()
+        count = len(chosen)
+        centers = set()
+        rest = cand
+        while rest:  # bits, inline: this is the search's inner loop
+            x = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            centers.add(triples[x][1])
+        if count + min(cand.bit_count(), len(centers)) <= best_count:
+            continue
         if cand == 0:
-            if count > best_count:
-                best_count = count
-                best_sets = [triples[x] for x in chosen]
-            return
+            best_count, best_sets = count, [triples[x] for x in chosen]
+            continue
         bit = cand & -cand
         x = bit.bit_length() - 1
-        chosen.append(x)
-        dfs(cand & ~conflict[x] & ~bit, count + 1, chosen)
-        chosen.pop()
-        dfs(cand & ~bit, count, chosen)
-
-    dfs((1 << m) - 1, 0, [])
-    del dfs  # it calls itself: a reference cycle until a garbage collection
+        # the skip child is bounded after the take subtree raised best_count
+        stack.append((cand & ~bit, chosen))
+        stack.append((cand & ~conflict[x] & ~bit, (*chosen, x)))
     return best_sets
 
 

@@ -8,6 +8,7 @@ import pytest
 from splitclust import Graph
 from splitclust.certificates import EdgeAdd, SigmaCliqueCover, VertexSplit
 from splitclust.formats import load_graph
+from splitclust.graph import GraphEditor
 
 DATA = Path(__file__).parent / "data"
 
@@ -78,6 +79,20 @@ def planted(rng, n, sizes, overlap, noise=0):
     for _ in range(noise):
         edges ^= {tuple(sorted(rng.sample(names, 2)))}
     return Graph.build(names, edges), SigmaCliqueCover.of(clusters)
+
+
+@pytest.fixture
+def editors(monkeypatch) -> list[Graph]:
+    """The graph of each GraphEditor the test constructs, in order."""
+    made: list[Graph] = []
+    init = GraphEditor.__init__
+
+    def counting_init(self, g):
+        made.append(g)
+        init(self, g)
+
+    monkeypatch.setattr(GraphEditor, "__init__", counting_init)
+    return made
 
 
 @pytest.fixture(scope="session")

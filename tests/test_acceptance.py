@@ -26,7 +26,7 @@ from splitclust.certificates import (
 )
 from splitclust.cli import main
 from splitclust.formats import load_certificate, load_graph
-from splitclust.graph import Graph, remove_isolated
+from splitclust.graph import Graph
 from splitclust.hunter import enumerate_graphs, hunt, hunt_graph
 from splitclust.kernel import IsolateRemoval, RuleIIStep, RuleIStep, kernelize
 from splitclust.reductions import (
@@ -53,7 +53,7 @@ def _labeled_graphs(max_n: int):
 
 def _min_splits_or_none(g: Graph, cap: int) -> int | None:
     """Exact minimum number of splits, or None if it exceeds `cap`."""
-    core, _ = remove_isolated(g)
+    core = g.without_vertices(g.isolated_vertices())
     if core.n == 0:
         return 0
     cover = solve_scc_exact(core, core.n + cap)
@@ -206,7 +206,8 @@ def test_criterion_4a_rules_validated_in_isolation():
         for g in enumerate_graphs(n):
             for k in range(3):
                 out, trace = kernelize(Instance(Problem.CVS, g, k))
-                current, removed = remove_isolated(g)
+                removed = g.isolated_vertices()
+                current = g.without_vertices(removed)
                 steps = list(trace.steps)
                 if removed:
                     assert steps and steps[0] == IsolateRemoval(removed)

@@ -27,7 +27,6 @@ from splitclust.graph import (
     critical_clique_graph,
     induced_p3_indices,
     is_cluster_graph,
-    remove_isolated,
 )
 
 
@@ -263,12 +262,11 @@ def test_edges_iterate_in_pair_order():
     assert [(str(u), str(w)) for u, w in g.edges()] == [("a", "c"), ("b", "c")]
 
 
-def test_induced_and_without_vertices():
+def test_without_vertices():
     g = Graph.build("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
-    sub = g.induced(["b", "c", "d"])
+    sub = g.without_vertices(["a"])
     assert [str(v) for v in sub.vertices] == ["b", "c", "d"]
     assert sub.edge_count == 2
-    assert g.without_vertices(["a"]).edge_count == 2
     with pytest.raises(UnknownVertex):
         g.without_vertices(["z"])
 
@@ -360,13 +358,12 @@ def test_component_masks_order_and_cover():
     ]
 
 
-def test_remove_isolated():
+def test_isolated_vertices():
     g = Graph.build("abc", [("a", "b")])
-    core, dropped = remove_isolated(g)
-    assert [str(v) for v in dropped] == ["c"]
-    assert core.n == 2
-    again, none_dropped = remove_isolated(core)
-    assert again is core and none_dropped == ()
+    assert [str(v) for v in g.isolated_vertices()] == ["c"]
+    core = g.without_vertices(g.isolated_vertices())
+    assert core == Graph.build("ab", [("a", "b")])
+    assert core.isolated_vertices() == ()
 
 
 # ---------------------------------------------------------------- splitting
@@ -449,7 +446,6 @@ def test_edits_equal_build_of_the_edited_lists():
 
         keep = rng.sample(names, rng.randint(0, len(names)))
         inside = Graph.build(keep, [e for e in edges if set(e) <= set(keep)])
-        assert g.induced(keep) == inside
         assert g.without_vertices(set(names) - set(keep)) == inside
 
         free = [v for v in names if f"{v}.0" not in names and f"{v}.1" not in names]
@@ -476,9 +472,8 @@ def test_edit_errors_name_the_offending_vertex():
         (lambda: GraphEditor(g).add_edge("c", "z"), UnknownVertex, "unknown vertex z"),
         (lambda: GraphEditor(g).delete_edge("c", "7"), GraphError,
          "edge c 7 not present"),
-        (lambda: g.induced(["7", "z", "y"]), UnknownVertex, "unknown vertex y"),
-        (lambda: g.induced(["7", "07", "7", "07"]), DuplicateVertex,
-         "duplicate vertex 07"),
+        (lambda: g.without_vertices(["7", "z", "y"]), UnknownVertex,
+         "unknown vertex y"),
         (lambda: g.without_vertices(["7", "c.0"]), UnknownVertex,
          "unknown vertex c.0"),
         (lambda: apply_split(g, Split.of("07", ["c"], ["7", "c.0.1"])),

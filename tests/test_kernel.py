@@ -11,7 +11,6 @@ from splitclust.graph import (
     Graph,
     critical_clique_graph,
     is_cluster_graph,
-    remove_isolated,
 )
 from splitclust.kernel import (
     IsolateRemoval,
@@ -50,7 +49,8 @@ def test_rule1_ignores_isolated_vertices_exhaustively():
     on the graph without its isolated vertices."""
     for n in range(6):
         for g in graphs_on(n):
-            assert rule1_applicable(g) == rule1_applicable(remove_isolated(g)[0]), g
+            core = g.without_vertices(g.isolated_vertices())
+            assert rule1_applicable(g) == rule1_applicable(core), g
 
 
 def test_apply_rule1_cascades(k3):
@@ -172,6 +172,20 @@ def planted_graph(rng: random.Random, n: int) -> Graph:
     return Graph.build(order, edges)
 
 
+def test_kernelize_edits_the_graph_once(editors):
+    """The isolated vertices, the Rule I deletions and their cascades go in
+    one edit of the input graph."""
+    g = planted_graph(random.Random(3), 40)
+    iso = [f"i{j}" for j in range(4)]
+    g = Graph.build([*map(str, g.vertices), *iso], [(str(u), str(w)) for u, w in g.edges()])
+    out, trace = kernelize(Instance(Problem.CVS, g, g.n))
+    assert trace.steps[0] == IsolateRemoval(g.isolated_vertices())
+    assert sum(isinstance(step, RuleIStep) for step in trace.steps) > 5
+    assert any(step.cascaded for step in trace.steps[1:])
+    assert len(editors) == 1
+    assert out.graph.isolated_vertices() == () and out.budget == g.n
+
+
 def test_kernelize_trace_replays_through_rule1_on_planted_graphs():
     """The one-pass kernel's trace is the step-by-step Rule I loop's trace.
 
@@ -185,7 +199,8 @@ def test_kernelize_trace_replays_through_rule1_on_planted_graphs():
         for k in (g.n // 6, g.n):
             out, trace = kernelize(Instance(Problem.CVS, g, k))
             steps = list(trace.steps)
-            cur, iso = remove_isolated(g)
+            iso = g.isolated_vertices()
+            cur = g.without_vertices(iso)
             if iso:
                 assert steps.pop(0) == IsolateRemoval(iso)
             rule2 = steps[-1:] == [RuleIIStep()]

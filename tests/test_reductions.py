@@ -50,6 +50,14 @@ def test_instance_rejects_negative_budget(p3):
         Instance(Problem.CVS, p3, -1)
 
 
+def test_instance_rejects_a_bool_budget(p3):
+    """bool is a subclass of int, but True is not a budget of 1: a kernel
+    trace would write it as "budget": true."""
+    for budget in (True, False):
+        with pytest.raises(ValueError, match="^budget must be a non-negative integer"):
+            Instance(Problem.CVS, p3, budget)
+
+
 # ---------------------------------------------------------------- universals
 
 

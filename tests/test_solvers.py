@@ -314,6 +314,54 @@ def test_scc_on_a_clique_lists_no_cliques(monkeypatch):
     assert seq is not None and seq.length == 0
 
 
+def test_scc_builds_no_graph_per_component(editors):
+    """The components are searched as row masks of the input graph, so a
+    graph of 60 components, their names interleaved, makes no edit."""
+    rng = random.Random(28)
+    names = [str(i) for i in range(180)]
+    rng.shuffle(names)
+    edges = []
+    for a, b, c in zip(names[0::3], names[1::3], names[2::3]):
+        edges += [(a, b), (b, c)] + [(a, c)] * (rng.random() < 0.5)
+    g = Graph.build(names, edges)
+    assert len(g.component_masks()) == 60
+    cover = solve_scc_exact(g, 2 * g.edge_count, size_limit=g.n)
+    assert editors == []
+    assert verify_sigma_cover(g, cover, cover.weight).valid
+
+
+def test_scc_certificate_is_the_union_of_component_certificates():
+    """On seeded disjoint unions whose components' names interleave in the
+    vertex order, the certificate at and above the optimum is the union of
+    the components' certificates, each solved on its own graph built by
+    name, and one below the optimum is NO."""
+    rng = random.Random(29)
+    for _ in range(12):
+        names = [str(i) for i in range(rng.randint(20, 40))]
+        rng.shuffle(names)
+        edges, at = [], 0
+        while at < len(names):
+            part = names[at : at + rng.randint(1, 7)]
+            at += len(part)
+            p = rng.choice([0.4, 0.7, 1.0])
+            edges += [e for e in itertools.combinations(part, 2) if rng.random() < p]
+        g = Graph.build(names, edges)
+        sets, weight = [], 0
+        for comp in g.component_masks():
+            members = set(g.vertices_of_mask(comp))
+            own = Graph.build(
+                [str(v) for v in members],
+                [(str(u), str(w)) for u, w in g.edges() if u in members],
+            )
+            cover = solve_scc_exact(own, 2 * own.edge_count)
+            sets += cover.sets
+            weight += cover.weight
+        want = SigmaCliqueCover.of(sets)
+        for budget in (weight, weight + 2, 2 * g.edge_count):
+            assert solve_scc_exact(g, budget, size_limit=g.n) == want
+        assert weight == 0 or solve_scc_exact(g, weight - 1, size_limit=g.n) is None
+
+
 # ---------------------------------------------------------------- CVS
 
 
