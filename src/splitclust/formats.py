@@ -142,7 +142,11 @@ def format_graph_text(g: Graph) -> str:
     lines = [f"graph {g.n} {g.edge_count}"]
     lines += [f"v {v}" for v in g.vertices]
     lines += [f"e {u} {w}" for u, w in g.edges()]
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if "#" in text:  # only a name can hold one, and the reader cuts lines there
+        bad = next(v for v in g.vertices if "#" in str(v))
+        raise FormatError(f"vertex {bad} holds '#', which starts a comment in graph text")
+    return text
 
 
 def _read_text(path: str | Path) -> str:

@@ -35,6 +35,8 @@ line sets from --size-limit-override.
   bit tests, since one placement raises each term by 0 or 1.  The search
   deepens its cap from the root bound, and the first cap that admits a
   leaf is the optimum, whose leaves are then exactly the optimal covers.
+  Like the scc search, it keeps an explicit stack of nodes rather than
+  recursing once per vertex placed.
   `solve_cevs_exact` and the hunter run this one search; it needs no cap
   on the number of labels (see `cevs_search`).
   It visits the vertices fewest-open-neighbours first, skips label
@@ -617,6 +619,13 @@ def cevs_search(g: Graph, budget: int):
     is optimal.  So the first cap that reaches a leaf is the optimum, and
     its leaves are all the optimal assignments, in any child order.
 
+    The search keeps its own stack of nodes (i, cost, members), where
+    `members` is the tuple of label masks over the placed vertices and each
+    child gets its own, so its depth is not bound by the recursion limit.
+    Pruning compares a node with the cap alone, never with a leaf found
+    before it, so at each cap the set of nodes visited, and of leaves
+    reached, does not depend on the order in which nodes are popped.
+
     It returns (optimum, covers), where `covers` is the set of all distinct
     minimum-cost covers, each a sorted tuple of row masks of `g`, one per
     label, or None when the optimum exceeds the budget (a budget of |E|, the
@@ -650,9 +659,9 @@ def cevs_search(g: Graph, budget: int):
     while new labels hold only i and miss A.  So lb(v) stays exactly when v
     is exact or some minimal S avoids `taken`.  A node computes each v's
     lb, U_v and minimal S once (`_owed`), when its first child passes the
-    pk test, memoized by node across the caps of one call; each child's sum
-    is then one pass of bit tests (`_owed_after`).  Since no lb falls, the
-    node's own sum also narrows the room its children share.
+    pk test; each child's sum is then one pass of bit tests (`_owed_after`).
+    Since no lb falls, the node's own sum also narrows the room its
+    children share.
 
     Children.  With room = cap - cost - pk[i+1] left at vertex i, narrowed
     to cap - cost - max(pk[i+1], the node's sum) once that sum is known,
@@ -667,7 +676,7 @@ def cevs_search(g: Graph, budget: int):
     pass or fail this filter together, so the mirror rule below is
     untouched, and the nodes, the children and their order are those of
     the unfiltered search.  Over the 1,044 canonical forms with 7 vertices
-    it visits 92,562 nodes (calls, leaves included, summed over the caps)
+    it visits 92,562 nodes (pops, leaves included, summed over the caps)
     either way, 451,771 with pk alone, and draws 445,583 nonempty label
     combinations instead of 842,538.
 
@@ -693,90 +702,71 @@ def cevs_search(g: Graph, budget: int):
         sum(1 << k for k, u in enumerate(order) if g.rows[v] >> u & 1) for v in order
     ]
     pk = _suffix_packing_bounds(rows)
-    members: list[int] = []
-    found: list[tuple[int, ...]] = []
-    owed_memo: dict[tuple[int, tuple[int, ...]], _Owed] = {}
-
-    def owed_at(i: int) -> _Owed:
-        if i + 1 == n:
-            return _NOTHING_OWED
-        key = (i, tuple(members))
-        owed = owed_memo.get(key)
-        if owed is None:
-            owed = owed_memo[key] = _owed(rows, i, members)
-        return owed
-
-    def dfs(i: int, cost: int) -> None:
-        if i == n:
-            found.append(tuple(sorted(members)))
-            return
-        L = len(members)
-        ibit = 1 << i
-        prev = ibit - 1
-        adj = rows[i] & prev
-        non = prev & ~rows[i]
-        left = cap - cost  # what vertices i.. may still pay
-        pk1 = pk[i + 1]
-        room = left - pk1
-        owed = None  # taken from owed_at once a child passes the room test
-        base = adj.bit_count() - 1  # e = 0: only new labels
-        if base < room:
-            owed = owed_at(i)
-            top = left - base - max(pk1, _owed_after(owed, 0)[1])
-            for r in range(1, top + 1):
-                members.extend([ibit] * r)
-                dfs(i + 1, cost + base + r)
-                del members[L:]
-            # every child owes at least what the node owes
-            room = left - max(pk1, owed[0])
-        ok = []
-        tied = 0
-        for lbl, m in enumerate(members):
-            if (non & m).bit_count() <= room:
-                ok.append(lbl)
-                if lbl and m == members[lbl - 1]:
-                    tied |= 1 << lbl
-        for e in range(1, min(len(ok), room + 1) + 1):
-            for combo in itertools.combinations(ok, e):
-                shared = taken = 0
-                for lbl in combo:
-                    shared |= members[lbl]
-                    taken |= 1 << lbl
-                if taken & tied & ~(taken << 1):
-                    continue
-                base = e - 1 + (adj & ~shared).bit_count() + (non & shared).bit_count()
-                if base > room:
-                    continue
-                if owed is None:
-                    owed = owed_at(i)
-                owe0, owe1 = _owed_after(owed, taken)
-                fits = base + max(pk1, owe0) <= left
-                top = left - base - max(pk1, owe1)
-                if not fits and top < 1:
-                    continue
-                for lbl in combo:
-                    members[lbl] |= ibit
-                if fits:
-                    dfs(i + 1, cost + base)
-                for r in range(1, top + 1):
-                    members.extend([ibit] * r)
-                    dfs(i + 1, cost + base + r)
-                    del members[L:]
-                for lbl in combo:
-                    members[lbl] &= ~ibit
-
+    found: set[tuple[int, ...]] = set()
     for cap in range(pk[0], budget + 1):
-        dfs(0, 0)
+        stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
+        while stack:
+            i, cost, members = stack.pop()
+            if i == n:
+                found.add(members)
+                continue
+            ibit = 1 << i
+            prev = ibit - 1
+            adj = rows[i] & prev
+            non = prev & ~rows[i]
+            left = cap - cost  # what vertices i.. may still pay
+            pk1 = pk[i + 1]
+            room = left - pk1
+            # computed once a child passes the room test
+            owed = None if i + 1 < n else _NOTHING_OWED
+            base = adj.bit_count() - 1  # e = 0: only new labels
+            if base < room:
+                if owed is None:
+                    owed = _owed(rows, i, members)
+                top = left - base - max(pk1, _owed_after(owed, 0)[1])
+                for r in range(1, top + 1):
+                    stack.append((i + 1, cost + base + r, members + (ibit,) * r))
+                # every child owes at least what the node owes
+                room = left - max(pk1, owed[0])
+            ok = []
+            tied = 0
+            for lbl, m in enumerate(members):
+                if (non & m).bit_count() <= room:
+                    ok.append(lbl)
+                    if lbl and m == members[lbl - 1]:
+                        tied |= 1 << lbl
+            for e in range(1, min(len(ok), room + 1) + 1):
+                for combo in itertools.combinations(ok, e):
+                    shared = taken = 0
+                    for lbl in combo:
+                        shared |= members[lbl]
+                        taken |= 1 << lbl
+                    if taken & tied & ~(taken << 1):
+                        continue
+                    base = e - 1 + (adj & ~shared).bit_count() + (non & shared).bit_count()
+                    if base > room:
+                        continue
+                    if owed is None:
+                        owed = _owed(rows, i, members)
+                    owe0, owe1 = _owed_after(owed, taken)
+                    fits = base + max(pk1, owe0) <= left
+                    top = left - base - max(pk1, owe1)
+                    if not fits and top < 1:
+                        continue
+                    child = list(members)
+                    for lbl in combo:
+                        child[lbl] |= ibit
+                    joined = tuple(child)
+                    if fits:
+                        stack.append((i + 1, cost + base, joined))
+                    for r in range(1, top + 1):
+                        stack.append((i + 1, cost + base + r, joined + (ibit,) * r))
         if found:
-            break
-    del dfs  # it calls itself: a reference cycle until a garbage collection
-    if not found:
-        return None
-
-    def unpermuted(mask: int) -> int:
-        return sum(1 << v for k, v in enumerate(order) if mask >> k & 1)
-
-    return cap, {tuple(sorted(map(unpermuted, leaf))) for leaf in found}
+            return cap, {
+                tuple(sorted(sum(1 << order[k] for k in bits(m)) for m in leaf))
+                for leaf in found
+            }
+    return None
 
 
 def _certificate_key(

@@ -167,7 +167,9 @@ def _mutants(g: Graph, sets, rng):
     renamed = [*sets[k]]
     renamed[rng.randrange(len(renamed))] = VertexId.parse(rng.choice(["zz", "99", "c.1"]))
     yield "unknown", [t if j != k else frozenset(renamed) for j, t in enumerate(sets)]
-    yield "str names", [frozenset(map(str, t)) if j == k else frozenset(t) for j, t in enumerate(sets)]
+    yield "str names", [
+        frozenset(map(str, t)) if j == k else frozenset(t) for j, t in enumerate(sets)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -315,7 +317,9 @@ def test_inapplicable_steps_name_their_index_and_reason():
         u, w = rng.sample(now, 2)
         t = rng.choice(now)
         nbrs = sorted(oracles.neighbors(now, now_edges, t))
-        stranger = min(v for v in now if v != t and v not in nbrs) if len(nbrs) < len(now) - 1 else t
+        stranger = (
+            min(v for v in now if v != t and v not in nbrs) if len(nbrs) < len(now) - 1 else t
+        )
         pair = EdgeAdd(u, w)
         present = oracles.adjacent(now_edges, u, w)
         bad = [

@@ -614,6 +614,18 @@ def test_solve_a_long_path_past_the_size_limit(tmp_path, capsys, problem):
     assert run("verify", path, tmp_path / f"path1200.{problem}.cert.json") == 0
 
 
+def test_solve_cevs_on_a_long_matching_past_the_size_limit(tmp_path, capsys):
+    # the cevs search goes one level deeper per vertex it places, 1,200 here
+    path = tmp_path / "matching1200.graph"
+    names = [f"m{i}" for i in range(1200)]
+    body = [f"v {n}" for n in names] + [f"e {a} {b}" for a, b in zip(names[::2], names[1::2])]
+    path.write_text("graph 1200 600\n" + "\n".join(body) + "\n")
+    assert run("solve", path, "--problem", "cevs", "--budget", "0",
+               "--size-limit-override", "1200") == 0
+    assert "YES" in capsys.readouterr().out
+    assert run("verify", path, tmp_path / "matching1200.cevs.cert.json") == 0
+
+
 def test_solve_ncc_on_many_isolated_vertices_past_the_size_limit(tmp_path, capsys):
     # a minimum clique partition of 1,200 isolated vertices holds 1,200 cliques
     path = tmp_path / "empty1200.graph"

@@ -59,6 +59,15 @@ def test_format_is_stable_fixpoint():
         assert format_graph_text(parse_graph_text(text)) == text
 
 
+def test_format_rejects_a_name_the_reader_would_cut_at_its_comment(tmp_path):
+    g = Graph.build(["a#b", "c", "d#"], [("a#b", "c")])
+    with pytest.raises(FormatError, match="^vertex a#b holds '#', which starts a comment"):
+        format_graph_text(g)
+    with pytest.raises(FormatError, match="^vertex a#b holds"):
+        save_graph(g, tmp_path / "g.graph")
+    assert not (tmp_path / "g.graph").exists()
+
+
 def test_fixture_files_round_trip():
     for name in ("ccl8.graph", "p3.graph", "k3.graph"):
         path = DATA / name

@@ -65,3 +65,41 @@ def test_every_private_top_level_name_is_read():
     ]
     assert private
     assert unread == []
+
+
+def test_only_bounded_functions_call_themselves():
+    """A search that recurses once per level is bound by the recursion
+    limit, so the searches keep explicit stacks.  Two functions recurse, each
+    to a depth the library sets: `formats._dump` as deep as the JSON the
+    library writes is nested, and `hunter._level` to depth n - 8 for the
+    n-vertex forms, each level built on the one below."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def callee(call, method):
+        """The name a call reaches: a method reaches itself through self or
+        cls, any other function through its bare name."""
+        f = call.func
+        if method:
+            bound = isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+            return f.attr if bound and f.value.id in ("self", "cls") else None
+        return f.id if isinstance(f, ast.Name) else None
+
+    def self_calling(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (*defs, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+            method = isinstance(node, ast.ClassDef)
+            if isinstance(child, defs) and any(
+                isinstance(sub, ast.Call) and callee(sub, method) == child.name
+                for sub in ast.walk(child)
+            ):
+                yield name
+            yield from self_calling(child, name)
+
+    found = [
+        name
+        for path in sorted(SRC.glob("*.py"))
+        for name in self_calling(ast.parse(path.read_text(), str(path)), path.stem)
+    ]
+    assert found == ["formats._dump", "hunter._level"]

@@ -195,6 +195,20 @@ def test_scc_search_depth_is_not_bound_by_the_recursion_limit():
     assert seq is not None and seq.length == 993
 
 
+def test_cevs_search_depth_is_not_bound_by_the_recursion_limit():
+    """The search places one vertex per level, and a perfect matching on
+    1,200 vertices or 1,100 isolated vertices needs as many levels: it must
+    not recurse once per level."""
+    names = [f"v{i}" for i in range(1200)]
+    matching = Graph.build(names, list(zip(names[::2], names[1::2])))
+    for g in (matching, Graph.build(names[:1100], [])):
+        res = solve_cevs_exact(Instance(Problem.CEVS, g, 0), size_limit=g.n)
+        assert res is not None
+        cover, seq = res
+        assert seq.length == 0 and len(cover.sets) == g.n - g.edge_count
+        assert verify_modification_sequence(g, seq, 0, "cevs").valid
+
+
 def test_ncc_table_depth_is_not_bound_by_the_recursion_limit():
     """A minimum clique partition of 1,200 isolated vertices holds 1,200
     cliques, one per level of the ncc table: it must not recurse once per
@@ -521,9 +535,9 @@ def test_cevs_search_takes_a_label_at_the_room_boundary(p3):
     ids=["cevs_search", "solve_scc_exact", "max_p3_packing"],
 )
 def test_searches_leave_no_reference_cycles(search):
-    """A recursive closure is a reference cycle through its own cell; each
-    search breaks its own on return, so what it built is freed at once,
-    with no garbage collection."""
+    """No search keeps a recursive closure, which would be a reference cycle
+    through its own cell, so what a search built is freed at once, with no
+    garbage collection."""
     rng = random.Random(3)
     names = [str(i) for i in range(8)]
     g = Graph.build(names, [p for p in itertools.combinations(names, 2) if rng.random() < 0.5])
