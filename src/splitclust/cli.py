@@ -85,67 +85,54 @@ def _default_out(graph_path: str, suffix: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
+# per problem: what a NO says there is none of, the word for the optimum,
+# and the certificate's attribute that measures it
+_SOLVE_WORDS = {
+    Problem.SCC: ("edge cover of weight <= {}", "weight", "weight"),
+    Problem.NCC: ("node cover with <= {} cliques", "cliques", "size"),
+    Problem.CVS: ("split sequence of length <= {}", "splits", "length"),
+    Problem.CEVS: ("modification sequence of length <= {}", "cost", "length"),
+}
+
+
 def cmd_solve(args) -> int:
     g = formats.load_graph(args.graph)
-    problem = Problem(args.problem)
-    limit = args.size_limit_override
-    answer_obj: dict = {"problem": problem.value, "budget": args.budget}
+    problem, budget, limit = Problem(args.problem), args.budget, args.size_limit_override
     if problem is Problem.SCC:
-        cover = solve_scc_exact(g, args.budget, size_limit=limit)
-        if cover is None:
-            _emit(args, f"NO: no edge cover of weight <= {args.budget}",
-                  {**answer_obj, "answer": "no"})
-            return 1
-        cert = Certificate("scc", args.budget, "cover", cover)
-        detail = f"minimum weight {cover.weight}"
-        answer_obj.update(optimum=cover.weight)
+        value = solve_scc_exact(g, budget, size_limit=limit)
     elif problem is Problem.NCC:
-        cover = solve_ncc_exact(g, args.budget, size_limit=limit)
-        if cover is None:
-            _emit(args, f"NO: no node cover with <= {args.budget} cliques",
-                  {**answer_obj, "answer": "no"})
-            return 1
-        cert = Certificate("ncc", args.budget, "cover", cover)
-        detail = f"minimum cliques {cover.size}"
-        answer_obj.update(optimum=cover.size)
+        value = solve_ncc_exact(g, budget, size_limit=limit)
     elif problem is Problem.CVS:
-        seq = solve_cvs_exact(Instance(problem, g, args.budget), size_limit=limit)
-        if seq is None:
-            _emit(args, f"NO: no split sequence of length <= {args.budget}",
-                  {**answer_obj, "answer": "no"})
-            return 1
-        cert = Certificate("cvs", args.budget, "sequence", seq)
-        detail = f"minimum splits {seq.length}"
-        answer_obj.update(optimum=seq.length)
+        value = solve_cvs_exact(Instance(problem, g, budget), size_limit=limit)
     else:
-        res = solve_cevs_exact(Instance(problem, g, args.budget), size_limit=limit)
-        if res is None:
-            _emit(args, f"NO: no modification sequence of length <= {args.budget}",
-                  {**answer_obj, "answer": "no"})
-            return 1
-        cover, seq = res
-        cert = Certificate("cevs", args.budget, "sequence", seq)
-        breakdown = cover_cost(g, cover)
-        detail = (
-            f"minimum cost {breakdown.total} ({breakdown.nonedges_inside} additions,"
-            f" {breakdown.edges_outside} deletions, {breakdown.excess} splits)"
-        )
+        value = solve_cevs_exact(Instance(problem, g, budget), size_limit=limit)
+    none_of, word, measure = _SOLVE_WORDS[problem]
+    answer_obj: dict = {"problem": problem.value, "budget": budget}
+    if value is None:
+        _emit(args, f"NO: no {none_of.format(budget)}", {**answer_obj, "answer": "no"})
+        return 1
+    detail = ""
+    if problem is Problem.CEVS:
+        cover, value = value
+        cost = cover_cost(g, cover)
+        detail = (f" ({cost.nonedges_inside} additions, {cost.edges_outside} deletions,"
+                  f" {cost.excess} splits)")
         answer_obj.update(
-            optimum=breakdown.total,
             cover=formats.cover_to_obj(cover),
-            breakdown={
-                "additions": breakdown.nonedges_inside,
-                "deletions": breakdown.edges_outside,
-                "splits": breakdown.excess,
-            },
+            breakdown={"additions": cost.nonedges_inside, "deletions": cost.edges_outside,
+                       "splits": cost.excess},
         )
+    optimum = getattr(value, measure)
+    kind = "cover" if problem in (Problem.SCC, Problem.NCC) else "sequence"
+    cert = Certificate(problem.value, budget, kind, value)
     out = Path(args.output) if args.output else _default_out(
         args.graph, f".{problem.value}.cert.json"
     )
     formats.save_certificate(cert, out)
-    answer_obj.update(answer="yes", certificate=formats.certificate_to_obj(cert),
-                      certificateFile=str(out))
-    _emit(args, f"YES: {detail} <= budget {args.budget}\ncertificate: {out}", answer_obj)
+    answer_obj.update(optimum=optimum, answer="yes",
+                      certificate=formats.certificate_to_obj(cert), certificateFile=str(out))
+    _emit(args, f"YES: minimum {word} {optimum}{detail} <= budget {budget}\ncertificate: {out}",
+          answer_obj)
     return 0
 
 
@@ -322,7 +309,18 @@ def _check_resume(path: Path, done: list[tuple], max_n: int, connected: bool) ->
 
 
 def cmd_hunt(args) -> int:
-    if args.graph:
+    if (args.max_n is None) == (args.graph is None):
+        print("hunt needs exactly one of --max-n or --graph", file=sys.stderr)
+        return 2
+    sweep_flags = args.output, args.connected, args.parallel, args.resume
+    if args.graph is not None and any(sweep_flags):
+        print("hunt --graph takes no -o, --connected, --parallel or --resume",
+              file=sys.stderr)
+        return 2
+    if args.resume and not args.output:
+        print("hunt --resume needs -o", file=sys.stderr)
+        return 2
+    if args.graph is not None:
         report = hunt_graph(
             formats.load_graph(args.graph), size_limit=args.size_limit_override
         )
@@ -461,18 +459,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code or 0
-    if getattr(args, "command", None) == "hunt":
-        if (args.max_n is None) == (args.graph is None):
-            print("hunt needs exactly one of --max-n or --graph", file=sys.stderr)
-            return 2
-        sweep_flags = args.output, args.connected, args.parallel, args.resume
-        if args.graph is not None and any(sweep_flags):
-            print("hunt --graph takes no -o, --connected, --parallel or --resume",
-                  file=sys.stderr)
-            return 2
-        if args.resume and not args.output:
-            print("hunt --resume needs -o", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except (FormatError, DuplicateVertex, OSError) as exc:

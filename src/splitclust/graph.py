@@ -143,6 +143,14 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _row_of(index: dict[VertexId, int], v: VertexId | str) -> int:
+    """The row `index` gives the vertex named `v`; UnknownVertex if none."""
+    try:
+        return index[VertexId.parse(v)]
+    except KeyError:
+        raise UnknownVertex(f"unknown vertex {v}") from None
+
+
 def component_masks(rows: Sequence[int]) -> list[int]:
     """Connected components of adjacency rows as bitmasks, by smallest member."""
     seen = 0
@@ -232,10 +240,7 @@ class Graph:
         return sum(row.bit_count() for row in self.rows) // 2
 
     def index(self, v: VertexId | str) -> int:
-        try:
-            return self._index[VertexId.parse(v)]
-        except KeyError:
-            raise UnknownVertex(f"unknown vertex {v}") from None
+        return _row_of(self._index, v)
 
     def has_edge(self, u: VertexId | str, w: VertexId | str) -> bool:
         return bool(self.rows[self.index(u)] >> self.index(w) & 1)
@@ -367,12 +372,6 @@ class GraphEditor:
         self._index = dict(g._index)
         self._live = (1 << g.n) - 1
 
-    def _at(self, v: VertexId | str) -> int:
-        try:
-            return self._index[VertexId.parse(v)]
-        except KeyError:
-            raise UnknownVertex(f"unknown vertex {v}") from None
-
     def _remove(self, drop: int) -> None:
         """Remove the vertices of row mask `drop`."""
         for i in bits(drop):
@@ -394,7 +393,7 @@ class GraphEditor:
             mask ^= low
 
     def add_edge(self, u: VertexId | str, w: VertexId | str) -> None:
-        i, j = self._at(u), self._at(w)
+        i, j = _row_of(self._index, u), _row_of(self._index, w)
         if self._rows[i] >> j & 1:
             raise GraphError(f"edge {u} {w} already present")
         if i == j:
@@ -403,7 +402,7 @@ class GraphEditor:
         self._rows[j] |= 1 << i
 
     def delete_edge(self, u: VertexId | str, w: VertexId | str) -> None:
-        i, j = self._at(u), self._at(w)
+        i, j = _row_of(self._index, u), _row_of(self._index, w)
         if not self._rows[i] >> j & 1:
             raise GraphError(f"edge {u} {w} not present")
         self._rows[i] ^= 1 << j

@@ -116,8 +116,7 @@ def kernelize(inst: Instance) -> tuple[Instance, KernelTrace]:
     second-largest member isolates the largest, which that step removes as
     cascaded.  All the deletions, isolates first, are one graph edit.
     """
-    if inst.problem is not Problem.CVS:
-        raise ValueError(f"kernelize expects a cvs instance, got {inst.problem.value}")
+    inst.require(Problem.CVS)
     k = inst.budget
     steps: list = []
     g = inst.graph

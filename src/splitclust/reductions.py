@@ -98,6 +98,11 @@ class Instance:
         if not isinstance(self.budget, int) or isinstance(self.budget, bool) or self.budget < 0:
             raise ValueError(f"budget must be a non-negative integer: {self.budget!r}")
 
+    def require(self, problem: Problem) -> None:
+        """Raise ValueError unless this is an instance of `problem`."""
+        if self.problem is not problem:
+            raise ValueError(f"expected a {problem.value} instance, got {self.problem.value}")
+
 
 @dataclass(frozen=True, eq=False)
 class ReductionTrace:
@@ -105,11 +110,6 @@ class ReductionTrace:
     source: Instance
     target: Instance
     parameters: dict = field(default_factory=dict)
-
-
-def _require(inst: Instance, problem: Problem) -> None:
-    if inst.problem is not problem:
-        raise ValueError(f"expected a {problem.value} instance, got {inst.problem.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +152,7 @@ def extend_universal(g: Graph, count: int) -> Graph:
 
 def reduce_ncc_to_scc(inst: Instance) -> tuple[Instance, ReductionTrace]:
     """(G, s) ncc-positive iff (G^ell, ell*(|V|+s+1)-1) scc-positive, ell = 2|E|+1."""
-    _require(inst, Problem.NCC)
+    inst.require(Problem.NCC)
     g, s = inst.graph, inst.budget
     ell = 2 * g.edge_count + 1
     target = Instance(Problem.SCC, extend_universal(g, ell), ell * (g.n + s + 1) - 1)
@@ -167,7 +167,7 @@ def reduce_ncc_to_scc(inst: Instance) -> tuple[Instance, ReductionTrace]:
 
 def translate_ncc_cert_to_scc(inst: Instance, cover: NodeCliqueCover) -> SigmaCliqueCover:
     """Turn a node cover of the ncc instance into an edge cover of its reduction."""
-    _require(inst, Problem.NCC)
+    inst.require(Problem.NCC)
     g = inst.graph
     report = verify_node_cover(g, cover, inst.budget)
     if not report.valid:
@@ -202,7 +202,7 @@ def translate_scc_cert_to_ncc(inst: Instance, cover: SigmaCliqueCover) -> NodeCl
     name), and returns the sets containing u* with u* removed: few enough
     sets, each a clique of the original graph, jointly covering it.
     """
-    _require(inst, Problem.NCC)
+    inst.require(Problem.NCC)
     g = inst.graph
     reduced, _ = reduce_ncc_to_scc(inst)
     report = verify_sigma_cover(reduced.graph, cover, reduced.budget)
@@ -386,7 +386,7 @@ def cover_to_modifications(g: Graph, cover: SigmaCliqueCover) -> ModificationSeq
 
 def convert_cvs_scc(inst: Instance) -> tuple[Instance, ReductionTrace]:
     """cvs (G, k) to the equivalent scc (G, |V| - |isolated| + k), same graph."""
-    _require(inst, Problem.CVS)
+    inst.require(Problem.CVS)
     g = inst.graph
     iso = len(g.isolated_vertices())
     out = Instance(Problem.SCC, g, g.n - iso + inst.budget)
@@ -400,7 +400,7 @@ def convert_scc_cvs(inst: Instance) -> tuple[Instance, ReductionTrace]:
     vertex must appear somewhere), so the instance is trivially negative and
     is reported as such instead of converted.
     """
-    _require(inst, Problem.SCC)
+    inst.require(Problem.SCC)
     g = inst.graph
     floor = g.n - len(g.isolated_vertices())
     if inst.budget < floor:
@@ -429,7 +429,7 @@ def reduce_cvs_to_cevs(inst: Instance) -> tuple[Instance, ReductionTrace]:
     nothing.  So G and G - v agree on cvs at budget k, their blow-ups agree
     on cevs at budget k*(k+1), and the equivalence for G - v carries over.
     """
-    _require(inst, Problem.CVS)
+    inst.require(Problem.CVS)
     g, k = inst.graph, inst.budget
     copies: dict[VertexId, list[VertexId]] = {}
     for v in g.vertices:

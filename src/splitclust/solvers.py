@@ -21,7 +21,7 @@ line sets from --size-limit-override.
   is its parent's, corrected on the rows the chosen clique touches, and the
   search keeps an explicit stack rather than recursing once per chosen set.
 * Splitting to clusters (cvs) is solved on the scc instance that
-  `convert_cvs_scc` gives.
+  `convert_cvs_scc` gives, on the same graph, so under the scc size limit.
 * Editing with splitting (cevs) assigns each vertex, in turn, a nonempty
   set of cluster labels; a vertex in t labels pays t-1, and each earlier
   vertex pays 1 when the pair disagrees with adjacency (edge across labels,
@@ -71,7 +71,6 @@ from .reductions import (
 DEFAULT_SIZE_LIMITS = {
     "scc": 18,
     "ncc": 18,
-    "cvs": 18,
     "cevs": 9,
     "packing": 10,
     "hunt": 8,
@@ -350,10 +349,13 @@ def solve_scc_exact(
 def solve_cvs_exact(
     inst: Instance, *, size_limit: int | None = None
 ) -> ModificationSequence | None:
-    """A shortest all-splits sequence to a cluster graph, if length <= budget."""
+    """A shortest all-splits sequence to a cluster graph, if length <= budget.
+
+    The cvs instance is the scc instance on the same graph, so the one
+    search that runs is the scc search, under the scc size limit.
+    """
     scc, _ = convert_cvs_scc(inst)
-    check_size("cvs", scc.graph.n, size_limit)
-    cover = solve_scc_exact(scc.graph, scc.budget, size_limit=scc.graph.n)
+    cover = solve_scc_exact(scc.graph, scc.budget, size_limit=size_limit)
     if cover is None:
         return None
     seq = cover_to_splits(scc.graph, cover)
@@ -818,8 +820,7 @@ def solve_cevs_exact(
 
     Of the optimal covers, the one with the least `_certificate_key`.
     """
-    if inst.problem is not Problem.CEVS:
-        raise ValueError(f"expected a cevs instance, got {inst.problem.value}")
+    inst.require(Problem.CEVS)
     g = inst.graph
     check_size("cevs", g.n, size_limit)
     res = cevs_search(g, inst.budget)

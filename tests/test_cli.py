@@ -79,6 +79,41 @@ def test_solve_parallel_flag_is_gone(work, capsys, flag):
     assert flag in capsys.readouterr().err
 
 
+# the whole human stdout of solve, at the optimum and one below it
+_SOLVE_HUMAN = {
+    ("p3", "scc", 4): "YES: minimum weight 4 <= budget 4\ncertificate: p3.scc.cert.json\n",
+    ("p3", "scc", 3): "NO: no edge cover of weight <= 3\n",
+    ("p3", "ncc", 2): "YES: minimum cliques 2 <= budget 2\ncertificate: p3.ncc.cert.json\n",
+    ("p3", "ncc", 1): "NO: no node cover with <= 1 cliques\n",
+    ("p3", "cvs", 1): "YES: minimum splits 1 <= budget 1\ncertificate: p3.cvs.cert.json\n",
+    ("p3", "cvs", 0): "NO: no split sequence of length <= 0\n",
+    ("p3", "cevs", 1): "YES: minimum cost 1 (1 additions, 0 deletions, 0 splits)"
+                       " <= budget 1\ncertificate: p3.cevs.cert.json\n",
+    ("p3", "cevs", 0): "NO: no modification sequence of length <= 0\n",
+    ("ccl8", "scc", 14): "YES: minimum weight 14 <= budget 14\n"
+                         "certificate: ccl8.scc.cert.json\n",
+    ("ccl8", "scc", 13): "NO: no edge cover of weight <= 13\n",
+    ("ccl8", "ncc", 3): "YES: minimum cliques 3 <= budget 3\n"
+                        "certificate: ccl8.ncc.cert.json\n",
+    ("ccl8", "ncc", 2): "NO: no node cover with <= 2 cliques\n",
+    ("ccl8", "cvs", 6): "YES: minimum splits 6 <= budget 6\ncertificate: ccl8.cvs.cert.json\n",
+    ("ccl8", "cvs", 5): "NO: no split sequence of length <= 5\n",
+    ("ccl8", "cevs", 6): "YES: minimum cost 6 (2 additions, 4 deletions, 0 splits)"
+                         " <= budget 6\ncertificate: ccl8.cevs.cert.json\n",
+    ("ccl8", "cevs", 5): "NO: no modification sequence of length <= 5\n",
+}
+
+
+@pytest.mark.parametrize("graph, problem, budget", _SOLVE_HUMAN)
+def test_solve_human_output_is_pinned(work, capsys, monkeypatch, graph, problem, budget):
+    monkeypatch.chdir(work)  # relative paths, so the certificate line holds anywhere
+    want = _SOLVE_HUMAN[graph, problem, budget]
+    code = run("solve", f"{graph}.graph", "--problem", problem, "--budget", budget)
+    assert code == (0 if want.startswith("YES") else 1)
+    assert capsys.readouterr().out == want
+    assert (work / f"{graph}.{problem}.cert.json").exists() == (code == 0)
+
+
 def test_solve_respects_explicit_output(work):
     target = work / "elsewhere.json"
     assert run("solve", work / "p3.graph", "--problem", "scc", "--budget", "9",
@@ -475,6 +510,14 @@ def test_hunt_rejects_flags_it_would_ignore(work, capsys, monkeypatch, flags):
     assert not (work / "x.jsonl").exists()
 
 
+def test_hunt_graph_with_an_empty_path_is_exit_2(work, capsys, monkeypatch):
+    # an empty --graph is still --graph: it is read, not taken for a sweep
+    monkeypatch.chdir(work)
+    assert run("hunt", "--graph", "") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -599,6 +642,20 @@ def test_size_limit_exit_3_and_override(work, capsys):
     capsys.readouterr()
     assert run("solve", big, "--problem", "cevs", "--budget", "0",
                "--size-limit-override", "10") == 0
+
+
+def test_solve_cvs_runs_under_the_scc_size_limit(tmp_path, capsys):
+    # a cvs instance is the scc instance on the same graph, and only the
+    # scc search runs, so the one limit is the scc limit
+    path = tmp_path / "path19.graph"
+    names = [f"p{i}" for i in range(19)]
+    body = [f"v {n}" for n in names] + [f"e {a} {b}" for a, b in zip(names, names[1:])]
+    path.write_text("graph 19 18\n" + "\n".join(body) + "\n")
+    assert run("solve", path, "--problem", "cvs", "--budget", "17") == 3
+    assert "exceed the scc soft limit of 18" in capsys.readouterr().err
+    assert run("solve", path, "--problem", "cvs", "--budget", "17",
+               "--size-limit-override", "19") == 0
+    assert "YES: minimum splits 17" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("problem", ["scc", "cvs"])

@@ -21,6 +21,7 @@ from splitclust.certificates import (
 )
 from splitclust.formats import Certificate, dumps_certificate
 from splitclust.graph import DuplicateVertex, Graph, GraphError, Split
+from splitclust.kernel import kernelize
 from splitclust.reductions import (
     BudgetUnderflow,
     Instance,
@@ -56,6 +57,31 @@ def test_instance_rejects_a_bool_budget(p3):
     for budget in (True, False):
         with pytest.raises(ValueError, match="^budget must be a non-negative integer"):
             Instance(Problem.CVS, p3, budget)
+
+
+@pytest.mark.parametrize(
+    "call, problem",
+    [
+        (reduce_ncc_to_scc, Problem.NCC),
+        (lambda inst: translate_ncc_cert_to_scc(inst, None), Problem.NCC),
+        (lambda inst: translate_scc_cert_to_ncc(inst, None), Problem.NCC),
+        (convert_cvs_scc, Problem.CVS),
+        (convert_scc_cvs, Problem.SCC),
+        (reduce_cvs_to_cevs, Problem.CVS),
+        (solve_cvs_exact, Problem.CVS),
+        (solve_cevs_exact, Problem.CEVS),
+        (kernelize, Problem.CVS),
+    ],
+    ids=["reduce_ncc_to_scc", "translate_ncc_cert_to_scc", "translate_scc_cert_to_ncc",
+         "convert_cvs_scc", "convert_scc_cvs", "reduce_cvs_to_cevs", "solve_cvs_exact",
+         "solve_cevs_exact", "kernelize"],
+)
+def test_instance_taking_functions_reject_another_problem_alike(p3, call, problem):
+    for other in Problem:
+        if other is not problem:
+            with pytest.raises(ValueError,
+                               match=f"^expected a {problem.value} instance, got {other.value}$"):
+                call(Instance(other, p3, 1))
 
 
 # ---------------------------------------------------------------- universals
