@@ -51,10 +51,8 @@ from .hunter import (
 from .kernel import (
     IsolateRemoval,
     KernelTrace,
-    NotApplicable,
     RuleIStep,
     RuleIIStep,
-    apply_rule1,
     kernelize,
     rule1_applicable,
 )

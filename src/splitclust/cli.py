@@ -12,7 +12,7 @@ Subcommands::
 Graphs are read from the text format, certificates from JSON envelopes;
 budgets travel on the command line.  Exit codes: 0 = YES / certificate
 valid, 1 = NO / certificate invalid, 2 = usage or format error, 3 = size
-limit exceeded.
+limit exceeded, 141 = the reader of stdout closed it early.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -214,7 +215,10 @@ def cmd_verify(args) -> int:
             report = verify_cevs_cover(g, cert.value, budget)
         elif cert.kind == "sequence" and problem in ("cvs", "cevs"):
             report = verify_modification_sequence(g, cert.value, budget, problem)
-        elif cert.kind == "packing":
+        elif cert.kind == "packing" and problem in ("cvs", "cevs"):
+            # each path needs an edit of one of its pairs or a split at its
+            # center, and no two paths share a pair or a center: a bound on
+            # the split problems only
             report = verify_p3_packing(g, cert.value)
         else:
             raise FormatError(f"no verifier for {problem} certificates of kind {cert.kind}")
@@ -460,7 +464,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code or 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early: send what is still buffered nowhere,
+        # as after SIGPIPE, and end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (FormatError, DuplicateVertex, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -245,9 +245,6 @@ class Graph:
     def has_edge(self, u: VertexId | str, w: VertexId | str) -> bool:
         return bool(self.rows[self.index(u)] >> self.index(w) & 1)
 
-    def degree(self, v: VertexId | str) -> int:
-        return self.rows[self.index(v)].bit_count()
-
     def neighbors(self, v: VertexId | str) -> tuple[VertexId, ...]:
         return self.vertices_of_mask(self.rows[self.index(v)])
 
@@ -541,18 +538,13 @@ class CriticalCliqueGraph:
     none are present, so the quotient is again a simple graph.  ``reducible``
     marks classes whose quotient neighborhood is a clique; those are exactly
     the classes the kernel's shrinking rule may eat.  ``masks[c]`` is class
-    c as a row mask of ``graph``.
+    c as a row mask of the graph the classes were read off.
     """
 
-    graph: Graph
     classes: tuple[tuple[VertexId, ...], ...]
     masks: tuple[int, ...]
     rows: tuple[int, ...]
     reducible: tuple[bool, ...]
-
-    def class_index(self, v: VertexId | str) -> int:
-        bit = 1 << self.graph.index(v)
-        return next(c for c, mask in enumerate(self.masks) if mask & bit)
 
     def quotient_graph(self) -> Graph:
         """The quotient on lexicographically-smallest class representatives."""
@@ -587,4 +579,4 @@ def critical_clique_graph(g: Graph) -> CriticalCliqueGraph:
     )
     classes = tuple(tuple(g.vertices[i] for i in group) for group in groups)
     masks = tuple(sum(1 << i for i in group) for group in groups)
-    return CriticalCliqueGraph(g, classes, masks, tuple(rows), reducible)
+    return CriticalCliqueGraph(classes, masks, tuple(rows), reducible)

@@ -13,22 +13,20 @@ Two rules, applied to a cvs instance (G, k):
   budget 0).
 
 The output therefore has at most 3k+3 vertices and budget at most k, and the
-trace records every removal so the run can be replayed and audited: step by
-step, :func:`rule1_applicable` and :func:`apply_rule1` reproduce it.
-:func:`kernelize` itself exhausts Rule I from one critical-clique
-computation, since a Rule I deletion changes no class but its own.
+trace records every removal so the run can be replayed and audited: each
+Rule I step deletes the vertex :func:`rule1_applicable` picks on the graph
+the earlier steps left.  :func:`kernelize` itself exhausts Rule I from one
+critical-clique computation, since a Rule I deletion changes no class but
+its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .graph import Graph, VertexId, critical_clique_graph
+from .graph import CriticalCliqueGraph, Graph, VertexId, critical_clique_graph
 from .reductions import Instance, Problem
-
-
-class NotApplicable(Exception):
-    """apply_rule1 was handed a vertex Rule I does not apply to."""
 
 
 @dataclass(frozen=True)
@@ -54,6 +52,14 @@ class KernelTrace:
     steps: tuple
 
 
+def _shrinkable(cc: CriticalCliqueGraph) -> Iterator[tuple[tuple[VertexId, ...], int]]:
+    """The members and quotient row of each class Rule I shrinks: reducible,
+    with two or more members, in class order (by smallest member)."""
+    for members, row, red in zip(cc.classes, cc.rows, cc.reducible):
+        if red and len(members) >= 2:
+            yield members, row
+
+
 def rule1_applicable(g: Graph) -> VertexId | None:
     """The smallest vertex in a reducible class of size >= 2, if any.
 
@@ -62,31 +68,7 @@ def rule1_applicable(g: Graph) -> VertexId | None:
     it changes no other vertex's closed neighborhood.  So the answer on any
     graph is the answer on the graph without its isolated vertices.
     """
-    cc = critical_clique_graph(g)
-    for members, red in zip(cc.classes, cc.reducible):
-        if red and len(members) >= 2:
-            return members[0]
-    return None
-
-
-def apply_rule1(g: Graph, v: VertexId) -> tuple[Graph, tuple[VertexId, ...]]:
-    """Delete one redundant vertex and whatever that isolates.
-
-    Returns the shrunk graph and the cascade-removed vertices.  Raises
-    NotApplicable unless v sits in a reducible class of size >= 2.
-
-    Deleting v lowers only the degrees of v's neighbors, so it isolates
-    exactly the neighbors of degree 1; vertices isolated before the step
-    stay.  Such a neighbor u has N[u] = {u, v}, and v's twin v' is adjacent
-    to every vertex of N[v] but itself, so u = v' and {v, v'} is a whole
-    clique component.
-    """
-    cc = critical_clique_graph(g)
-    ci = cc.class_index(v)
-    if len(cc.classes[ci]) < 2 or not cc.reducible[ci]:
-        raise NotApplicable(f"Rule I does not apply to {v}")
-    cascaded = tuple(u for u in g.neighbors(v) if g.degree(u) == 1)
-    return g.without_vertices([v, *cascaded]), cascaded
+    return next((members[0] for members, _ in _shrinkable(critical_clique_graph(g))), None)
 
 
 def _canonical_negative() -> Instance:
@@ -126,11 +108,10 @@ def kernelize(inst: Instance) -> tuple[Instance, KernelTrace]:
     cc = critical_clique_graph(g)
     spare = 0
     cascades: dict[VertexId, VertexId] = {}
-    for members, row, red in zip(cc.classes, cc.rows, cc.reducible):
-        if red and len(members) >= 2:
-            spare |= g.mask_of(members[:-1])
-            if not row:
-                cascades[members[-2]] = members[-1]
+    for members, row in _shrinkable(cc):
+        spare |= g.mask_of(members[:-1])
+        if not row:
+            cascades[members[-2]] = members[-1]
     removed = g.vertices_of_mask(spare)
     for v in removed:
         steps.append(RuleIStep(v, (cascades[v],) if v in cascades else ()))

@@ -130,7 +130,13 @@ def universal_names(g: Graph, count: int) -> tuple[VertexId, ...]:
 
 
 def extend_universal(g: Graph, count: int) -> Graph:
-    """Add `count` fresh vertices adjacent to every vertex of g and nothing else.
+    """Add `count` fresh vertices adjacent to every vertex of g and nothing else."""
+    return _with_universal(g, universal_names(g, count))
+
+
+def _with_universal(g: Graph, names: tuple[VertexId, ...]) -> Graph:
+    """g plus the fresh `names` of :func:`universal_names`, each adjacent to
+    every vertex of g and to nothing else.
 
     The rows are built directly, one shift per old row.  The fresh names
     are one block in vertex order.  Their roots are not all digits, so
@@ -140,7 +146,7 @@ def extend_universal(g: Graph, count: int) -> Graph:
     block keep their index, the others move up by `count`, each old row
     gains the block, and each fresh row is every old vertex.
     """
-    fresh = sorted(universal_names(g, count))
+    fresh, count = sorted(names), len(names)
     k = bisect.bisect_left(g.vertices, fresh[0]) if fresh else g.n
     low = (1 << k) - 1
     block = ((1 << count) - 1) << k
@@ -150,30 +156,31 @@ def extend_universal(g: Graph, count: int) -> Graph:
     return Graph((*g.vertices[:k], *fresh, *g.vertices[k:]), tuple(rows))
 
 
-def reduce_ncc_to_scc(inst: Instance) -> tuple[Instance, ReductionTrace]:
-    """(G, s) ncc-positive iff (G^ell, ell*(|V|+s+1)-1) scc-positive, ell = 2|E|+1."""
+def _scc_of_ncc(inst: Instance) -> tuple[Instance, tuple[VertexId, ...]]:
+    """The scc instance an ncc instance reduces to, and its ell universal
+    vertices, named once for the reduction and for each translator."""
     inst.require(Problem.NCC)
     g, s = inst.graph, inst.budget
     ell = 2 * g.edge_count + 1
-    target = Instance(Problem.SCC, extend_universal(g, ell), ell * (g.n + s + 1) - 1)
-    trace = ReductionTrace(
-        "ncc-to-scc",
-        inst,
-        target,
-        {"ell": ell, "universal": [str(u) for u in universal_names(g, ell)]},
-    )
-    return target, trace
+    universal = universal_names(g, ell)
+    target = Instance(Problem.SCC, _with_universal(g, universal), ell * (g.n + s + 1) - 1)
+    return target, universal
+
+
+def reduce_ncc_to_scc(inst: Instance) -> tuple[Instance, ReductionTrace]:
+    """(G, s) ncc-positive iff (G^ell, ell*(|V|+s+1)-1) scc-positive, ell = 2|E|+1."""
+    target, universal = _scc_of_ncc(inst)
+    parameters = {"ell": len(universal), "universal": [str(u) for u in universal]}
+    return target, ReductionTrace("ncc-to-scc", inst, target, parameters)
 
 
 def translate_ncc_cert_to_scc(inst: Instance, cover: NodeCliqueCover) -> SigmaCliqueCover:
     """Turn a node cover of the ncc instance into an edge cover of its reduction."""
-    inst.require(Problem.NCC)
+    reduced, universals = _scc_of_ncc(inst)
     g = inst.graph
     report = verify_node_cover(g, cover, inst.budget)
     if not report.valid:
         raise InvalidCertificate(report.reason)
-    reduced, _ = reduce_ncc_to_scc(inst)
-    universals = universal_names(g, 2 * g.edge_count + 1)
     # disjointify in canonical order so the family is a partition
     taken: set[VertexId] = set()
     classes: list[frozenset[VertexId]] = []
@@ -202,20 +209,18 @@ def translate_scc_cert_to_ncc(inst: Instance, cover: SigmaCliqueCover) -> NodeCl
     name), and returns the sets containing u* with u* removed: few enough
     sets, each a clique of the original graph, jointly covering it.
     """
-    inst.require(Problem.NCC)
-    g = inst.graph
-    reduced, _ = reduce_ncc_to_scc(inst)
+    reduced, universals = _scc_of_ncc(inst)
     report = verify_sigma_cover(reduced.graph, cover, reduced.budget)
     if not report.valid:
         raise InvalidCertificate(report.reason)
-    weight = dict.fromkeys(universal_names(g, 2 * g.edge_count + 1), 0)
+    weight = dict.fromkeys(universals, 0)
     for s in cover.sets:
         for u in s & weight.keys():
             weight[u] += len(s)
     star = min(weight, key=lambda u: (weight[u], u))
     sets = [s - {star} for s in cover.sets if star in s]
     out = NodeCliqueCover.of(s for s in sets if s)
-    check = verify_node_cover(g, out, inst.budget)
+    check = verify_node_cover(inst.graph, out, inst.budget)
     assert check.valid, f"translated cover failed to verify: {check.reason}"
     return out
 

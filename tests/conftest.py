@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from splitclust import Graph
 from splitclust.certificates import EdgeAdd, SigmaCliqueCover, VertexSplit
 from splitclust.formats import load_graph
 from splitclust.graph import GraphEditor
+from splitclust.kernel import IsolateRemoval, RuleIIStep, RuleIStep
 
 DATA = Path(__file__).parent / "data"
 
@@ -33,6 +35,39 @@ def oracle_steps(seq):
         else:
             out.append(("add" if isinstance(step, EdgeAdd) else "delete", str(step.u), str(step.v)))
     return out
+
+
+def replay_kernel_trace(inst, out, trace) -> tuple[int, int]:
+    """Replay a kernelize trace through the name-level Rule I oracle.
+
+    The isolated vertices go first.  Each Rule I step deletes the vertex
+    the oracle picks on what the earlier steps left, and cascades what that
+    deletion isolates.  Rule I ends exhausted, and Rule II comes last and
+    only past 3k vertices.  Returns the Rule I steps and cascades replayed.
+    """
+    names, edges = oracle_form(inst.graph)
+    k, steps = inst.budget, list(trace.steps)
+    iso = sorted((v for v in names if not oracles.neighbors(names, edges, v)),
+                 key=oracles.parse_vertex_name)
+    if iso:
+        step = steps.pop(0)
+        assert isinstance(step, IsolateRemoval) and [str(v) for v in step.vertices] == iso
+        names = tuple(v for v in names if v not in iso)
+    rule2 = steps[-1:] == [RuleIIStep()]
+    removals = cascades = 0
+    for step in steps[: len(steps) - rule2]:
+        assert isinstance(step, RuleIStep)
+        assert str(step.removed) == oracles.rule1_pick(names, edges)
+        names, edges, cascaded = oracles.rule1_step(names, edges, str(step.removed))
+        assert tuple(map(str, step.cascaded)) == cascaded
+        removals += 1
+        cascades += bool(cascaded)
+    assert oracles.rule1_pick(names, edges) is None
+    if rule2:
+        assert len(names) > 3 * k and out.graph.n == 3 and out.budget == 0
+    else:
+        assert oracle_form(out.graph) == (names, edges) and out.budget == k
+    return removals, cascades
 
 
 def graphs_on(n: int):

@@ -691,6 +691,43 @@ def family_respects(names, edges, family) -> bool:
     return True
 
 
+# ---------------------------------------------------------------- kernel Rule I
+
+
+def rule1_classes(names, edges) -> list[frozenset[str]]:
+    """The classes Rule I may shrink: two or more members, and the
+    neighbours outside the class form a clique."""
+    out = []
+    for cls in critical_classes(names, edges):
+        outside = neighbors(names, edges, min(cls)) - cls
+        if len(cls) >= 2 and is_clique(edges, outside):
+            out.append(cls)
+    return out
+
+
+def rule1_pick(names, edges) -> str | None:
+    """The vertex Rule I deletes next: the least member, in name order, of
+    any class it may shrink."""
+    members = [v for cls in rule1_classes(names, edges) for v in cls]
+    return min(members, key=parse_vertex_name, default=None)
+
+
+def rule1_step(names, edges, v: str):
+    """Delete `v`, which must lie in a class Rule I may shrink, and every
+    vertex that deletion isolates; a vertex isolated before the step stays.
+
+    Returns the remaining names, the remaining edges and the vertices the
+    step isolated, in name order."""
+    assert any(v in cls for cls in rule1_classes(names, edges)), f"Rule I does not apply to {v}"
+    left = tuple(u for u in names if u != v)
+    kept = frozenset(e for e in edges if v not in e)
+    cascaded = sorted(
+        (u for u in neighbors(names, edges, v) if not neighbors(left, kept, u)),
+        key=parse_vertex_name,
+    )
+    return tuple(u for u in left if u not in cascaded), kept, tuple(cascaded)
+
+
 # ---------------------------------------------------------------- isomorphism
 
 

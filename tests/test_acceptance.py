@@ -14,7 +14,7 @@ import shutil
 import time
 
 import oracles
-from conftest import DATA, graphs_on, oracle_form, oracle_steps
+from conftest import DATA, graphs_on, oracle_form, oracle_steps, replay_kernel_trace
 from splitclust.certificates import (
     SigmaCliqueCover,
     cover_cost,
@@ -28,7 +28,7 @@ from splitclust.cli import main
 from splitclust.formats import load_certificate, load_graph
 from splitclust.graph import Graph
 from splitclust.hunter import enumerate_graphs, hunt, hunt_graph
-from splitclust.kernel import IsolateRemoval, RuleIIStep, RuleIStep, kernelize
+from splitclust.kernel import RuleIIStep, kernelize
 from splitclust.reductions import (
     Instance,
     Problem,
@@ -198,33 +198,14 @@ def test_criterion_4_kernel_suite():
 
 
 def test_criterion_4a_rules_validated_in_isolation():
-    """Replaying each trace step by step confirms the rules' local invariants."""
-    from splitclust.kernel import apply_rule1, rule1_applicable
-
+    """Replaying each trace step by step through the name-level Rule I
+    oracle confirms the rules' local invariants."""
     replayed = 0
     for n in range(6):
         for g in enumerate_graphs(n):
             for k in range(3):
-                out, trace = kernelize(Instance(Problem.CVS, g, k))
-                removed = g.isolated_vertices()
-                current = g.without_vertices(removed)
-                steps = list(trace.steps)
-                if removed:
-                    assert steps and steps[0] == IsolateRemoval(removed)
-                    steps = steps[1:]
-                for step in steps:
-                    if isinstance(step, RuleIIStep):
-                        assert step is trace.steps[-1]
-                        assert current.n > 3 * k
-                        continue
-                    assert isinstance(step, RuleIStep)
-                    assert rule1_applicable(current) == step.removed
-                    current, cascaded = apply_rule1(current, step.removed)
-                    assert cascaded == step.cascaded
-                if not isinstance(trace.steps[-1] if trace.steps else None,
-                                  RuleIIStep):
-                    assert current == out.graph
-                    assert rule1_applicable(current) is None
+                inst = Instance(Problem.CVS, g, k)
+                replay_kernel_trace(inst, *kernelize(inst))
                 replayed += 1
     print(f"criterion 4 (rules in isolation) PASS: {replayed} traces "
           f"replayed step by step")

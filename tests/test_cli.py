@@ -233,6 +233,19 @@ def test_verify_packing(work, capsys):
     assert "size=6" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("problem", ["cvs", "cevs", "scc", "ncc"])
+def test_verify_takes_a_packing_only_for_a_split_problem(work, capsys, problem):
+    # each path needs an edit of one of its pairs or a split at its center;
+    # six paths bound no cover problem: ccl8's ncc optimum is 3
+    cert = json.loads((work / "six-path-packing.json").read_text(encoding="utf-8"))
+    (work / "p.json").write_text(json.dumps({**cert, "problem": problem}), encoding="utf-8")
+    split = problem in ("cvs", "cevs")
+    assert run("verify", work / "ccl8.graph", work / "p.json") == (0 if split else 2)
+    out, err = capsys.readouterr()
+    no_verifier = f"error: no verifier for {problem} certificates of kind packing\n"
+    assert (out, err) == (("VALID (size=6)\n", "") if split else ("", no_verifier))
+
+
 def test_verify_problem_mismatch(work):
     assert run("verify", work / "ccl8.graph", work / "two-set-cover.json",
                "--problem", "scc") == 2
@@ -519,6 +532,29 @@ def test_hunt_graph_with_an_empty_path_is_exit_2(work, capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------- exit codes
+
+
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [(["lowerbound", "p3.graph"], False), (["lowerbound", "p3.graph"], True),
+     (["hunt", "--max-n", "5"], False)],
+    ids=["buffered", "unbuffered", "hunt"],
+)
+def test_a_reader_that_stops_early_is_exit_141(work, argv, unbuffered):
+    # the read end is closed before the run starts, so the first write to
+    # stdout, or the flush of a short output, fails whatever the timing
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        out = subprocess.run([sys.executable, "-m", "splitclust.cli", *argv], cwd=work,
+                             stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (141, b"")
 
 
 def test_malformed_graph_is_exit_2(work, capsys):

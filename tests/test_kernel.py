@@ -6,7 +6,7 @@ import random
 import pytest
 
 import oracles
-from conftest import graphs_on, oracle_form
+from conftest import graphs_on, oracle_form, replay_kernel_trace
 from splitclust.graph import (
     Graph,
     critical_clique_graph,
@@ -14,10 +14,8 @@ from splitclust.graph import (
 )
 from splitclust.kernel import (
     IsolateRemoval,
-    NotApplicable,
     RuleIStep,
     RuleIIStep,
-    apply_rule1,
     kernelize,
     rule1_applicable,
 )
@@ -53,32 +51,46 @@ def test_rule1_ignores_isolated_vertices_exhaustively():
             assert rule1_applicable(g) == rule1_applicable(core), g
 
 
+def test_rule1_applicable_matches_the_oracle_exhaustively():
+    """On every labeled graph with <= 5 vertices, Rule I picks the vertex
+    the name-level oracle picks."""
+    for n in range(6):
+        for g in graphs_on(n):
+            v = rule1_applicable(g)
+            assert (None if v is None else str(v)) == oracles.rule1_pick(*oracle_form(g)), g
+
+
 def test_apply_rule1_cascades(k3):
-    shrunk, cascaded = apply_rule1(k3, rule1_applicable(k3))
-    assert shrunk.n == 2 and cascaded == ()
-    final, cascaded = apply_rule1(shrunk, rule1_applicable(shrunk))
-    assert final.n == 0 and [str(v) for v in cascaded] == ["c"]
+    # the first deletion isolates nothing; the second isolates c, the last
+    # twin of the clique component
+    out, trace = kernelize(Instance(Problem.CVS, k3, 0))
+    a, b, c = k3.vertices
+    assert trace.steps == (RuleIStep(a, ()), RuleIStep(b, (c,)))
+    names, edges = oracle_form(k3)
+    names, edges, cascaded = oracles.rule1_step(names, edges, "a")
+    assert cascaded == ()
+    assert oracles.rule1_step(names, edges, "b") == ((), frozenset(), ("c",))
 
 
 def test_apply_rule1_cascades_only_what_the_step_isolates():
-    g = Graph.build("abc", [("a", "b")])  # c was isolated before the step
-    shrunk, cascaded = apply_rule1(g, "a")
-    assert shrunk == Graph.build("c", []) and [str(v) for v in cascaded] == ["b"]
-
-
-def test_apply_rule1_rejects_bad_targets(p3):
-    with pytest.raises(NotApplicable):
-        apply_rule1(p3, p3.vertices[0])
+    # c is isolated before the step, so deleting a cascades only b
+    names, edges, cascaded = oracles.rule1_step(*oracle_form(Graph.build("abc", [("a", "b")])), "a")
+    assert names == ("c",) and edges == frozenset() and cascaded == ("b",)
+    g = Graph.build("abcd", [("a", "b")])
+    _, trace = kernelize(Instance(Problem.CVS, g, 1))
+    a, b, c, d = g.vertices
+    assert trace.steps == (IsolateRemoval((c, d)), RuleIStep(a, (b,)))
 
 
 def test_rule1_preserves_answer_exhaustively():
     """Removing one member of a size->=2 reducible class never changes CVS."""
     for n in range(2, 6):
         for g in graphs_on(n):
-            v = rule1_applicable(g)
+            names, edges = oracle_form(g)
+            v = oracles.rule1_pick(names, edges)
             if v is None:
                 continue
-            shrunk, _ = apply_rule1(g, v)
+            shrunk = Graph.build(*oracles.rule1_step(names, edges, v)[:2])
             for k in range(0, 3):
                 before = solve_cvs_exact(Instance(Problem.CVS, g, k)) is not None
                 after = solve_cvs_exact(Instance(Problem.CVS, shrunk, k)) is not None
@@ -92,8 +104,6 @@ def test_kernelize_shrinks_triangle_to_nothing(k3):
     out, trace = kernelize(Instance(Problem.CVS, k3, 0))
     assert out.graph.n == 0 and out.budget == 0
     assert [type(s) for s in trace.steps] == [RuleIStep, RuleIStep]
-    assert str(trace.steps[0].removed) == "a"
-    assert [str(v) for v in trace.steps[1].cascaded] == ["c"]
 
 
 def test_kernelize_rule2_replaces_with_fixed_negative(p3):
@@ -187,7 +197,8 @@ def test_kernelize_edits_the_graph_once(editors):
 
 
 def test_kernelize_trace_replays_through_rule1_on_planted_graphs():
-    """The one-pass kernel's trace is the step-by-step Rule I loop's trace.
+    """The one-pass kernel's trace is the step-by-step Rule I loop's trace,
+    replayed through the name-level oracle.
 
     Extends the exhaustive n <= 5 sweep to planted graphs with 30-60
     vertices, where many classes shrink and whole clique components vanish.
@@ -197,22 +208,8 @@ def test_kernelize_trace_replays_through_rule1_on_planted_graphs():
         rng = random.Random(seed)
         g = planted_graph(rng, rng.randint(30, 60))
         for k in (g.n // 6, g.n):
-            out, trace = kernelize(Instance(Problem.CVS, g, k))
-            steps = list(trace.steps)
-            iso = g.isolated_vertices()
-            cur = g.without_vertices(iso)
-            if iso:
-                assert steps.pop(0) == IsolateRemoval(iso)
-            rule2 = steps[-1:] == [RuleIIStep()]
-            for step in steps[: len(steps) - rule2]:
-                assert rule1_applicable(cur) == step.removed
-                cur, cascaded = apply_rule1(cur, step.removed)
-                assert step == RuleIStep(step.removed, cascaded)
-                removals += 1
-                cascades += bool(cascaded)
-            assert rule1_applicable(cur) is None
-            if rule2:
-                assert cur.n > 3 * k and out.graph.n == 3 and out.budget == 0
-            else:
-                assert out.graph == cur and out.budget == k
+            inst = Instance(Problem.CVS, g, k)
+            steps, cascaded = replay_kernel_trace(inst, *kernelize(inst))
+            removals += steps
+            cascades += cascaded
     assert removals > 100 and cascades > 10

@@ -254,7 +254,7 @@ def test_cover_to_splits_length_formula_exhaustive():
         for g in graphs_on(n):
             names, edges = oracle_form(g)
             cover = solve_scc_exact(g, oracles.min_scc_weight(names, edges))
-            busy = [[v] for v in g.vertices if g.degree(v)]
+            busy = [[v] for v in g.vertices if g.neighbors(v)]
             for family in (cover, SigmaCliqueCover.of([*cover.sets, *busy])):
                 seq = cover_to_splits(g, family)
                 covered = set().union(*family.sets)
