@@ -42,6 +42,7 @@ from .graph import (
 )
 from .hunter import (
     HuntReport,
+    NotASweepPrefix,
     canonical_form,
     enumerate_graphs,
     graph_from_canonical,

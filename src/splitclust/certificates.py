@@ -20,10 +20,13 @@ of the clustering it describes: non-edges inside sets (once per pair) plus
 edges not inside any set plus the total size excess ``sum |C| - |V|``.
 Verifiers return a :class:`VerifyReport` rather than raising, except for
 malformed inputs (unknown vertices, families that do not cover).
+:data:`CERTIFICATE_KINDS` is the one rule for which certificate kinds each
+problem takes: it gives each (problem, kind) pair a value type and verifier.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -180,6 +183,10 @@ class ModificationSequence:
     """An ordered list of edge additions, edge deletions, and vertex splits."""
 
     steps: tuple = ()
+
+    @classmethod
+    def of(cls, steps: Iterable) -> ModificationSequence:
+        return cls(tuple(steps))
 
     @property
     def length(self) -> int:
@@ -515,3 +522,26 @@ def verify_cevs_cover(g: Graph, cover: SigmaCliqueCover, budget: int) -> VerifyR
             False, f"cost {breakdown.total} exceeds budget {budget}", metrics
         )
     return VerifyReport(True, None, metrics)
+
+
+def _verify_packing_bound(g: Graph, packing: P3Packing, budget: int) -> VerifyReport:
+    return verify_p3_packing(g, packing)  # whatever the budget
+
+
+# (problem, kind) -> (value type, verifier(g, value, budget)); two pairs check
+# alike when they share a verifier.  A packing bounds the split problems only:
+# each induced path needs an edit of one of its pairs or a split at its
+# center, and no two paths share a pair or a center.
+CERTIFICATE_KINDS = {
+    ("scc", "cover"): (SigmaCliqueCover, verify_sigma_cover),
+    ("ncc", "cover"): (NodeCliqueCover, verify_node_cover),
+    ("cevs", "cover"): (SigmaCliqueCover, verify_cevs_cover),
+    ("cvs", "sequence"): (
+        ModificationSequence, functools.partial(verify_modification_sequence, problem="cvs")
+    ),
+    ("cevs", "sequence"): (
+        ModificationSequence, functools.partial(verify_modification_sequence, problem="cevs")
+    ),
+    ("cvs", "packing"): (P3Packing, _verify_packing_bound),
+    ("cevs", "packing"): (P3Packing, _verify_packing_bound),
+}

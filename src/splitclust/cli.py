@@ -10,7 +10,9 @@ Subcommands::
     hunt        sweep all small graphs for optimum-structure counterexamples
 
 Graphs are read from the text format, certificates from JSON envelopes;
-budgets travel on the command line.  Exit codes: 0 = YES / certificate
+budgets travel on the command line; `formats` writes and reads every file,
+hunt reports included, and `certificates.CERTIFICATE_KINDS` says which
+certificate kinds each problem takes.  Exit codes: 0 = YES / certificate
 valid, 1 = NO / certificate invalid, 2 = usage or format error, 3 = size
 limit exceeded, 141 = the reader of stdout closed it early.
 """
@@ -18,27 +20,17 @@ limit exceeded, 141 = the reader of stdout closed it early.
 from __future__ import annotations
 
 import argparse
-import itertools
-import json
+import contextlib
 import os
 import sys
 from pathlib import Path
 
 from . import formats
-from .certificates import (
-    NotACover,
-    VerifyReport,
-    cover_cost,
-    verify_cevs_cover,
-    verify_modification_sequence,
-    verify_node_cover,
-    verify_p3_packing,
-    verify_sigma_cover,
-)
+from .certificates import CERTIFICATE_KINDS, NotACover, VerifyReport, cover_cost
 from .formats import Certificate, FormatError
 from .graph import DuplicateVertex, Graph, UnknownVertex
-from .hunter import hunt, hunt_graph, report_to_obj, sweep
-from .kernel import kernelize
+from .hunter import NotASweepPrefix, hunt, hunt_graph
+from .kernel import RuleIIStep, kernelize
 from .reductions import (
     BudgetUnderflow,
     Instance,
@@ -124,7 +116,7 @@ def cmd_solve(args) -> int:
                        "splits": cost.excess},
         )
     optimum = getattr(value, measure)
-    kind = "cover" if problem in (Problem.SCC, Problem.NCC) else "sequence"
+    kind = next(k for (_, k), (t, _) in CERTIFICATE_KINDS.items() if type(value) is t)
     cert = Certificate(problem.value, budget, kind, value)
     out = Path(args.output) if args.output else _default_out(
         args.graph, f".{problem.value}.cert.json"
@@ -159,7 +151,7 @@ def cmd_kernelize(args) -> int:
     inst = Instance(Problem.CVS, g, args.budget)
     out_inst, trace = kernelize(inst)
     trace_obj = formats.kernel_trace_to_obj(trace)
-    rule2 = any(step.get("rule") == "II" for step in trace_obj["steps"])
+    rule2 = any(isinstance(step, RuleIIStep) for step in trace.steps)
     summary = (
         f"kernel: {out_inst.graph.n} vertices, budget {out_inst.budget}"
         f" ({len(trace.steps)} steps{'; decided negative by Rule II' if rule2 else ''})"
@@ -200,28 +192,14 @@ def cmd_reduce(args) -> int:
 def cmd_verify(args) -> int:
     g = formats.load_graph(args.graph)
     cert = formats.load_certificate(args.certificate)
-    if args.problem is not None and args.problem != cert.problem:
-        raise FormatError(
-            f"certificate is for {cert.problem}, not {args.problem}"
-        )
-    problem = cert.problem
+    # --problem may name another problem whose check of this kind is the same
+    problem = args.problem or cert.problem
+    entry = CERTIFICATE_KINDS.get((problem, cert.kind))
+    if entry != CERTIFICATE_KINDS[cert.problem, cert.kind]:
+        raise FormatError(f"certificate is for {cert.problem}, not {problem}")
     budget = args.budget if args.budget is not None else cert.budget
     try:
-        if cert.kind == "cover" and problem == "scc":
-            report = verify_sigma_cover(g, cert.value, budget)
-        elif cert.kind == "cover" and problem == "ncc":
-            report = verify_node_cover(g, cert.value, budget)
-        elif cert.kind == "cover" and problem == "cevs":
-            report = verify_cevs_cover(g, cert.value, budget)
-        elif cert.kind == "sequence" and problem in ("cvs", "cevs"):
-            report = verify_modification_sequence(g, cert.value, budget, problem)
-        elif cert.kind == "packing" and problem in ("cvs", "cevs"):
-            # each path needs an edit of one of its pairs or a split at its
-            # center, and no two paths share a pair or a center: a bound on
-            # the split problems only
-            report = verify_p3_packing(g, cert.value)
-        else:
-            raise FormatError(f"no verifier for {problem} certificates of kind {cert.kind}")
+        report = entry[1](g, cert.value, budget)
     except (UnknownVertex, NotACover) as exc:
         report = VerifyReport(False, str(exc), {})
     obj = {
@@ -245,71 +223,20 @@ def cmd_lowerbound(args) -> int:
     packing = max_p3_packing(
         g, exact=args.exact_packing, size_limit=args.size_limit_override
     )
-    if args.output:
-        cert = Certificate("cevs", packing.size, "packing", packing)
-        formats.save_certificate(cert, args.output)
     kind = "exact" if args.exact_packing else "greedy"
-    triples = [[str(x), str(y), str(z)] for x, y, z in packing.triples]
     human = f"lower bound {packing.size} ({kind} induced-path packing)"
+    obj = {"bound": packing.size, "method": kind, "triples": formats.packing_to_obj(packing)}
     if args.output:
+        formats.save_certificate(Certificate("cevs", packing.size, "packing", packing), args.output)
         human += f"\ncertificate: {args.output}"
-    _emit(args, human, {"bound": packing.size, "method": kind, "triples": triples,
-                        **({"certificateFile": args.output} if args.output else {})})
+        obj["certificateFile"] = args.output
+    _emit(args, human, obj)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # hunt
 # ---------------------------------------------------------------------------
-
-
-def _read_resume(path: Path) -> tuple[list[tuple[int, int, bool, bool]], int]:
-    """The (n, index, cutting, respecting) of every complete report in
-    `path`, in file order, and the length in bytes of the complete reports.
-
-    Each report is written as one newline-terminated line, so text after the
-    last newline is a report cut short by a crash: the caller cuts it off
-    the file, and the run resumes after the last complete report.
-    """
-    if not path.exists():
-        return [], 0
-    data = path.read_bytes()
-    complete = data[: data.rfind(b"\n") + 1]
-    try:
-        text = complete.decode()
-    except UnicodeDecodeError as exc:
-        raise FormatError(
-            f"{path}: not a hunt report file (not UTF-8: {exc.reason})"
-        ) from exc
-    done = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if line.strip():
-            try:
-                obj = json.loads(line)
-                n, index = obj["n"], obj["index"]
-                flags = obj["existsOptimumCutting"], obj["existsOptimumRespecting"]
-                # bool is a subclass of int: true is not an n of 1
-                if not (type(n) is type(index) is int
-                        and all(type(f) is bool for f in flags)):
-                    raise TypeError("mistyped report field")
-            except (ValueError, KeyError, TypeError) as exc:
-                raise FormatError(f"{path} line {lineno}: not a hunt report") from exc
-            done.append((n, index, *flags))
-    return done, len(complete)
-
-
-def _check_resume(path: Path, done: list[tuple], max_n: int, connected: bool) -> None:
-    """Raise FormatError unless `done`, the reports in `path`, are the first
-    reports of the sweep the flags ask for: a file written with other flags,
-    or holding reports past the sweep, is not resumed."""
-    ahead = itertools.islice(sweep(max_n, connected_only=connected), len(done))
-    for k, (have, want) in enumerate(itertools.zip_longest(done, ahead), 1):
-        if want is None or have[:2] != want[:2]:
-            expected = "no report" if want is None else f"n {want[0]} index {want[1]}"
-            raise FormatError(
-                f"{path}: report {k} is n {have[0]} index {have[1]}, where this"
-                f" sweep has {expected}; it was written with other flags"
-            )
 
 
 def cmd_hunt(args) -> int:
@@ -328,47 +255,35 @@ def cmd_hunt(args) -> int:
         report = hunt_graph(
             formats.load_graph(args.graph), size_limit=args.size_limit_override
         )
-        print(json.dumps(report_to_obj(report), sort_keys=True))
+        sys.stdout.write(formats.dumps_report(report))
         return 0
-    done, keep = [], 0
-    if args.resume:
-        done, keep = _read_resume(Path(args.output))
-    # the call checks the size limit, so it comes before the file is touched
-    runs = hunt(
-        args.max_n,
-        connected_only=args.connected,
-        parallel=args.parallel,
-        skip_until=done[-1][:2] if done else None,
-        size_limit=args.size_limit_override,
-    )
-    if done:
-        _check_resume(Path(args.output), done, args.max_n, args.connected)
-    reports = [(n, *flags) for n, _, *flags in done]
-    sink = sys.stdout
-    handle = None
-    if args.output:
-        mode = "a" if args.resume else "w"
-        handle = sink = Path(args.output).open(mode, encoding="utf-8")
-        if args.resume:
-            handle.truncate(keep)
+    path = Path(args.output) if args.output else None
+    # (n, index, cutting, respecting) of each report, those already in -o first
+    reports, keep = formats.load_reports(path) if args.resume else ([], 0)
+    # the call checks the size limit and the reports already made, so it
+    # comes before the file is touched
     try:
+        runs = hunt(args.max_n, connected_only=args.connected, parallel=args.parallel,
+                    done=[r[:2] for r in reports], size_limit=args.size_limit_override)
+    except NotASweepPrefix as exc:
+        raise FormatError(f"{path}: {exc}; it was written with other flags") from exc
+    out = path.open("a" if args.resume else "w", encoding="utf-8") if path else None
+    with out or contextlib.nullcontext(sys.stdout) as sink:
+        if args.resume:
+            sink.truncate(keep)
         for report in runs:
-            print(json.dumps(report_to_obj(report), sort_keys=True), file=sink, flush=True)
-            reports.append(
-                (report.n, report.exists_optimum_cutting,
-                 report.exists_optimum_respecting)
-            )
-    finally:
-        if handle:
-            handle.close()
-    summary_sink = sys.stdout if args.output else sys.stderr
+            sink.write(formats.dumps_report(report))
+            sink.flush()
+            reports.append((report.n, report.index, report.exists_optimum_cutting,
+                            report.exists_optimum_respecting))
+    summary_sink = sys.stdout if path else sys.stderr
     print("n graphs cutting non-respecting", file=summary_sink)
     for n in range(1, args.max_n + 1):
         rows = [r for r in reports if r[0] == n]
-        cutting = sum(1 for r in rows if r[1])
-        bad = sum(1 for r in rows if not r[2])
+        cutting = sum(1 for r in rows if r[2])
+        bad = sum(1 for r in rows if not r[3])
         print(f"{n} {len(rows)} {cutting} {bad}", file=summary_sink)
-    total_bad = sum(1 for r in reports if not r[2])
+    total_bad = sum(1 for r in reports if not r[3])
     verdict = (
         "no graph without a class-respecting optimum found"
         if total_bad == 0

@@ -14,11 +14,13 @@ endpoints, and count mismatches are parse errors.  Budgets never live in the
 graph file; they travel on the command line or in certificate envelopes.
 
 Certificates and traces (which embed their instances) travel as JSON
-envelopes with a schema tag; certificates are the one JSON input.
+envelopes with a schema tag, hunt reports as one JSON line each; a
+certificate's payload is read into the value type that
+`certificates.CERTIFICATE_KINDS` gives its (problem, kind).
 Serialization is canonical and byte-stable: members are emitted in the
 library's vertex order and objects with sorted keys, so writing the same
 value twice produces identical bytes.  :func:`dumps_canonical` is the one
-writer: a short recursive one whose text is byte for byte what
+writer of indented JSON: a short recursive one whose text is byte for byte what
 ``json.dumps`` writes with ``sort_keys=True`` and ``indent=2``, plus a
 newline.  The standard encoder takes its pure-Python path whenever it
 indents, so writing the text directly is faster; strings are escaped by the
@@ -36,6 +38,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .certificates import (
+    CERTIFICATE_KINDS,
     EdgeAdd,
     EdgeDelete,
     ModificationSequence,
@@ -285,7 +288,7 @@ def _id_set(names: list[str], ids: _Memo) -> frozenset[VertexId]:
     return frozenset(set(map(ids.__getitem__, names)))
 
 
-def _steps_from_obj(items, ids: _Memo) -> ModificationSequence:
+def _steps_from_obj(items, ids: _Memo) -> list:
     steps = []
     for i, item in enumerate(_expect(items, list, "steps")):
         item = _expect(item, dict, f"step {i}")
@@ -302,7 +305,7 @@ def _steps_from_obj(items, ids: _Memo) -> ModificationSequence:
             steps.append(VertexSplit(split))
         else:
             raise FormatError(f"unknown modification op {op!r}")
-    return ModificationSequence(tuple(steps))
+    return steps
 
 
 def cover_to_obj(cover: SigmaCliqueCover | NodeCliqueCover) -> list[list[str]]:
@@ -311,23 +314,37 @@ def cover_to_obj(cover: SigmaCliqueCover | NodeCliqueCover) -> list[list[str]]:
     return [_ids(s, text) for s in cover.sets]
 
 
+def packing_to_obj(packing: P3Packing) -> list[list[str]]:
+    return [[str(x), str(y), str(z)] for x, y, z in packing.triples]
+
+
+def _sets_from_obj(sets, ids: _Memo) -> list[frozenset[VertexId]]:
+    return [_id_set(_names(s, "a set"), ids) for s in _expect(sets, list, "sets")]
+
+
+def _triples_from_obj(triples, ids: _Memo) -> list[tuple[VertexId, VertexId, VertexId]]:
+    named = (_names(t, "a triple") for t in _expect(triples, list, "triples"))
+    return [(ids[x], ids[y], ids[z]) for x, y, z in named]
+
+
+# kind -> (payload member, writer of a value, reader of its items)
+_PAYLOADS = {
+    "cover": ("sets", cover_to_obj, _sets_from_obj),
+    "sequence": ("steps", _steps_to_obj, _steps_from_obj),
+    "packing": ("triples", packing_to_obj, _triples_from_obj),
+}
+
+
 def certificate_to_obj(cert: Certificate) -> dict:
-    if cert.kind == "cover":
-        payload = {"sets": cover_to_obj(cert.value)}
-    elif cert.kind == "sequence":
-        payload = {"steps": _steps_to_obj(cert.value)}
-    elif cert.kind == "packing":
-        payload = {
-            "triples": [[str(x), str(y), str(z)] for x, y, z in cert.value.triples]
-        }
-    else:
+    if cert.kind not in _PAYLOADS:
         raise ValueError(f"unknown certificate kind {cert.kind!r}")
+    member, write, _ = _PAYLOADS[cert.kind]
     return {
         "schema": CERTIFICATE_SCHEMA,
         "problem": cert.problem,
         "budget": cert.budget,
         "kind": cert.kind,
-        "payload": payload,
+        "payload": {member: write(cert.value)},
     }
 
 
@@ -345,21 +362,14 @@ def certificate_from_obj(obj) -> Certificate:
             raise FormatError("budget must be a non-negative integer")
         kind = obj["kind"]
         payload = _expect(obj["payload"], dict, "payload")
-        ids = _Memo(VertexId.parse)  # one VertexId per distinct token
-        if kind == "cover":
-            cover_cls = NodeCliqueCover if problem == "ncc" else SigmaCliqueCover
-            sets = _expect(payload["sets"], list, "sets")
-            value = cover_cls.of(_id_set(_names(s, "a set"), ids) for s in sets)
-        elif kind == "sequence":
-            value = _steps_from_obj(payload["steps"], ids)
-        elif kind == "packing":
-            triples = _expect(payload["triples"], list, "triples")
-            value = P3Packing.of(
-                (ids[x], ids[y], ids[z])
-                for x, y, z in (_names(t, "a triple") for t in triples)
-            )
-        else:
+        if not isinstance(kind, str) or kind not in _PAYLOADS:
             raise FormatError(f"unknown certificate kind {kind!r}")
+        member, _, read = _PAYLOADS[kind]
+        items = read(payload[member], _Memo(VertexId.parse))  # one VertexId per token
+        # a payload's own faults are named before a pair no verifier takes
+        if (problem, kind) not in CERTIFICATE_KINDS:
+            raise FormatError(f"no verifier for {problem} certificates of kind {kind}")
+        value = CERTIFICATE_KINDS[problem, kind][0].of(items)
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError, GraphError) as exc:
@@ -387,6 +397,66 @@ def load_certificate(path: str | Path) -> Certificate:
 
 def save_certificate(cert: Certificate, path: str | Path) -> None:
     Path(path).write_text(dumps_certificate(cert), encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# hunt reports
+# ---------------------------------------------------------------------------
+
+
+def report_to_obj(report) -> dict:
+    def cover_obj(cover: SigmaCliqueCover | None):
+        return None if cover is None else cover_to_obj(cover)
+
+    return {
+        "schema": "splitclust.hunt/1",
+        "n": report.n,
+        "index": report.index,
+        "canonical": report.canonical,
+        "graph": graph_to_obj(report.graph),
+        "optimum": report.optimum,
+        "optimalCovers": report.optimal_covers,
+        "existsOptimumCutting": report.exists_optimum_cutting,
+        "existsOptimumRespecting": report.exists_optimum_respecting,
+        "witnessCutting": cover_obj(report.witness_cutting),
+        "witnessRespecting": cover_obj(report.witness_respecting),
+    }
+
+
+def dumps_report(report) -> str:
+    """The report as one newline-terminated line of JSON with sorted keys."""
+    return json.dumps(report_to_obj(report), sort_keys=True) + "\n"
+
+
+def load_reports(path: Path) -> tuple[list[tuple[int, int, bool, bool]], int]:
+    """The (n, index, cutting, respecting) of every complete report in
+    `path`, in file order, and their length in bytes; none if there is no
+    `path`.  Each report is one newline-terminated line, so text after the
+    last newline is a report cut short by a crash, for the caller to cut off.
+    """
+    if not path.exists():
+        return [], 0
+    data = path.read_bytes()
+    complete = data[: data.rfind(b"\n") + 1]
+    try:
+        text = complete.decode()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a hunt report file (not UTF-8: {exc.reason})") from exc
+    done = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                obj = json.loads(line)
+                n, index = obj["n"], obj["index"]
+                flags = obj["existsOptimumCutting"], obj["existsOptimumRespecting"]
+                # bool is a subclass of int: true is not an n of 1
+                if not (type(n) is type(index) is int
+                        and all(type(f) is bool for f in flags)):
+                    raise TypeError("mistyped report field")
+            except (ValueError, KeyError, TypeError) as exc:
+                raise FormatError(f"{path} line {lineno}: not a hunt report") from exc
+            done.append((n, index, *flags))
+    return done, len(complete)
 
 
 # ---------------------------------------------------------------------------

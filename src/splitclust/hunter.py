@@ -10,7 +10,9 @@ some optimum respects them all, with witnesses.  Covers stay row masks, and
 each is tested against the class masks of `critical_clique_graph`; only the
 two witnesses are named.  The search picks its own vertex order for the
 enumeration (see `solvers.cevs_search`); the reports do not depend on it,
-since covers are sorted before witnesses are chosen.
+since covers are sorted before witnesses are chosen.  `hunt` resumes a
+sweep from the reports already made, checking them against the start of
+the sweep as it skips them; writing and reading reports is `formats`'s.
 
 Isomorphism classes are enumerated by canonical form.  The canonical form of
 an n-vertex graph is the lexicographically smallest adjacency bitstring over
@@ -44,7 +46,6 @@ from importlib import resources
 from typing import Iterator, Sequence
 
 from .certificates import SigmaCliqueCover, masks_cost, sets_respect_classes
-from .formats import cover_to_obj, graph_to_obj
 from .graph import Graph, VertexId, component_masks, critical_clique_graph
 from .solvers import cevs_search, check_size
 
@@ -266,58 +267,39 @@ def _hunt_worker(args) -> HuntReport:
     return _analyze(graph_from_canonical(n, bits), n, index, bits)
 
 
+class NotASweepPrefix(Exception):
+    """The reports said to be made already are not the sweep's first ones."""
+
+
 def hunt(
     max_n: int,
     *,
     connected_only: bool = False,
     parallel: bool = False,
-    skip_until: tuple[int, int] | None = None,
+    done: Sequence[tuple[int, int]] = (),
     size_limit: int | None = None,
 ) -> Iterator[HuntReport]:
     """Reports for every graph with 1..max_n vertices, smallest first, as a
-    lazy iterator; the size limit is checked by the call itself.
+    lazy iterator, after the reports already made.
 
-    `skip_until = (n, index)` resumes after that report; the command line
-    checks first that the reports it resumes are the start of `sweep`.
+    `done` holds the (n, index) of the reports already made.  The call
+    itself checks the size limit, and then walks the start of the sweep
+    once: it raises NotASweepPrefix unless `done` is that start, and skips it.
     """
     check_size("hunt", max_n, size_limit)
-    items = (
-        item
-        for item in sweep(max_n, connected_only=connected_only)
-        if skip_until is None or item[:2] > skip_until
-    )
+    # (n, index, canonical bits) of each class, each level read when first reached
+    items = ((n, index, bits) for n in range(1, max_n + 1)
+             for index, bits in _classes(n, connected_only))
+    made = itertools.islice(items, len(done))
+    for k, (have, want) in enumerate(itertools.zip_longest(done, made), 1):
+        if want is None or have != want[:2]:
+            expected = "no report" if want is None else f"n {want[0]} index {want[1]}"
+            raise NotASweepPrefix(
+                f"report {k} is n {have[0]} index {have[1]}, where this sweep has {expected}"
+            )
     return _pooled(items) if parallel else map(_hunt_worker, items)
-
-
-def sweep(
-    max_n: int, *, connected_only: bool = False
-) -> Iterator[tuple[int, int, int]]:
-    """(n, index, canonical bits) of each class `hunt` reports on, in its
-    order, as a lazy iterator: each level is read when first reached."""
-    for n in range(1, max_n + 1):
-        for index, bits in _classes(n, connected_only):
-            yield n, index, bits
 
 
 def _pooled(items: Iterator[tuple[int, int, int]]) -> Iterator[HuntReport]:
     with ProcessPoolExecutor() as pool:
         yield from pool.map(_hunt_worker, items, chunksize=8)
-
-
-def report_to_obj(report: HuntReport) -> dict:
-    def cover_obj(cover: SigmaCliqueCover | None):
-        return None if cover is None else cover_to_obj(cover)
-
-    return {
-        "schema": "splitclust.hunt/1",
-        "n": report.n,
-        "index": report.index,
-        "canonical": report.canonical,
-        "graph": graph_to_obj(report.graph),
-        "optimum": report.optimum,
-        "optimalCovers": report.optimal_covers,
-        "existsOptimumCutting": report.exists_optimum_cutting,
-        "existsOptimumRespecting": report.exists_optimum_respecting,
-        "witnessCutting": cover_obj(report.witness_cutting),
-        "witnessRespecting": cover_obj(report.witness_respecting),
-    }

@@ -14,8 +14,22 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA
+from splitclust.certificates import (
+    ModificationSequence,
+    NodeCliqueCover,
+    P3Packing,
+    SigmaCliqueCover,
+)
 from splitclust.cli import main
-from splitclust.formats import load_certificate, load_graph
+from splitclust.formats import (
+    Certificate,
+    FormatError,
+    dumps_certificate,
+    load_certificate,
+    load_graph,
+)
+from splitclust.reductions import Instance, Problem
+from splitclust.solvers import max_p3_packing, solve_cvs_exact, solve_scc_exact
 
 
 @pytest.fixture()
@@ -233,17 +247,68 @@ def test_verify_packing(work, capsys):
     assert "size=6" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("problem", ["cvs", "cevs", "scc", "ncc"])
-def test_verify_takes_a_packing_only_for_a_split_problem(work, capsys, problem):
-    # each path needs an edit of one of its pairs or a split at its center;
-    # six paths bound no cover problem: ccl8's ncc optimum is 3
-    cert = json.loads((work / "six-path-packing.json").read_text(encoding="utf-8"))
-    (work / "p.json").write_text(json.dumps({**cert, "problem": problem}), encoding="utf-8")
-    split = problem in ("cvs", "cevs")
-    assert run("verify", work / "ccl8.graph", work / "p.json") == (0 if split else 2)
+@pytest.fixture(scope="module")
+def ccl8_witnesses():
+    """A witness of each certificate kind on ccl8 within budget 20: an scc
+    optimum is a cover by cliques of every edge, so it is also an ncc cover
+    and a cevs cover of cost 20 - 8; a cvs sequence is also a cevs one."""
+    g = load_graph(DATA / "ccl8.graph")
+    return {
+        "cover": solve_scc_exact(g, 20),
+        "sequence": solve_cvs_exact(Instance(Problem.CVS, g, 6)),
+        "packing": max_p3_packing(g, exact=True),
+    }
+
+
+# the problems each certificate kind has a verifier for, and the value type
+# each is read as; a packing bounds the split problems only (six paths bound
+# no cover problem: ccl8's ncc optimum is 3)
+TAKES = {
+    "cover": {"scc": SigmaCliqueCover, "ncc": NodeCliqueCover, "cevs": SigmaCliqueCover},
+    "sequence": {"cvs": ModificationSequence, "cevs": ModificationSequence},
+    "packing": {"cvs": P3Packing, "cevs": P3Packing},
+}
+
+
+@pytest.mark.parametrize("kind", list(TAKES))
+@pytest.mark.parametrize("problem", [x.value for x in Problem])
+def test_verify_takes_the_kinds_each_problem_has_a_verifier_for(
+    work, capsys, ccl8_witnesses, problem, kind
+):
+    path = work / "c.json"
+    cert = Certificate(problem, 20, kind, ccl8_witnesses[kind])
+    path.write_text(dumps_certificate(cert), encoding="utf-8")
+    code = run("verify", work / "ccl8.graph", path)
     out, err = capsys.readouterr()
-    no_verifier = f"error: no verifier for {problem} certificates of kind packing\n"
-    assert (out, err) == (("VALID (size=6)\n", "") if split else ("", no_verifier))
+    if problem in TAKES[kind]:
+        assert type(load_certificate(path).value) is TAKES[kind][problem]
+        assert (code, out.startswith("VALID"), err) == (0, True, "")
+    else:
+        no_verifier = f"no verifier for {problem} certificates of kind {kind}"
+        with pytest.raises(FormatError, match=no_verifier):
+            load_certificate(path)
+        assert (code, out, err) == (2, "", f"error: {no_verifier}\n")
+
+
+def test_verify_checks_a_lowerbound_packing_for_either_split_problem(work, capsys):
+    # lowerbound writes its packing for cevs, and cvs checks a packing alike
+    pk = work / "pk.json"
+    assert run("lowerbound", "--exact-packing", work / "ccl8.graph", "-o", pk) == 0
+    capsys.readouterr()
+    assert run("verify", "--problem", "cvs", work / "ccl8.graph", pk, "--json") == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["problem"], obj["kind"], obj["valid"]) == ("cvs", "packing", True)
+    assert run("verify", "--problem", "scc", work / "ccl8.graph", pk) == 2
+    assert capsys.readouterr() == ("", "error: certificate is for cevs, not scc\n")
+
+
+def test_verify_checks_a_sequence_only_for_its_own_problem(work, capsys, ccl8_witnesses):
+    # a cevs sequence may edit edges, which cvs forbids: the checks differ
+    path = work / "s.json"
+    cert = Certificate("cevs", 6, "sequence", ccl8_witnesses["sequence"])
+    path.write_text(dumps_certificate(cert), encoding="utf-8")
+    assert run("verify", "--problem", "cvs", work / "ccl8.graph", path) == 2
+    assert capsys.readouterr() == ("", "error: certificate is for cevs, not cvs\n")
 
 
 def test_verify_problem_mismatch(work):

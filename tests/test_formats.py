@@ -27,11 +27,13 @@ from splitclust.formats import (
     certificate_to_obj,
     dumps_canonical,
     dumps_certificate,
+    dumps_report,
     format_graph_text,
     instance_to_obj,
     kernel_trace_to_obj,
     load_certificate,
     load_graph,
+    load_reports,
     loads_certificate,
     parse_graph_text,
     reduction_trace_to_obj,
@@ -39,6 +41,7 @@ from splitclust.formats import (
     save_graph,
 )
 from splitclust.graph import Graph, Split, VertexId
+from splitclust.hunter import hunt
 from splitclust.kernel import kernelize
 from splitclust.reductions import Instance, Problem, reduce_ncc_to_scc
 
@@ -464,6 +467,22 @@ def test_read_sets_are_frozensets_copied_from_sets():
     assert {len(side) for side in sides} >= {5, 6, 7}
     for side in sides:
         assert sys.getsizeof(side) == sys.getsizeof(frozenset(set(side)))
+
+
+# ---------------------------------------------------------------- hunt reports
+
+
+def test_hunt_reports_read_back_up_to_a_line_cut_short(tmp_path):
+    reports = list(hunt(3))
+    text = "".join(map(dumps_report, reports))
+    assert text.count("\n") == len(reports) == 7
+    path = tmp_path / "r.jsonl"
+    path.write_text(text + text[:40], encoding="utf-8")  # a crash mid-write
+    done, length = load_reports(path)
+    assert length == len(text.encode())
+    assert done == [(r.n, r.index, r.exists_optimum_cutting, r.exists_optimum_respecting)
+                    for r in reports]
+    assert load_reports(tmp_path / "missing.jsonl") == ([], 0)
 
 
 # ---------------------------------------------------------------- traces

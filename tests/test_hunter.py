@@ -12,7 +12,7 @@ import oracles
 from conftest import graphs_on, oracle_form, relabeled
 from splitclust.certificates import cover_cost, cover_respects_critical_cliques
 from splitclust import hunter
-from splitclust.formats import Certificate, dumps_certificate
+from splitclust.formats import Certificate, dumps_certificate, report_to_obj
 from splitclust.graph import Graph
 from splitclust.hunter import (
     canonical_form,
@@ -20,7 +20,6 @@ from splitclust.hunter import (
     graph_from_canonical,
     hunt,
     hunt_graph,
-    report_to_obj,
 )
 from splitclust.reductions import Instance, Problem
 from splitclust.solvers import SizeLimitExceeded, cevs_search, solve_cevs_exact
@@ -314,7 +313,7 @@ def test_reports_upto_n6_match_pinned_digest(reports_upto_6):
 
 def test_reports_n7_match_pinned_digest():
     """The 1,044 n = 7 reports, pinned like the n <= 6 ones."""
-    reports = list(hunt(7, skip_until=(6, ALL_CLASSES[5] - 1)))
+    reports = list(hunt(7, done=[(n, i) for n in range(1, 7) for i in range(ALL_CLASSES[n - 1])]))
     assert len(reports) == ALL_CLASSES[6]
     blob = json.dumps([report_to_obj(r) for r in reports], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == REPORTS_N7_SHA256
@@ -391,8 +390,23 @@ def test_hunt_stream_order_and_resume():
     assert [(r.n, r.index) for r in full] == [
         (1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (3, 3)
     ]
-    tail = list(hunt(3, skip_until=(2, 1)))
+    tail = list(hunt(3, done=[(1, 0), (2, 0), (2, 1)]))
     assert [(r.n, r.index) for r in tail] == [(3, 0), (3, 1), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize(
+    "done, message",
+    [
+        ([(1, 0), (2, 1)], "report 2 is n 2 index 1, where this sweep has n 2 index 0"),
+        ([(1, 0), (2, 0), (2, 1), (3, 0)],
+         "report 4 is n 3 index 0, where this sweep has no report"),
+    ],
+    ids=["another sweep", "past the sweep"],
+)
+def test_hunt_refuses_done_reports_that_do_not_start_the_sweep(done, message):
+    with pytest.raises(hunter.NotASweepPrefix) as exc:
+        hunt(2, done=done)
+    assert str(exc.value) == message
 
 
 def test_hunt_connected_only():

@@ -103,3 +103,33 @@ def test_only_bounded_functions_call_themselves():
         for name in self_calling(ast.parse(path.read_text(), str(path)), path.stem)
     ]
     assert found == ["formats._dump", "hunter._level"]
+
+
+# the package's layers, lowest first: a module imports only from layers below
+# its own, so each wire format has one owner above everything it writes
+LAYERS = [["graph"], ["certificates"], ["reductions"], ["kernel", "solvers"],
+          ["hunter"], ["formats"], ["cli"]]
+
+
+def test_modules_import_only_from_layers_below_their_own():
+    rank = {module: i for i, layer in enumerate(LAYERS) for module in layer}
+    paths = sorted(p for p in SRC.glob("*.py") if p.stem != "__init__")
+    assert sorted(rank) == [p.stem for p in paths]
+    upward = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                upward += [f"{path.stem} imports {t}" for t in targets
+                           if rank[t] >= rank[path.stem]]
+    assert upward == []
+
+
+def test_the_cli_leaves_json_to_formats():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    imported = [
+        alias.name if isinstance(node, ast.Import) else node.module
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert "json" not in imported
