@@ -68,7 +68,6 @@ from .reductions import (
     convert_scc_cvs,
     cover_to_modifications,
     cover_to_splits,
-    extend_universal,
     reduce_cvs_to_cevs,
     reduce_ncc_to_scc,
     splits_to_cover,

@@ -35,6 +35,7 @@ from typing import Iterable, Sequence
 from .graph import (
     Graph,
     GraphEditor,
+    GraphError,
     Split,
     UnknownVertex,
     VertexId,
@@ -90,12 +91,6 @@ class _CliqueFamily:
     def of(cls, sets: Iterable[Iterable[VertexId | str]]):
         return cls(_canonical_sets(sets))
 
-    def __iter__(self):
-        return iter(self.sets)
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
 
 class SigmaCliqueCover(_CliqueFamily):
     """A family of cliques meant to cover every edge; measured by weight."""
@@ -135,12 +130,6 @@ class P3Packing:
 
     @property
     def size(self) -> int:
-        return len(self.triples)
-
-    def __iter__(self):
-        return iter(self.triples)
-
-    def __len__(self) -> int:
         return len(self.triples)
 
 
@@ -199,7 +188,8 @@ class ModificationSequence:
         """Apply every step in order; raises InapplicableStep on the first bad one.
 
         All steps run on one :class:`GraphEditor`, and the result is sorted
-        and built once.
+        and built once.  A step is bad when the editor refuses it with a
+        :class:`GraphError`; any other exception is a fault and passes through.
         """
         edit = GraphEditor(g)
         for i, step in enumerate(self.steps):
@@ -212,9 +202,7 @@ class ModificationSequence:
                     edit.split(step.split)
                 else:
                     raise InapplicableStep(i, f"unknown step type {type(step).__name__}")
-            except InapplicableStep:
-                raise
-            except Exception as exc:  # unknown vertex, bad split, ...
+            except GraphError as exc:  # unknown vertex, bad split, ...
                 raise InapplicableStep(i, str(exc)) from exc
         return edit.graph()
 

@@ -372,7 +372,9 @@ def certificate_from_obj(obj) -> Certificate:
         value = CERTIFICATE_KINDS[problem, kind][0].of(items)
     except FormatError:
         raise
-    except (KeyError, TypeError, ValueError, GraphError) as exc:
+    except KeyError as exc:
+        raise FormatError(f"bad certificate object: missing member {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, GraphError) as exc:
         raise FormatError(f"bad certificate object: {exc}") from exc
     return Certificate(problem, budget, kind, value)
 
@@ -433,18 +435,24 @@ def load_reports(path: Path) -> tuple[list[tuple[int, int, bool, bool]], int]:
     `path`, in file order, and their length in bytes; none if there is no
     `path`.  Each report is one newline-terminated line, so text after the
     last newline is a report cut short by a crash, for the caller to cut off.
+    The file is read one line at a time.
     """
     if not path.exists():
         return [], 0
-    data = path.read_bytes()
-    complete = data[: data.rfind(b"\n") + 1]
-    try:
-        text = complete.decode()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not a hunt report file (not UTF-8: {exc.reason})") from exc
-    done = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if line.strip():
+    done, length = [], 0
+    with path.open("rb") as lines:
+        for lineno, raw in enumerate(lines, 1):
+            if not raw.endswith(b"\n"):
+                break
+            length += len(raw)
+            try:
+                line = raw.decode()
+            except UnicodeDecodeError as exc:
+                raise FormatError(
+                    f"{path}: not a hunt report file (not UTF-8: {exc.reason})"
+                ) from exc
+            if not line.strip():
+                continue
             try:
                 obj = json.loads(line)
                 n, index = obj["n"], obj["index"]
@@ -456,7 +464,7 @@ def load_reports(path: Path) -> tuple[list[tuple[int, int, bool, bool]], int]:
             except (ValueError, KeyError, TypeError) as exc:
                 raise FormatError(f"{path} line {lineno}: not a hunt report") from exc
             done.append((n, index, *flags))
-    return done, len(complete)
+    return done, length
 
 
 # ---------------------------------------------------------------------------

@@ -101,10 +101,6 @@ class VertexId(tuple):
     def root(self) -> str:
         return self[2]
 
-    @property
-    def branches(self) -> tuple[int, ...]:
-        return self[3]
-
     @classmethod
     def parse(cls, token: str | VertexId) -> VertexId:
         """Parse "c.0.1" into VertexId("c", (0, 1)); passes VertexIds through."""
@@ -244,9 +240,6 @@ class Graph:
 
     def has_edge(self, u: VertexId | str, w: VertexId | str) -> bool:
         return bool(self.rows[self.index(u)] >> self.index(w) & 1)
-
-    def neighbors(self, v: VertexId | str) -> tuple[VertexId, ...]:
-        return self.vertices_of_mask(self.rows[self.index(v)])
 
     def edges(self) -> Iterator[tuple[VertexId, VertexId]]:
         """All edges, endpoints ordered, in lexicographic pair order."""

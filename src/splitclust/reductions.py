@@ -129,25 +129,20 @@ def universal_names(g: Graph, count: int) -> tuple[VertexId, ...]:
     return tuple(VertexId(f"{base}{i}") for i in range(1, count + 1))
 
 
-def extend_universal(g: Graph, count: int) -> Graph:
-    """Add `count` fresh vertices adjacent to every vertex of g and nothing else."""
-    return _with_universal(g, universal_names(g, count))
-
-
 def _with_universal(g: Graph, names: tuple[VertexId, ...]) -> Graph:
-    """g plus the fresh `names` of :func:`universal_names`, each adjacent to
-    every vertex of g and to nothing else.
+    """g plus the fresh `names` of :func:`universal_names`, at least one,
+    each adjacent to every vertex of g and to nothing else.
 
     The rows are built directly, one shift per old row.  The fresh names
     are one block in vertex order.  Their roots are not all digits, so
     every all-digit root of g sorts before them; they start with a base
     that no root of g starts with, and a string sorting between two strings
     that share a prefix shares it too.  So the k old vertices before the
-    block keep their index, the others move up by `count`, each old row
+    block keep their index, the others move up by len(names), each old row
     gains the block, and each fresh row is every old vertex.
     """
     fresh, count = sorted(names), len(names)
-    k = bisect.bisect_left(g.vertices, fresh[0]) if fresh else g.n
+    k = bisect.bisect_left(g.vertices, fresh[0])
     low = (1 << k) - 1
     block = ((1 << count) - 1) << k
     rows = [(row & low) | (row >> k << (k + count)) | block for row in g.rows]

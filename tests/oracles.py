@@ -930,8 +930,9 @@ def parse_by_name(formats_module, graph_module, text):
             f" found {len(vertices)} / {len(edges)}"
         )
     for v in vertices:
-        for depth in range(len(v.branches)):
-            ancestor = VertexId(v.root, v.branches[:depth])
+        _, _, root, branches = v  # the documented sort key
+        for depth in range(len(branches)):
+            ancestor = VertexId(root, branches[:depth])
             if ancestor in seen_vertices:
                 fail(seen_vertices[v], f"vertex {v} is a split copy of vertex {ancestor}")
     return build_by_name(graph_module, vertices, edges)

@@ -26,7 +26,7 @@ from splitclust.certificates import (
     verify_p3_packing,
     verify_sigma_cover,
 )
-from splitclust.graph import Graph, Split, UnknownVertex, VertexId, induced_p3_indices
+from splitclust.graph import Graph, GraphEditor, Split, UnknownVertex, VertexId, induced_p3_indices
 from splitclust.reductions import cover_to_modifications, cover_to_splits
 from splitclust.solvers import max_p3_packing
 
@@ -38,7 +38,7 @@ def test_cover_canonicalization():
     cover = SigmaCliqueCover.of([["b", "a"], ["a", "b"], ["c"]])
     assert [sorted(map(str, s)) for s in cover.sets] == [["a", "b"], ["c"]]
     assert cover.weight == 3
-    assert len(cover) == 2
+    assert len(cover.sets) == 2
 
 
 def test_cover_keeps_a_frozenset_of_names():
@@ -197,7 +197,7 @@ def test_cover_verifiers_match_the_oracle_on_mutated_covers(kind, verify, oracle
                     cover = kind(tuple(family))
                 else:
                     cover = kind.of(family)
-                size = sum(map(len, cover.sets)) if kind is SigmaCliqueCover else len(cover)
+                size = sum(map(len, cover.sets)) if kind is SigmaCliqueCover else len(cover.sets)
                 budget = max(0, size - rng.randrange(2))
                 named = [[str(v) for v in s] for s in cover.sets]
                 try:
@@ -260,6 +260,19 @@ def test_inapplicable_steps_carry_index(p3):
     bad_split = ModificationSequence((VertexSplit(Split.of("z", [], [])),))
     with pytest.raises(InapplicableStep):
         bad_split.apply_to(p3)
+
+
+def test_a_fault_inside_a_replay_is_not_an_invalid_certificate(p3, monkeypatch):
+    """Only the editor's GraphError makes a step inapplicable; any other
+    exception is a fault of the library and reaches the caller."""
+
+    def broken(self, u, w):
+        raise RuntimeError("editor fault")
+
+    monkeypatch.setattr(GraphEditor, "add_edge", broken)
+    seq = ModificationSequence((EdgeAdd("a", "c"),))
+    with pytest.raises(RuntimeError, match="editor fault"):
+        verify_modification_sequence(p3, seq, 1, "cevs")
 
 
 # "07" and "7" are distinct roots with equal numeric value; "c.0.1" is taken

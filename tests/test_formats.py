@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -88,7 +90,9 @@ def test_save_load_graph(tmp_path):
     "text,fragment",
     [
         ("", "missing 'graph"),
+        ("v a\ngraph 1 0\n", "line 1: expected header 'graph <n> <m>'"),
         ("graph two 1\n", "line 1"),
+        ("graph 0 -1\n", "line 1: vertex and edge counts must be non-negative"),
         ("graph 1 0\nw a\n", "unknown directive"),
         ("graph 1 0\nv a\nv a\n", "duplicate vertex"),
         ("graph 2 1\nv a\nv b\ne a a\n", "self-loop"),
@@ -362,6 +366,14 @@ def test_certificate_validation(mangle):
         certificate_from_obj(obj)
 
 
+def test_writers_refuse_what_they_do_not_know(k3):
+    with pytest.raises(ValueError, match="unknown certificate kind 'proof'"):
+        certificate_to_obj(Certificate("scc", 1, "proof", None))
+    _, trace = kernelize(Instance(Problem.CVS, k3, 0))
+    with pytest.raises(ValueError, match="unknown kernel step"):
+        kernel_trace_to_obj(dataclasses.replace(trace, steps=(None,)))
+
+
 def test_sequence_step_validation():
     obj = certificate_to_obj(
         Certificate("cevs", 1, "sequence", ModificationSequence((EdgeAdd("a", "b"),)))
@@ -445,6 +457,7 @@ def _split(target, left, right) -> dict:
          "bad certificate object: not enough values to unpack (expected 3, got 2)"),
         ("packing", {"triples": [["a", "b.4", "c"]]},
          "bad certificate object: branch components after dots must be 0 or 1: 'b.4'"),
+        ("sequence", {"steps": [{"op": "add"}]}, "bad certificate object: missing member 'u'"),
     ],
 )
 def test_certificate_error_messages_in_full(kind, payload, message):
@@ -483,6 +496,23 @@ def test_hunt_reports_read_back_up_to_a_line_cut_short(tmp_path):
     assert done == [(r.n, r.index, r.exists_optimum_cutting, r.exists_optimum_respecting)
                     for r in reports]
     assert load_reports(tmp_path / "missing.jsonl") == ([], 0)
+
+
+def test_hunt_reports_are_read_in_less_memory_than_the_file(tmp_path):
+    """The reader holds one line at a time, not the file, its text and its
+    lines at once."""
+    lines = list(map(dumps_report, hunt(5)))
+    text = "".join(itertools.islice(itertools.cycle(lines), 5000))
+    path = tmp_path / "r.jsonl"
+    path.write_text(text, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        done, length = load_reports(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(done) == 5000 and length == path.stat().st_size
+    assert peak < length
 
 
 # ---------------------------------------------------------------- traces

@@ -67,6 +67,58 @@ def test_every_private_top_level_name_is_read():
     assert unread == []
 
 
+# public names kept without a reader in src/ or bench/, each with its reason
+UNREAD_ALLOWED = {
+    # the twin-free quotient that hunt/2 will decide (ROADMAP item 3)
+    "graph.CriticalCliqueGraph.quotient_graph",
+}
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    """A public top-level def or class of a module, or a public method or
+    property of such a class, that neither the package (its own body and
+    ``__init__.py`` aside) nor ``bench/`` reads is surface only tests reach.
+    A top-level name is read as a name or as an attribute; a method or
+    property only as an attribute, since no code reaches one by its bare name.
+
+    Names are matched by spelling alone, so a name that shares its spelling
+    with another that is read passes: ``Split.of`` does, through every ``.of``.
+    """
+    bench = SRC.parent.parent / "bench"
+    modules = {p.stem: ast.parse(p.read_text(), str(p))
+               for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"}
+    trees = [*modules.values(),
+             *(ast.parse(p.read_text(), str(p)) for p in sorted(bench.glob("*.py")))]
+
+    def reads(node, attributes_only):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                if not attributes_only:
+                    yield sub.id
+
+    counts = [Counter(name for tree in trees for name in reads(tree, only))
+              for only in (False, True)]
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    public = []  # (qualified name, node, whether only attribute reads count)
+    for stem, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (*functions, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            public.append((f"{stem}.{node.name}", node, False))
+            if isinstance(node, ast.ClassDef):
+                public += [(f"{stem}.{node.name}.{sub.name}", sub, True)
+                           for sub in node.body
+                           if isinstance(sub, functions) and not sub.name.startswith("_")]
+    unread = {
+        name for name, node, only in public
+        if counts[only][node.name] == sum(n == node.name for n in reads(node, only))
+    }
+    assert len(public) > 100
+    assert unread == UNREAD_ALLOWED
+
+
 def test_only_bounded_functions_call_themselves():
     """A search that recurses once per level is bound by the recursion
     limit, so the searches keep explicit stacks.  Two functions recurse, each

@@ -31,7 +31,6 @@ from splitclust.reductions import (
     convert_cvs_scc,
     convert_scc_cvs,
     cover_to_splits,
-    extend_universal,
     reduce_cvs_to_cevs,
     reduce_ncc_to_scc,
     translate_ncc_cert_to_scc,
@@ -96,12 +95,13 @@ def test_universal_names_avoid_collisions():
 
 
 def test_extend_universal_structure(p3):
-    ext = extend_universal(p3, 2)
-    assert ext.n == 5 and ext.edge_count == 2 + 2 * 3
-    u1, u2 = universal_names(p3, 2)
-    assert not ext.has_edge(u1, u2)
-    for v in "abc":
-        assert ext.has_edge(u1, v) and ext.has_edge(u2, v)
+    ext = reduce_ncc_to_scc(Instance(Problem.NCC, p3, 0))[0].graph
+    assert ext.n == 3 + 5 and ext.edge_count == 2 + 5 * 3
+    universal = universal_names(p3, 5)
+    for u1, u2 in itertools.combinations(universal, 2):
+        assert not ext.has_edge(u1, u2)
+    for u, v in itertools.product(universal, "abc"):
+        assert ext.has_edge(u, v)
 
 
 @pytest.mark.parametrize(
@@ -120,10 +120,9 @@ def test_extend_universal_matches_the_build_by_name(names):
     for p in (0.0, 0.4, 1.0):
         pairs = [e for e in itertools.combinations(names, 2) if rng.random() < p]
         g = Graph.build(names, pairs)
-        for count in (0, 1, 2 * g.edge_count + 1):
-            ext = extend_universal(g, count)
-            ref = oracles.extend_universal_by_build(graph_module, g, count)
-            assert (ext.vertices, ext.rows) == (ref.vertices, ref.rows)
+        ext = reduce_ncc_to_scc(Instance(Problem.NCC, g, 0))[0].graph
+        ref = oracles.extend_universal_by_build(graph_module, g, 2 * g.edge_count + 1)
+        assert (ext.vertices, ext.rows) == (ref.vertices, ref.rows)
 
 
 # ---------------------------------------------------------------- NCC -> SCC
@@ -159,6 +158,8 @@ def test_translate_rejects_invalid_certificates(p3):
     red, _ = reduce_ncc_to_scc(inst)
     with pytest.raises(InvalidCertificate):
         translate_scc_cert_to_ncc(inst, SigmaCliqueCover.of([["a", "b"]]))
+    with pytest.raises(InvalidCertificate):  # the edge b c is left uncovered
+        cover_to_splits(p3, SigmaCliqueCover.of([["a", "b"]]))
 
 
 def test_translate_scc_cert_to_ncc_matches_per_universal_scan():
@@ -254,7 +255,7 @@ def test_cover_to_splits_length_formula_exhaustive():
         for g in graphs_on(n):
             names, edges = oracle_form(g)
             cover = solve_scc_exact(g, oracles.min_scc_weight(names, edges))
-            busy = [[v] for v in g.vertices if g.neighbors(v)]
+            busy = [[v] for v in g.vertices if g.rows[g.index(v)]]
             for family in (cover, SigmaCliqueCover.of([*cover.sets, *busy])):
                 seq = cover_to_splits(g, family)
                 covered = set().union(*family.sets)

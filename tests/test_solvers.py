@@ -8,6 +8,7 @@ import random
 import pytest
 
 import oracles
+import splitclust.graph as graph_module
 from conftest import graphs_on, oracle_form, oracle_steps, planted, relabeled
 from splitclust.certificates import (
     EdgeAdd,
@@ -240,9 +241,7 @@ def test_scc_empty_graph():
 def test_scc_star_blowup_bound_is_tight():
     """13 pairwise non-adjacent universals over K4: lower bound equals optimum."""
     k4 = Graph.build("abcd", list(itertools.combinations("abcd", 2)))
-    from splitclust.reductions import extend_universal
-
-    big = extend_universal(k4, 13)
+    big = oracles.extend_universal_by_build(graph_module, k4, 13)
     assert solve_scc_exact(big, 64, size_limit=big.n) is None
     cover = solve_scc_exact(big, 65, size_limit=big.n)
     assert cover is not None and cover.weight == 65
