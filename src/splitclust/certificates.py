@@ -8,7 +8,8 @@ Everything a solver or reduction emits is independently checkable:
 * modification sequences — edge additions, edge deletions, and vertex splits
   that must turn the input into a cluster graph within budget;
 * packings of induced three-vertex paths — certified lower bounds, valid when
-  the paths pairwise share at most one vertex and have distinct centers.
+  no two paths share a pair or a center (:func:`p3_conflict_keys`, the rule
+  the solvers' packers read too).
 
 Every family of vertex sets is read one way: :func:`family_masks` turns the
 sets into row masks (and rejects unknown names), and :func:`shared_rows`
@@ -131,6 +132,22 @@ class P3Packing:
     @property
     def size(self) -> int:
         return len(self.triples)
+
+
+def p3_conflict_keys(t: tuple[int, int, int]) -> list[int]:
+    """A key for the center c of the triple (x, c, z), as the pair (c, c),
+    and one for each of its three pairs; a pair a <= b is keyed b(b+1)/2 + a.
+
+    Two triples of three distinct vertices share two vertices exactly when
+    they share a pair, so two triples may both be packed exactly when they
+    share no key.
+    """
+    keys = []
+    for a, b in ((t[1], t[1]), (t[0], t[1]), (t[1], t[2]), (t[0], t[2])):
+        if a > b:
+            a, b = b, a
+        keys.append(b * (b + 1) // 2 + a)
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +290,9 @@ def _valencies(g: Graph, sets) -> dict[str, int]:
     """The number of sets holding each vertex, by name, in vertex order.
 
     Members are counted as given, and each distinct one is looked up once;
-    every member must name a vertex of `g`."""
+    every member must name a vertex of `g`.  The count runs on names, not on
+    row masks: `Counter` over the sets' members runs in C, and counting bits
+    of masks instead made the ncc and scc certificate translators slower."""
     counts = [0] * g.n
     for v, k in Counter(itertools.chain.from_iterable(sets)).items():
         counts[g.index(v)] += k
@@ -387,46 +406,39 @@ def verify_modification_sequence(
 
 
 def verify_p3_packing(g: Graph, packing: P3Packing) -> VerifyReport:
-    """Check induced paths, pairwise overlap <= 1 vertex, distinct centers.
+    """Check induced paths, no shared pair and no shared center.
 
     A valid packing certifies that every modification sequence reaching a
-    cluster graph has length at least ``packing.size``.
+    cluster graph has length at least ``packing.size``.  One pass checks each
+    path on ``g.rows`` and files it under its :func:`p3_conflict_keys`.  The
+    first conflicting pair (a, b), in pair order, is the least (first holder,
+    later holder) pair of any key: the key they share has no holder before a
+    nor between a and b, since it would conflict with a earlier in pair order.
     """
     family_masks(g, packing.triples)
     metrics = {"size": packing.size}
-    for x, y, z in packing.triples:
+    rows, index = g.rows, g.index
+    first: dict[int, int] = {}
+    clash: tuple[int, int] | None = None
+    for k, (x, y, z) in enumerate(packing.triples):
         if len({x, y, z}) != 3:
             return VerifyReport(False, f"triple ({x},{y},{z}) repeats a vertex", metrics)
-        if not (g.has_edge(x, y) and g.has_edge(y, z)) or g.has_edge(x, z):
+        a, c, b = index(x), index(y), index(z)
+        if not (rows[c] >> a & 1 and rows[c] >> b & 1) or rows[a] >> b & 1:
             return VerifyReport(
                 False, f"({x},{y},{z}) is not an induced path with center {y}", metrics
             )
-    # triples of distinct vertices share two vertices exactly when they share
-    # a pair, so sets of centers and pairs find a conflict in one pass; the
-    # pairwise scan runs only then, to name the first conflicting two
-    centers: set[VertexId] = set()
-    pairs: set[frozenset[VertexId]] = set()
-    for t in packing.triples:
-        mine = {frozenset(pair) for pair in itertools.combinations(t, 2)}
-        if t[1] in centers or not pairs.isdisjoint(mine):
-            break
-        centers.add(t[1])
-        pairs |= mine
-    else:
+        for key in p3_conflict_keys((a, c, b)):
+            holder = first.setdefault(key, k)
+            if holder != k and (clash is None or holder < clash[0]):
+                clash = (holder, k)
+    if clash is None:
         return VerifyReport(True, None, metrics)
-    for t1, t2 in itertools.combinations(packing.triples, 2):
-        if len(set(t1) & set(t2)) >= 2:
-            return VerifyReport(
-                False,
-                f"triples ({t1[0]},{t1[1]},{t1[2]}) and ({t2[0]},{t2[1]},{t2[2]})"
-                " share two vertices",
-                metrics,
-            )
-        if t1[1] == t2[1]:
-            return VerifyReport(
-                False, f"two triples share the center {t1[1]}", metrics
-            )
-    raise AssertionError("a shared center or pair with no conflicting two triples")
+    t1, t2 = (packing.triples[k] for k in clash)
+    if len(set(t1) & set(t2)) >= 2:
+        both = f"({t1[0]},{t1[1]},{t1[2]}) and ({t2[0]},{t2[1]},{t2[2]})"
+        return VerifyReport(False, f"triples {both} share two vertices", metrics)
+    return VerifyReport(False, f"two triples share the center {t1[1]}", metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +531,7 @@ def _verify_packing_bound(g: Graph, packing: P3Packing, budget: int) -> VerifyRe
 # (problem, kind) -> (value type, verifier(g, value, budget)); two pairs check
 # alike when they share a verifier.  A packing bounds the split problems only:
 # each induced path needs an edit of one of its pairs or a split at its
-# center, and no two paths share a pair or a center.
+# center, and no two paths share a key of p3_conflict_keys, the packers' rule.
 CERTIFICATE_KINDS = {
     ("scc", "cover"): (SigmaCliqueCover, verify_sigma_cover),
     ("ncc", "cover"): (NodeCliqueCover, verify_node_cover),

@@ -160,21 +160,20 @@ def cmd_kernelize(args) -> int:
     return 0
 
 
+# in the order the error for an unknown pair lists them
 _REDUCTIONS = {
     ("ncc", "scc"): reduce_ncc_to_scc,
-    ("cvs", "cevs"): reduce_cvs_to_cevs,
     ("cvs", "scc"): convert_cvs_scc,
     ("scc", "cvs"): convert_scc_cvs,
+    ("cvs", "cevs"): reduce_cvs_to_cevs,
 }
 
 
 def cmd_reduce(args) -> int:
     pair = (args.src, args.dst)
     if pair not in _REDUCTIONS:
-        raise FormatError(
-            f"no reduction {args.src} -> {args.dst};"
-            " available: ncc->scc, cvs->scc, scc->cvs, cvs->cevs"
-        )
+        available = ", ".join(f"{src}->{dst}" for src, dst in _REDUCTIONS)
+        raise FormatError(f"no reduction {args.src} -> {args.dst}; available: {available}")
     g = formats.load_graph(args.graph)
     inst = Instance(Problem(args.src), g, args.budget)
     out_inst, trace = _REDUCTIONS[pair](inst)

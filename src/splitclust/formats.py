@@ -386,7 +386,7 @@ def dumps_certificate(cert: Certificate) -> str:
 def loads_certificate(text: str) -> Certificate:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise FormatError(f"certificate is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FormatError("certificate JSON is nested too deeply") from exc

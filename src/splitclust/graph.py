@@ -238,9 +238,6 @@ class Graph:
     def index(self, v: VertexId | str) -> int:
         return _row_of(self._index, v)
 
-    def has_edge(self, u: VertexId | str, w: VertexId | str) -> bool:
-        return bool(self.rows[self.index(u)] >> self.index(w) & 1)
-
     def edges(self) -> Iterator[tuple[VertexId, VertexId]]:
         """All edges, endpoints ordered, in lexicographic pair order."""
         for i, row in enumerate(self.rows):

@@ -58,6 +58,7 @@ from .certificates import (
     NodeCliqueCover,
     P3Packing,
     SigmaCliqueCover,
+    p3_conflict_keys,
 )
 from .graph import Graph, VertexId, bits, induced_p3_indices
 from .reductions import (
@@ -109,7 +110,6 @@ class _NccTable:
     def __init__(self, rows: tuple[int, ...]):
         self.rows = rows
         self.memo: dict[int, int] = {0: 0}
-        self.choice: dict[int, int] = {}
 
     def _maximal_cliques_at(self, mask: int) -> list[int]:
         """The cliques of `mask` containing its smallest vertex and maximal
@@ -148,14 +148,14 @@ class _NccTable:
         return out
 
     def min_size(self, mask: int) -> int:
-        """The minimum clique partition size of `mask`; `choice` records the
-        first clique, in `_maximal_cliques_at` order, of one such partition.
+        """The minimum clique partition size of `mask`; it is memoized, and
+        so is each remainder of a clique of `_maximal_cliques_at(mask)`, and so on.
 
         A miss keeps its own stack of masks, one per clique taken, so the
         depth is not bound by the recursion limit.  A frame waiting for the
         remainder of its k-th clique resumes at that clique, now memoized.
         """
-        memo, choice = self.memo, self.choice
+        memo = self.memo
         hit = memo.get(mask)
         if hit is not None:
             return hit
@@ -163,32 +163,34 @@ class _NccTable:
         stack = []
         # best: the least partition size so far of a remainder m & ~q, each
         # of which is below |m|
-        m, cliques, k, best, best_q = mask, cliques_at(mask), 0, mask.bit_count(), 0
+        m, cliques, k, best = mask, cliques_at(mask), 0, mask.bit_count()
         while True:
             if k < len(cliques):
                 q = cliques[k]
                 r = memo.get(m & ~q)
                 if r is None:
-                    stack.append((m, cliques, k, best, best_q))
+                    stack.append((m, cliques, k, best))
                     m &= ~q
-                    cliques, k, best, best_q = cliques_at(m), 0, m.bit_count(), 0
+                    cliques, k, best = cliques_at(m), 0, m.bit_count()
                     continue
                 if r < best:
-                    best, best_q = r, q
+                    best = r
                 k += 1
                 continue
             best += 1
             memo[m] = best
-            choice[m] = best_q
             if not stack:
                 return best
-            m, cliques, k, best, best_q = stack.pop()
+            m, cliques, k, best = stack.pop()
 
     def partition(self, mask: int) -> list[int]:
-        self.min_size(mask)
+        """A minimum clique partition of `mask`, read off the memo: at each
+        remainder, the first clique whose own remainder `min_size` found least."""
+        memo, need = self.memo, self.min_size(mask)
         out = []
         while mask:
-            q = self.choice[mask]
+            need -= 1
+            q = next(q for q in self._maximal_cliques_at(mask) if memo[mask & ~q] == need)
             out.append(q)
             mask &= ~q
         return out
@@ -368,25 +370,9 @@ def solve_cvs_exact(
 # ---------------------------------------------------------------------------
 
 
-def _conflict_keys(t: tuple[int, int, int]) -> list[int]:
-    """A key for the center c of the triple (x, c, z), as the pair (c, c),
-    and one for each of its three pairs; a pair a <= b is keyed b(b+1)/2 + a.
-
-    Two triples of three distinct vertices share two vertices exactly when
-    they share a pair, so two triples may both be packed exactly when they
-    share no key.
-    """
-    keys = []
-    for a, b in ((t[1], t[1]), (t[0], t[1]), (t[1], t[2]), (t[0], t[2])):
-        if a > b:
-            a, b = b, a
-        keys.append(b * (b + 1) // 2 + a)
-    return keys
-
-
 def _first_fit(keys: Iterable[list[int]]) -> list[int]:
-    """First fit: the positions of the triples, given by their conflict keys,
-    each compatible with every one chosen before it."""
+    """First fit: the positions of the triples, given by their
+    `p3_conflict_keys`, each sharing no key with any one chosen before it."""
     used: set[int] = set()
     chosen = []
     for k, mine in enumerate(keys):
@@ -397,7 +383,7 @@ def _first_fit(keys: Iterable[list[int]]) -> list[int]:
 
 
 def _greedy_packing(triples: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    return [triples[k] for k in _first_fit(map(_conflict_keys, triples))]
+    return [triples[k] for k in _first_fit(map(p3_conflict_keys, triples))]
 
 
 def _suffix_packing_bounds(rows: Sequence[int]) -> list[int]:
@@ -414,11 +400,11 @@ def _suffix_packing_bounds(rows: Sequence[int]) -> list[int]:
     A path with c < i or z < i stays out: its excess at c or its pair xz is
     charged at a placed vertex and may already be paid.
 
-    Each triple is keyed once, by min(c, z) and its conflict keys, and the
-    first fit for each i runs over the keys in triple order.
+    Each triple is keyed once, by min(c, z) and its `p3_conflict_keys`, and
+    the first fit for each i runs over the keys in triple order.
     """
     keyed = [
-        (min(t[1], t[2]), _conflict_keys(t)) for t in sorted(induced_p3_indices(rows))
+        (min(t[1], t[2]), p3_conflict_keys(t)) for t in sorted(induced_p3_indices(rows))
     ]
     return [
         len(_first_fit(keys for low, keys in keyed if low >= i))
@@ -428,7 +414,7 @@ def _suffix_packing_bounds(rows: Sequence[int]) -> list[int]:
 
 def _exact_packing(triples: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     m = len(triples)
-    keys = [_conflict_keys(t) for t in triples]
+    keys = [p3_conflict_keys(t) for t in triples]
     conflict = [0] * m
     for a in range(m):
         mine = set(keys[a])

@@ -158,7 +158,7 @@ def _mutants(g: Graph, sets, rng):
         s = rng.choice(big)
         yield "drop member", [t if t is not s else frozenset(s) - {rng.choice(s)} for t in sets]
     for s in rng.sample(sets, len(sets)):
-        outside = [v for v in g.vertices if v not in s and not all(g.has_edge(v, u) for u in s)]
+        outside = [v for v in g.vertices if v not in s and g.mask_of(s) & ~g.rows[g.index(v)]]
         if outside:
             plus = frozenset(s) | {rng.choice(outside)}
             yield "add non-neighbour", [t if t is not s else plus for t in sets]
@@ -388,7 +388,7 @@ def _sequence_mutants(g: Graph, steps, rng):
     yield "same", steps
     at = rng.randrange(len(steps) + 1)
     u, w = rng.sample(g.vertices, 2)
-    edit = (EdgeDelete if g.has_edge(u, w) else EdgeAdd)(u, w)
+    edit = (EdgeDelete if g.rows[g.index(u)] >> g.index(w) & 1 else EdgeAdd)(u, w)
     yield "edit", [*steps[:at], edit, *steps[at:]]
     if not steps:
         return

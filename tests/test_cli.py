@@ -215,6 +215,10 @@ def test_reduce_underflow_is_a_no(work, capsys):
 def test_reduce_unknown_direction(work, capsys):
     assert run("reduce", "--from", "ncc", "--to", "cevs",
                work / "k3.graph", "--budget", "1") == 2
+    assert capsys.readouterr().err == (
+        "error: no reduction ncc -> cevs;"
+        " available: ncc->scc, cvs->scc, scc->cvs, cvs->cevs\n"
+    )
 
 
 # ---------------------------------------------------------------- verify
@@ -738,6 +742,19 @@ def test_verify_deeply_nested_certificate_is_exit_2(work, capsys):
     assert run("verify", work / "p3.graph", cert) == 2
     err = capsys.readouterr().err
     assert err == "error: certificate JSON is nested too deeply\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python converts integer strings of any length")
+def test_verify_certificate_with_an_over_long_integer_is_exit_2(work, capsys):
+    # json.loads raises a plain ValueError past the int-string digit limit
+    cert = work / "long.json"
+    text = (work / "two-set-cover.json").read_text()
+    cert.write_text(text.replace('"budget": 6', '"budget": ' + "9" * 5000))
+    assert run("verify", work / "ccl8.graph", cert) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: certificate is not valid JSON: ")
+    assert "integer string conversion" in err and len(err.strip().splitlines()) == 1
 
 
 def test_size_limit_exit_3_and_override(work, capsys):

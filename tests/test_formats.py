@@ -55,7 +55,7 @@ def test_parse_basic_graph():
     text = "# toy\ngraph 3 2\nv a\nv b\nv c  # trailing comment\ne a b\ne b c\n"
     g = parse_graph_text(text)
     assert g.n == 3 and g.edge_count == 2
-    assert g.has_edge("a", "b") and g.has_edge("b", "c")
+    assert g.rows == (0b010, 0b101, 0b010)
 
 
 def test_format_is_stable_fixpoint():
@@ -496,6 +496,17 @@ def test_hunt_reports_read_back_up_to_a_line_cut_short(tmp_path):
     assert done == [(r.n, r.index, r.exists_optimum_cutting, r.exists_optimum_respecting)
                     for r in reports]
     assert load_reports(tmp_path / "missing.jsonl") == ([], 0)
+
+
+def test_hunt_reports_skip_a_blank_line_and_count_its_byte(tmp_path):
+    lines = list(map(dumps_report, hunt(3)))
+    path = tmp_path / "r.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    plain = load_reports(path)
+    path.write_text(lines[0] + "\n" + "".join(lines[1:]), encoding="utf-8")
+    done, length = load_reports(path)
+    # the blank line is no report, but --resume keeps it: its byte is counted
+    assert done == plain[0] and length == plain[1] + 1 == path.stat().st_size
 
 
 def test_hunt_reports_are_read_in_less_memory_than_the_file(tmp_path):

@@ -114,6 +114,20 @@ def test_cached_level_counts():
         assert len(_level(n)) == want
 
 
+def test_a_level_past_8_is_extended_from_the_level_below(monkeypatch):
+    """Level 9 is `_extend_level` of level 8; the extension is recorded, not
+    run, since it would canonize every extension of level 8's forms."""
+    calls = []
+
+    def extend(prev, n):
+        calls.append((prev, n))
+        return [3, 5]
+
+    monkeypatch.setattr(hunter, "_extend_level", extend)
+    assert hunter._level.__wrapped__(9) == (3, 5)
+    assert len(calls) == 1 and calls[0][0] is hunter._level(8) and calls[0][1] == 9
+
+
 def test_last_column_pre_test_rejects_no_canonical_form():
     """Up to n = 6, every extension below `_least_last_column` is not
     canonical, and the bound is the largest column k, read from the rows,

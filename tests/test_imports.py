@@ -1,4 +1,4 @@
-"""Module boundaries of the package, checked on its source."""
+"""Module boundaries and line lengths of the package, checked on its source."""
 
 from __future__ import annotations
 
@@ -7,6 +7,20 @@ from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "splitclust"
+
+
+def test_source_lines_fit_in_100_characters():
+    """Every line of the package and of its tests fits in 100 characters; a
+    failure lists each longer line as ``path:line: N characters``."""
+    root = SRC.parent.parent
+    long = [
+        f"{path.relative_to(root)}:{number}: {len(line)} characters"
+        for top in ("src/splitclust", "tests")
+        for path in sorted((root / top).glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long == []
 
 
 def test_modules_import_no_private_names_of_each_other():
