@@ -293,10 +293,6 @@ class Graph:
                 return False
         return True
 
-    def component_masks(self) -> list[int]:
-        """Connected components as bitmasks, ordered by smallest member."""
-        return component_masks(self.rows)
-
     # -- derived graphs -------------------------------------------------------
 
     def without_vertices(self, drop: Iterable[VertexId | str]) -> Graph:
@@ -510,7 +506,7 @@ def is_cluster_graph(g: Graph) -> bool:
         if rows[low] | 1 << low != closed:
             has_p3 = True
             break
-    comps_cliques = all(g.is_clique_mask(c) for c in g.component_masks())
+    comps_cliques = all(g.is_clique_mask(c) for c in component_masks(rows))
     assert has_p3 != comps_cliques, "P3-freeness and component cliqueness disagree"
     return comps_cliques
 

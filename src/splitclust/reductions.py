@@ -63,6 +63,7 @@ from .graph import (
     Graph,
     Split,
     VertexId,
+    component_masks,
     is_cluster_graph,
 )
 
@@ -338,7 +339,7 @@ def splits_to_cover(g: Graph, seq: ModificationSequence) -> SigmaCliqueCover:
     final = seq.apply_to(g)
     if not is_cluster_graph(final):
         raise NotAClusterGraphAfter("the split sequence does not end in clusters")
-    sets = [frozenset(final.vertices_of_mask(m)) for m in final.component_masks()]
+    sets = [frozenset(final.vertices_of_mask(m)) for m in component_masks(final.rows)]
     iso = len(g.isolated_vertices())
     trivial = sorted((s for s in sets if len(s) == 1), key=min)
     assert len(trivial) >= iso, "fewer trivial clusters than original isolates"

@@ -60,7 +60,7 @@ from .certificates import (
     SigmaCliqueCover,
     p3_conflict_keys,
 )
-from .graph import Graph, VertexId, bits, induced_p3_indices
+from .graph import Graph, VertexId, bits, component_masks, induced_p3_indices
 from .reductions import (
     Instance,
     Problem,
@@ -330,7 +330,7 @@ def solve_scc_exact(
     check_size("scc", g.n, size_limit)
     rows = g.rows
     table = _NccTable(rows)
-    comps = g.component_masks()
+    comps = component_masks(rows)
     lbs = [sum(table.min_size(rows[x]) for x in bits(c) if rows[x]) for c in comps]
     slack = budget - sum(lbs)
     sets: list[frozenset[VertexId]] = []
@@ -482,13 +482,9 @@ def _search_order(rows: Sequence[int]) -> list[int]:
     unplaced = (1 << len(rows)) - 1
     order = []
     while unplaced:
-        v = min(
-            (v for v in range(len(rows)) if unplaced >> v & 1),
-            key=lambda v: (
-                (rows[v] & unplaced).bit_count(),
-                -(rows[v] & ~unplaced).bit_count(),
-                v,
-            ),
+        *_, v = min(
+            ((rows[v] & unplaced).bit_count(), -(rows[v] & ~unplaced).bit_count(), v)
+            for v in bits(unplaced)
         )
         order.append(v)
         unplaced &= ~(1 << v)

@@ -6,10 +6,9 @@ from pathlib import Path
 import pytest
 
 import oracles
-from splitclust import Graph
 from splitclust.certificates import EdgeAdd, SigmaCliqueCover, VertexSplit
 from splitclust.formats import load_graph
-from splitclust.graph import GraphEditor
+from splitclust.graph import Graph, GraphEditor
 from splitclust.kernel import IsolateRemoval, RuleIIStep, RuleIStep
 
 DATA = Path(__file__).parent / "data"

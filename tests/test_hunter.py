@@ -11,7 +11,7 @@ import pytest
 import oracles
 from conftest import graphs_on, oracle_form, relabeled
 from splitclust.certificates import cover_cost, cover_respects_critical_cliques
-from splitclust import hunter
+from splitclust import hunter, solvers
 from splitclust.formats import Certificate, dumps_certificate, report_to_obj
 from splitclust.graph import Graph
 from splitclust.hunter import (
@@ -325,10 +325,21 @@ def test_reports_upto_n6_match_pinned_digest(reports_upto_6):
     assert hashlib.sha256(blob.encode()).hexdigest() == REPORTS_UPTO_6_SHA256
 
 
-def test_reports_n7_match_pinned_digest():
-    """The 1,044 n = 7 reports, pinned like the n <= 6 ones."""
+def test_reports_n7_match_pinned_digest(monkeypatch):
+    """The 1,044 n = 7 reports, pinned like the n <= 6 ones, and the search's
+    work on them pinned by its count of `_owed` calls."""
+    owed = solvers._owed
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return owed(*args)
+
+    monkeypatch.setattr(solvers, "_owed", counted)
     reports = list(hunt(7, done=[(n, i) for n in range(1, 7) for i in range(ALL_CLASSES[n - 1])]))
     assert len(reports) == ALL_CLASSES[6]
+    assert calls == 69_875
     blob = json.dumps([report_to_obj(r) for r in reports], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == REPORTS_N7_SHA256
 

@@ -1,4 +1,5 @@
-"""Module boundaries and line lengths of the package, checked on its source."""
+"""Module boundaries, import paths and line lengths of the package, checked
+on its source, and the README's library example, run."""
 
 from __future__ import annotations
 
@@ -23,6 +24,29 @@ def test_source_lines_fit_in_100_characters():
     assert long == []
 
 
+def test_the_package_namespace_holds_only_its_docstring():
+    """Each public name has one import path, ``splitclust.<module>.<name>``:
+    ``__init__.py`` re-exports nothing."""
+    body = ast.parse((SRC / "__init__.py").read_text()).body
+    assert len(body) == 1
+    assert isinstance(body[0], ast.Expr)
+    assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
+
+
+def test_the_readme_library_example_runs(monkeypatch, capsys):
+    """The one ```python block under README's "## Library" runs from the
+    repository root and prints the cover's sets and the sequence length."""
+    root = SRC.parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("\n## Library\n")[1].split("\n## ")[0].split("```python\n")[1:]
+    assert len(blocks) == 1
+    code = blocks[0].split("```")[0]
+    monkeypatch.chdir(root)
+    exec(compile(code, "README.md", "exec"), {})
+    # the sets print in hash-seed order, so only the length is pinned
+    assert capsys.readouterr().out.split()[-1] == "6"
+
+
 def test_modules_import_no_private_names_of_each_other():
     offenders = []
     for path in sorted(SRC.glob("*.py")):
@@ -37,12 +61,9 @@ def test_modules_import_no_private_names_of_each_other():
 
 
 def test_modules_use_every_name_they_import():
-    """A name imported but never read is dead; __init__.py is exempt, since
-    its imports are the package's re-export list."""
+    """A name imported but never read is dead."""
     unused = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(), str(path))
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
@@ -90,8 +111,8 @@ UNREAD_ALLOWED = {
 
 def test_every_public_name_has_a_reader_outside_the_tests():
     """A public top-level def or class of a module, or a public method or
-    property of such a class, that neither the package (its own body and
-    ``__init__.py`` aside) nor ``bench/`` reads is surface only tests reach.
+    property of such a class, that neither the package (its own body aside)
+    nor ``bench/`` reads is surface only tests reach.
     A top-level name is read as a name or as an attribute; a method or
     property only as an attribute, since no code reaches one by its bare name.
 
@@ -99,8 +120,7 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     with another that is read passes: ``Split.of`` does, through every ``.of``.
     """
     bench = SRC.parent.parent / "bench"
-    modules = {p.stem: ast.parse(p.read_text(), str(p))
-               for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"}
+    modules = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
     trees = [*modules.values(),
              *(ast.parse(p.read_text(), str(p)) for p in sorted(bench.glob("*.py")))]
 

@@ -23,7 +23,13 @@ from splitclust.certificates import (
 )
 from splitclust import solvers
 from splitclust.formats import Certificate, dumps_certificate
-from splitclust.graph import DuplicateVertex, Graph, UnknownVertex, induced_p3_indices
+from splitclust.graph import (
+    DuplicateVertex,
+    Graph,
+    UnknownVertex,
+    component_masks,
+    induced_p3_indices,
+)
 from splitclust.hunter import canonical_form, enumerate_graphs, hunt
 from splitclust.reductions import (
     Instance,
@@ -337,7 +343,7 @@ def test_scc_builds_no_graph_per_component(editors):
     for a, b, c in zip(names[0::3], names[1::3], names[2::3]):
         edges += [(a, b), (b, c)] + [(a, c)] * (rng.random() < 0.5)
     g = Graph.build(names, edges)
-    assert len(g.component_masks()) == 60
+    assert len(component_masks(g.rows)) == 60
     cover = solve_scc_exact(g, 2 * g.edge_count, size_limit=g.n)
     assert editors == []
     assert verify_sigma_cover(g, cover, cover.weight).valid
@@ -360,7 +366,7 @@ def test_scc_certificate_is_the_union_of_component_certificates():
             edges += [e for e in itertools.combinations(part, 2) if rng.random() < p]
         g = Graph.build(names, edges)
         sets, weight = [], 0
-        for comp in g.component_masks():
+        for comp in component_masks(g.rows):
             members = set(g.vertices_of_mask(comp))
             own = Graph.build(
                 [str(v) for v in members],
